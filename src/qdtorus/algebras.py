@@ -29,7 +29,15 @@ from .errors import (
     RootConditionViolated,
     UnknownGenerator,
 )
-from .scalars import CyclotomicMode, QScalar, invert_in_cyclotomic_field
+from .scalars import (
+    CyclotomicMode,
+    QScalar,
+    add_scaled,
+    add_term,
+    invert_in_cyclotomic_field,
+    keep_scalar,
+    settle,
+)
 from .words import RewriteRule, RewriteSystem, Word
 
 ONE = QScalar.one()
@@ -61,6 +69,15 @@ class Element:
         self.terms = canon
         self._hash = None
 
+    @classmethod
+    def _canonical(cls, algebra: "Algebra", terms: dict) -> "Element":
+        """Wrap terms that are already canonical, skipping the coercion."""
+        e = cls.__new__(cls)
+        e.algebra = algebra
+        e.terms = terms
+        e._hash = None
+        return e
+
     # -- basics ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -73,7 +90,8 @@ class Element:
         return self.terms.get(mon, QScalar.zero())
 
     def map_scalars(self, fn) -> "Element":
-        return Element(self.algebra, {m: fn(c) for m, c in self.terms.items()})
+        acc = {m: fn(c) for m, c in self.terms.items()}
+        return Element._canonical(self.algebra, settle(acc, self.algebra.canon_scalar))
 
     def _check_peer(self, other: "Element"):
         if self.algebra is not other.algebra:
@@ -86,20 +104,13 @@ class Element:
     def __add__(self, other):
         if not isinstance(other, Element):
             other = self.algebra.unit() * _sc(other)
-        self._check_peer(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, QScalar.zero()) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Element(self.algebra, out)
+        return self.algebra.combine(((self, None), (other, None)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Element(self.algebra, {m: -c for m, c in self.terms.items()})
+        # negation keeps canonical scalars canonical
+        return Element._canonical(self.algebra, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Element):
@@ -110,18 +121,18 @@ class Element:
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, Element):
-            return self.map_scalars(lambda c: c * _sc(other))
+        if not isinstance(other, Element):  # scalars commute with everything
+            other = _sc(other)
+            return self.map_scalars(lambda c: c * other)
         self._check_peer(other)
-        out = self.algebra.zero()
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                out = out + self.algebra.mul_mon(m1, m2) * (c1 * c2)
-        return out
+        mul_mon = self.algebra.mul_mon
+        return self.algebra.combine(
+            (mul_mon(m1, m2), c1 * c2)
+            for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items()
+        )
 
-    def __rmul__(self, other):
-        # scalars commute with everything
-        return self.map_scalars(lambda c: _sc(other) * c)
+    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
@@ -134,16 +145,14 @@ class Element:
     # -- Hopf / star convenience (delegates to the algebra) ----------------
 
     def star(self) -> "Element":
-        out = self.algebra.zero()
-        for m, c in self.terms.items():
-            out = out + self.algebra.star_mon(m) * c.star()
-        return out
+        alg = self.algebra
+        return alg.combine((alg.star_mon(m), c.star()) for m, c in self.terms.items())
 
     def coproduct(self) -> "TensorElement":
-        out = TensorElement((self.algebra, self.algebra), {})
-        for m, c in self.terms.items():
-            out = out + self.algebra.coproduct_mon(m) * c
-        return out
+        alg = self.algebra
+        return TensorElement.combine(
+            (alg, alg), ((alg.coproduct_mon(m), c) for m, c in self.terms.items())
+        )
 
     def counit(self) -> QScalar:
         total = QScalar.zero()
@@ -152,10 +161,8 @@ class Element:
         return self.algebra.canon_scalar(total)
 
     def antipode(self) -> "Element":
-        out = self.algebra.zero()
-        for m, c in self.terms.items():
-            out = out + self.algebra.antipode_mon(m) * c
-        return out
+        alg = self.algebra
+        return alg.combine((alg.antipode_mon(m), c) for m, c in self.terms.items())
 
     # -- comparisons --------------------------------------------------------
 
@@ -227,6 +234,26 @@ class TensorElement:
         self.terms = canon
         self._hash = None
 
+    @classmethod
+    def _settled(cls, legs: tuple, acc: dict) -> "TensorElement":
+        """Canonicalise a raw combination once per key and wrap it."""
+        t = cls.__new__(cls)
+        t.legs = tuple(legs)
+        t.terms = settle(acc, legs[0].canon_scalar)
+        t._hash = None
+        return t
+
+    @classmethod
+    def combine(cls, legs: tuple, pairs) -> "TensorElement":
+        """sum(coeff * tensor) over (tensor, coeff) pairs, all on ``legs``;
+        a coeff of None stands for 1."""
+        acc: dict = {}
+        for t, coeff in pairs:
+            if t.legs != legs:
+                raise CrossAlgebraMix("tensor legs differ")
+            add_scaled(acc, t.terms, coeff)
+        return cls._settled(legs, acc)
+
     @property
     def rank(self) -> int:
         return len(self.legs)
@@ -236,33 +263,23 @@ class TensorElement:
             raise CrossAlgebraMix("tensor legs differ")
 
     def __add__(self, other):
-        self._check_peer(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, QScalar.zero()) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return TensorElement(self.legs, out)
+        return TensorElement.combine(self.legs, ((self, None), (other, None)))
 
     def __sub__(self, other):
         return self + other * _sc(-1)
 
     def __mul__(self, other):
         if not isinstance(other, TensorElement):
-            return TensorElement(
-                self.legs, {k: c * _sc(other) for k, c in self.terms.items()}
-            )
+            return TensorElement.combine(self.legs, ((self, _sc(other)),))
         self._check_peer(other)
-        out: dict = {}
+        acc: dict = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 legs_els = [
                     leg.mul_mon(m1, m2) for leg, m1, m2 in zip(self.legs, k1, k2)
                 ]
-                _tensor_accumulate(out, legs_els, c1 * c2, self.legs[0].canon_scalar)
-        return TensorElement(self.legs, out)
+                _tensor_accumulate(acc, legs_els, c1 * c2)
+        return TensorElement._settled(self.legs, acc)
 
     __rmul__ = __mul__
 
@@ -270,69 +287,51 @@ class TensorElement:
         """Map leg i monomials through a linear map given on monomials."""
         legs = list(self.legs)
         legs[i] = new_algebra
-        out: dict = {}
+        acc: dict = {}
         for key, c in self.terms.items():
-            image = fn(key[i])
-            for m, ci in image.terms.items():
-                new_key = key[:i] + (m,) + key[i + 1 :]
-                s = out.get(new_key, QScalar.zero()) + c * ci
-                if s:
-                    out[new_key] = s
-                else:
-                    out.pop(new_key, None)
-        return TensorElement(tuple(legs), out)
+            for m, ci in fn(key[i]).terms.items():
+                add_term(acc, key[:i] + (m,) + key[i + 1 :], c * ci)
+        return TensorElement._settled(tuple(legs), acc)
 
     def coproduct_leg(self, i: int) -> "TensorElement":
         """Replace leg i by its coproduct, increasing the rank by one."""
         leg = self.legs[i]
         legs = self.legs[:i] + (leg, leg) + self.legs[i + 1 :]
-        out: dict = {}
+        acc: dict = {}
         for key, c in self.terms.items():
             for (m1, m2), ci in leg.coproduct_mon(key[i]).terms.items():
-                new_key = key[:i] + (m1, m2) + key[i + 1 :]
-                s = out.get(new_key, QScalar.zero()) + c * ci
-                if s:
-                    out[new_key] = s
-                else:
-                    out.pop(new_key, None)
-        return TensorElement(legs, out)
+                add_term(acc, key[:i] + (m1, m2) + key[i + 1 :], c * ci)
+        return TensorElement._settled(legs, acc)
 
     def counit_leg(self, i: int):
         """Contract leg i with the counit; returns a lower-rank tensor or Element."""
         leg = self.legs[i]
         legs = self.legs[:i] + self.legs[i + 1 :]
-        out: dict = {}
+        acc: dict = {}
         for key, c in self.terms.items():
             eps = leg.counit_mon(key[i])
-            if eps.is_zero():
-                continue
-            new_key = key[:i] + key[i + 1 :]
-            s = out.get(new_key, QScalar.zero()) + c * eps
-            if s:
-                out[new_key] = s
-            else:
-                out.pop(new_key, None)
+            if not eps.is_zero():
+                add_term(acc, key[:i] + key[i + 1 :], c * eps)
         if len(legs) == 1:
-            return Element(legs[0], {k[0]: c for k, c in out.items()})
-        return TensorElement(legs, out)
+            return Element(legs[0], {k[0]: c for k, c in acc.items()})
+        return TensorElement._settled(legs, acc)
 
     def star_legs(self) -> "TensorElement":
         """(* tensor ... tensor *) with the antilinear scalar conjugation."""
-        out: dict = {}
+        acc: dict = {}
         for key, c in self.terms.items():
             legs_els = [leg.star_mon(m) for leg, m in zip(self.legs, key)]
-            _tensor_accumulate(out, legs_els, c.star(), self.legs[0].canon_scalar)
-        return TensorElement(self.legs, out)
+            _tensor_accumulate(acc, legs_els, c.star())
+        return TensorElement._settled(self.legs, acc)
 
     def multiply_legs(self) -> Element:
         """For rank 2 over one algebra: the multiplication map m(x tensor y)."""
         if self.rank != 2 or self.legs[0] is not self.legs[1]:
             raise CrossAlgebraMix("multiplication needs both legs in one algebra")
         alg = self.legs[0]
-        out = alg.zero()
-        for (m1, m2), c in self.terms.items():
-            out = out + alg.mul_mon(m1, m2) * c
-        return out
+        return alg.combine(
+            (alg.mul_mon(m1, m2), c) for (m1, m2), c in self.terms.items()
+        )
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -365,24 +364,19 @@ class TensorElement:
     __repr__ = __str__
 
 
-def _tensor_accumulate(out: dict, legs_els: list[Element], coeff: QScalar, canon):
+def _tensor_accumulate(acc: dict, legs_els: list[Element], coeff: QScalar):
+    """Add coeff * (e_1 tensor ... tensor e_r) into a raw combination."""
     for combo in iproduct(*(el.terms.items() for el in legs_els)):
-        key = tuple(m for m, _ in combo)
         c = coeff
         for _, ci in combo:
             c = c * ci
-        s = canon(out.get(key, QScalar.zero()) + c)
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
+        add_term(acc, tuple(m for m, _ in combo), c)
 
 
 def tensor_of(elements: Sequence[Element]) -> TensorElement:
-    legs = tuple(e.algebra for e in elements)
-    out: dict = {}
-    _tensor_accumulate(out, list(elements), ONE, legs[0].canon_scalar)
-    return TensorElement(legs, out)
+    acc: dict = {}
+    _tensor_accumulate(acc, list(elements), ONE)
+    return TensorElement._settled(tuple(e.algebra for e in elements), acc)
 
 
 def elements_equal(e1: Element, e2: Element) -> bool:
@@ -401,8 +395,7 @@ class Algebra:
     tag: str = "?"
     is_hopf: bool = True
 
-    def canon_scalar(self, s: QScalar) -> QScalar:
-        return s
+    canon_scalar = staticmethod(keep_scalar)
 
     # subclasses provide: unit, zero, mul_mon, coproduct_mon, counit_mon,
     # antipode_mon, star_mon, format_mon, mon_sort_key
@@ -412,6 +405,19 @@ class Algebra:
 
     def monomial(self, mon, coeff=1) -> Element:
         return Element(self, {mon: _sc(coeff)})
+
+    def combine(self, pairs) -> Element:
+        """sum(coeff * element) over (element, coeff) pairs of this algebra.
+
+        A coeff of None stands for 1.  The sum is canonicalised once per
+        monomial, not after every step.
+        """
+        acc: dict = {}
+        for el, coeff in pairs:
+            if el.algebra is not self:
+                raise CrossAlgebraMix(f"cannot mix {self.tag} with {el.algebra.tag}")
+            add_scaled(acc, el.terms, coeff)
+        return Element._canonical(self, settle(acc, self.canon_scalar))
 
     def _not_hopf(self):
         raise NotAHopfAlgebra(f"{self.tag} carries no coproduct")
@@ -441,9 +447,7 @@ class WordAlgebra(Algebra):
         self._counit_letter: dict[str, QScalar] = {}
         self._antipode_letter: dict[str, list] = {}
         self._star_letter: dict[str, list] = {}
-
-    def canon_scalar(self, s: QScalar) -> QScalar:
-        return self.system.scalar_canon(s)
+        self.canon_scalar = system.scalar_canon
 
     # -- element construction ---------------------------------------------
 
@@ -499,13 +503,12 @@ class WordAlgebra(Algebra):
             self._star_letter[letter] = [(_sc(c), tuple(w)) for c, w in star]
 
     def _letter_cop_tensor(self, letter) -> TensorElement:
-        raw = self._cop_letter[letter]
-        out: dict = {}
-        for c, w1, w2 in raw:
+        acc: dict = {}
+        for c, w1, w2 in self._cop_letter[letter]:
             e1 = self.element_from_combo(self.system.normalize(w1))
             e2 = self.element_from_combo(self.system.normalize(w2))
-            _tensor_accumulate(out, [e1, e2], c, self.canon_scalar)
-        return TensorElement((self, self), out)
+            _tensor_accumulate(acc, [e1, e2], c)
+        return TensorElement._settled((self, self), acc)
 
     def coproduct_mon(self, mon: Word) -> TensorElement:
         if not self.is_hopf:
@@ -531,15 +534,10 @@ class WordAlgebra(Algebra):
         return self.canon_scalar(total)
 
     def _letter_image(self, table: dict, letter: str) -> Element:
-        combo: dict = {}
+        acc: dict = {}
         for c, w in table[letter]:
-            for m, ci in self.system.normalize(w, c).items():
-                s = self.canon_scalar(combo.get(m, QScalar.zero()) + ci)
-                if s:
-                    combo[m] = s
-                else:
-                    combo.pop(m, None)
-        return self.element_from_combo(combo)
+            add_scaled(acc, self.system.normalize(w, c))
+        return self.element_from_combo(acc)
 
     def antipode_mon(self, mon: Word) -> Element:
         if not self.is_hopf:
@@ -682,46 +680,25 @@ class QGroupAlgebra(WordAlgebra):
         for letter, cop in _QG_COPRODUCT.items():
             self._install_hopf_letter(letter, cop, _QG_COUNIT[letter])
         self._counit_letter["z"] = ONE
-        self._hopf_ready = False
 
-    def _ensure_hopf_letters(self):
-        if self._hopf_ready:
-            return
-        # mark ready up front: the z computation below folds over the
-        # statically installed letters only, so re-entry is harmless
-        self._hopf_ready = True
-        images = _antipode_images()
+    def _install_derived_letters(self, images: dict) -> "QGroupAlgebra":
+        """Install the solved antipode and involution images, then the z data;
+        the factories call this before they publish the algebra."""
         for letter, combo in images["antipode"].items():
-            self._antipode_letter[letter] = [(c, w) for c, w in combo]
+            self._antipode_letter[letter] = list(combo)
         for letter, combo in images["star"].items():
-            self._star_letter[letter] = [(c, w) for c, w in combo]
+            self._star_letter[letter] = list(combo)
         # z = Dinv*a*d: its structure maps are computed, not postulated
         zc = self.unit().coproduct()
         for x in _Z_DEFINING:
             zc = zc * self._letter_cop_tensor(x)
-        self._cop_letter["z"] = [
-            (c, k[0], k[1]) for k, c in zc.terms.items()
-        ]
-        s_z = self.unit()
-        for x in reversed(_Z_DEFINING):
-            s_z = s_z * self._letter_image(self._antipode_letter, x)
-        self._antipode_letter["z"] = [(c, m) for m, c in s_z.terms.items()]
-        star_z = self.unit()
-        for x in reversed(_Z_DEFINING):
-            star_z = star_z * self._letter_image(self._star_letter, x)
-        self._star_letter["z"] = [(c, m) for m, c in star_z.terms.items()]
-
-    def coproduct_mon(self, mon):
-        self._ensure_hopf_letters()
-        return super().coproduct_mon(mon)
-
-    def antipode_mon(self, mon):
-        self._ensure_hopf_letters()
-        return super().antipode_mon(mon)
-
-    def star_mon(self, mon):
-        self._ensure_hopf_letters()
-        return super().star_mon(mon)
+        self._cop_letter["z"] = [(c, k[0], k[1]) for k, c in zc.terms.items()]
+        for table in (self._antipode_letter, self._star_letter):
+            image = self.unit()
+            for x in reversed(_Z_DEFINING):
+                image = image * self._letter_image(table, x)
+            table["z"] = [(c, m) for m, c in image.terms.items()]
+        return self
 
 
 @lru_cache(maxsize=None)
@@ -734,15 +711,14 @@ def auq2() -> QGroupAlgebra:
             "basis prints integer powers, but no inverse of z is derivable "
             "from the presentation"
         ),
-    )
+    )._install_derived_letters(_antipode_images())
 
 
 @lru_cache(maxsize=None)
 def adtq(mutation: str | None = None) -> QGroupAlgebra:
     tag = "ADTq" if mutation is None else f"ADTq!{mutation}"
-    return QGroupAlgebra(
-        tag, _qg_base_rules() + _quotient_extra_rules(), mutation=mutation
-    )
+    alg = QGroupAlgebra(tag, _qg_base_rules() + _quotient_extra_rules(), mutation=mutation)
+    return alg._install_derived_letters(_antipode_images())
 
 
 # -- the classical torus ------------------------------------------------------
@@ -827,12 +803,7 @@ class Z2Algebra(WordAlgebra):
     def _post_combo(self, combo: dict) -> dict:
         unit_coeff = combo.pop((), None)
         if unit_coeff:
-            for m in (("d0",), ("d1",)):
-                s = combo.get(m, QScalar.zero()) + unit_coeff
-                if s:
-                    combo[m] = s
-                else:
-                    combo.pop(m, None)
+            add_scaled(combo, {("d0",): unit_coeff, ("d1",): unit_coeff})
         return combo
 
     def delta(self, i: int) -> Element:
@@ -997,7 +968,9 @@ def _antipode_images() -> dict:
     """
     from .linalg import solve_unique
 
-    alg = auq2()
+    # solved on an unpublished copy: the relations suffice, and auq2() is not
+    # re-entered while it builds
+    alg = QGroupAlgebra("AUq2", _qg_base_rules())
     gens = ("a", "b", "c", "d")
     cands = [("Dinv", g) for g in gens]
     nunk = len(gens) * len(cands)
@@ -1135,10 +1108,7 @@ def _finite_quotient_cached(n: int, order: int) -> WordAlgebra:
     alg.mode = mode
     alg._translate = translate
     parent = adtq()
-    parent._ensure_hopf_letters()
     for letter in letters:
-        if letter == "z":
-            continue
         alg._install_hopf_letter(
             letter,
             [(c, translate(w1), translate(w2)) for c, w1, w2 in parent._cop_letter[letter]],
@@ -1146,13 +1116,6 @@ def _finite_quotient_cached(n: int, order: int) -> WordAlgebra:
             antipode=[(c, translate(w)) for c, w in parent._antipode_letter[letter]],
             star=[(c, translate(w)) for c, w in parent._star_letter[letter]],
         )
-    alg._install_hopf_letter(
-        "z",
-        [(c, translate(w1), translate(w2)) for c, w1, w2 in parent._cop_letter["z"]],
-        parent._counit_letter["z"],
-        antipode=[(c, translate(w)) for c, w in parent._antipode_letter["z"]],
-        star=[(c, translate(w)) for c, w in parent._star_letter["z"]],
-    )
     alg.dimension = len(system.all_normal_words())
     return alg
 
@@ -1170,18 +1133,14 @@ class FiniteQuotientAlgebra(WordAlgebra):
 
     def from_parent(self, e: Element) -> Element:
         """Image of a quotient-algebra element under the root-of-unity quotient."""
-        out = self.zero()
-        for m, c in e.terms.items():
-            out = out + self.normalize_word(self._translate(m), c)
-        return out
+        return self.combine(
+            (self.normalize_word(self._translate(m)), c) for m, c in e.terms.items()
+        )
 
 
 def project_to_quotient(e: Element, target: WordAlgebra) -> Element:
     """Reinterpret words of the parent presentation inside a quotient."""
-    out = target.zero()
-    for m, c in e.terms.items():
-        out = out + target.normalize_word(m, c)
-    return out
+    return target.combine((target.normalize_word(m), c) for m, c in e.terms.items())
 
 
 def check_confluence(algebra: WordAlgebra, degree_bound: int):

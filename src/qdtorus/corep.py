@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebras import Element, adtq, quotient_mon_word
+from .algebras import Element, TensorElement, adtq, quotient_mon_word, tensor_of
 from .errors import CyclotomicModeUnsupported, IncompleteWindow
 from .hopf import haar
 from .linalg import nullspace
@@ -101,15 +101,14 @@ def standard_families(m_max: int, n_max: int) -> list[CorepMatrix]:
 
 def verify_corep(w: CorepMatrix, check_unitary: bool = True) -> list[Check]:
     alg = w.algebra
-    from .algebras import tensor_of
 
     cop_bad = eps_bad = uni_bad = None
     for i in range(w.dim):
         for j in range(w.dim):
-            expected = None
-            for k in range(w.dim):
-                term = tensor_of([w.entries[i][k], w.entries[k][j]])
-                expected = term if expected is None else expected + term
+            expected = TensorElement.combine(
+                (alg, alg),
+                ((tensor_of([w.entries[i][k], w.entries[k][j]]), None) for k in range(w.dim)),
+            )
             if w.entries[i][j].coproduct() != expected:
                 cop_bad = cop_bad or f"{w.label}[{i}][{j}]"
             eps = w.entries[i][j].counit()
@@ -124,11 +123,12 @@ def verify_corep(w: CorepMatrix, check_unitary: bool = True) -> list[Check]:
         for i in range(w.dim):
             for j in range(w.dim):
                 target = unit if i == j else alg.zero()
-                rowsum = alg.zero()
-                colsum = alg.zero()
-                for k in range(w.dim):
-                    rowsum = rowsum + w.entries[i][k] * w.entries[j][k].star()
-                    colsum = colsum + w.entries[k][i].star() * w.entries[k][j]
+                rowsum = alg.combine(
+                    (w.entries[i][k] * w.entries[j][k].star(), None) for k in range(w.dim)
+                )
+                colsum = alg.combine(
+                    (w.entries[k][i].star() * w.entries[k][j], None) for k in range(w.dim)
+                )
                 if rowsum != target or colsum != target:
                     uni_bad = uni_bad or f"{w.label}[{i}][{j}]"
         checks.append(Check(f"corep_{w.label}_unitary", uni_bad is None, witness=uni_bad))
@@ -136,10 +136,7 @@ def verify_corep(w: CorepMatrix, check_unitary: bool = True) -> list[Check]:
 
 
 def character_of(w: CorepMatrix) -> Element:
-    out = w.algebra.zero()
-    for i in range(w.dim):
-        out = out + w.entries[i][i]
-    return out
+    return w.algebra.combine((w.entries[i][i], None) for i in range(w.dim))
 
 
 def character_gram(coreps: list[CorepMatrix]) -> list[list[QScalar]]:
@@ -169,7 +166,7 @@ def decompose_character(chi_el: Element, candidates: list[CorepMatrix]) -> dict[
     the input exactly (candidate window too small).
     """
     mults: dict[str, int] = {}
-    recon = chi_el.algebra.zero()
+    pieces = []
     for w in candidates:
         char = character_of(w)
         weight = haar(char.star() * chi_el)
@@ -181,8 +178,8 @@ def decompose_character(chi_el: Element, candidates: list[CorepMatrix]) -> dict[
                 f"non-integral multiplicity {weight} for {w.label}"
             )
         mults[w.label] = int(value)
-        recon = recon + char * weight
-    if recon != chi_el:
+        pieces.append((char, weight))
+    if chi_el.algebra.combine(pieces) != chi_el:
         raise IncompleteWindow("reconstruction from candidates failed")
     return mults
 

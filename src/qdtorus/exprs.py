@@ -198,10 +198,9 @@ def print_expression(tree: Sum) -> str:
 
 def to_element(tree, algebra: Algebra) -> Element:
     if isinstance(tree, Sum):
-        out = algebra.zero()
-        for sign, node in tree.terms:
-            out = out + to_element(node, algebra) * QScalar.of(sign)
-        return out
+        return algebra.combine(
+            (to_element(node, algebra), QScalar.of(sign)) for sign, node in tree.terms
+        )
     if isinstance(tree, Prod):
         out = algebra.unit()
         for node in tree.factors:

@@ -33,7 +33,7 @@ from .algebras import (
 from .errors import NonGrouplikeInput, NotInBaseImage
 from .hopf import LinearMapTable, unit_counit
 from .report import Check
-from .scalars import QScalar
+from .scalars import QScalar, add_term
 
 ONE = QScalar.one()
 
@@ -88,11 +88,10 @@ def cleaving_j_mon(k: int, l: int, conv: CleavingConvention = CORRECTED) -> Elem
 
 
 def cleaving_j(h: Element, conv: CleavingConvention = CORRECTED) -> Element:
-    out = adtq().zero()
-    for mon, c in h.terms.items():
-        k, l = at2().lattice_exponents(mon)
-        out = out + cleaving_j_mon(k, l, conv) * c
-    return out
+    return adtq().combine(
+        (cleaving_j_mon(*at2().lattice_exponents(mon), conv), c)
+        for mon, c in h.terms.items()
+    )
 
 
 _CORNER_LETTER_INVERSE = {
@@ -154,12 +153,10 @@ def two_corner_inverse(e: Element) -> Element:
 
 def cleaving_j_inverse(h: Element, conv: CleavingConvention = CORRECTED) -> Element:
     """Convolution inverse of the cleaving map, pointwise on group-likes."""
-    alg = adtq()
-    out = alg.zero()
-    for mon, c in h.terms.items():
-        k, l = at2().lattice_exponents(mon)
-        out = out + two_corner_inverse(cleaving_j_mon(k, l, conv)) * c
-    return out
+    return adtq().combine(
+        (two_corner_inverse(cleaving_j_mon(*at2().lattice_exponents(mon), conv)), c)
+        for mon, c in h.terms.items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +321,7 @@ def ell_table_mon(mon) -> Element:
 
 
 def ell_table(e: Element) -> Element:
-    out = az2().zero()
-    for mon, c in e.terms.items():
-        out = out + ell_table_mon(mon) * c
-    return out
+    return az2().combine((ell_table_mon(mon), c) for mon, c in e.terms.items())
 
 
 def ell_table_map() -> LinearMapTable:
@@ -341,25 +335,24 @@ def cocleaving_l(
     if method == "table":
         return ell_table(e)
     if method == "fromJ":
-        out = az2().zero()
-        for mon, c in e.terms.items():
-            out = out + ell_from_j_mon(mon, conv) * c
-        return out
+        return az2().combine((ell_from_j_mon(mon, conv), c) for mon, c in e.terms.items())
     raise ValueError(f"unknown method {method!r}")
 
 
 def ell_from_j_mon(mon, conv: CleavingConvention = CORRECTED) -> Element:
     """The cocleaving map from the right coaction: p -> p_(0) j^{-1}(p_(1))."""
     alg = adtq()
-    result = alg.zero()
-    for (m1, m2), c in alg.coproduct_mon(mon).terms.items():
-        right = prj_mon(m2)
-        for at2_mon, c2 in right.terms.items():
-            k, l = at2().lattice_exponents(at2_mon)
-            result = result + (
-                alg.monomial(m1) * two_corner_inverse(cleaving_j_mon(k, l, conv))
-            ) * (c * c2)
-    return to_az2(result)
+    return to_az2(
+        alg.combine(
+            (
+                alg.monomial(m1)
+                * two_corner_inverse(cleaving_j_mon(*at2().lattice_exponents(t), conv)),
+                c * c2,
+            )
+            for (m1, m2), c in alg.coproduct_mon(mon).terms.items()
+            for t, c2 in prj_mon(m2).terms.items()
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -369,21 +362,20 @@ def ell_from_j_mon(mon, conv: CleavingConvention = CORRECTED) -> Element:
 
 def coaction_lambda_mon(k: int, l: int) -> TensorElement:
     torus, base = at2(), az2()
-    terms = {
-        (torus.lattice_mon(k, l), ("d0",)): ONE,
-        (torus.lattice_mon(l, k), ("d1",)): ONE,
-    }
-    out: dict = {}
-    for key, c in terms.items():
-        out[key] = out.get(key, QScalar.zero()) + c
-    return TensorElement((torus, base), out)
+    return TensorElement(
+        (torus, base),
+        {
+            (torus.lattice_mon(k, l), ("d0",)): ONE,
+            (torus.lattice_mon(l, k), ("d1",)): ONE,
+        },
+    )
 
 
 def coaction_lambda(
     h: Element, method: str = "formula", conv: CleavingConvention = CORRECTED
 ) -> TensorElement:
-    torus, base = at2(), az2()
-    out = TensorElement((torus, base), {})
+    torus = at2()
+    pairs = []
     for mon, c in h.terms.items():
         k, l = torus.lattice_exponents(mon)
         if method == "formula":
@@ -392,8 +384,8 @@ def coaction_lambda(
             piece = coaction_lambda_from_ell(k, l, conv)
         else:
             raise ValueError(f"unknown method {method!r}")
-        out = out + piece * c
-    return out
+        pairs.append((piece, c))
+    return TensorElement.combine((torus, az2()), pairs)
 
 
 def coaction_lambda_from_ell(
@@ -412,19 +404,16 @@ def coaction_lambda_from_ell(
         p = quotient_mon_word(k, gen="d", n=l - k)
     else:
         p = quotient_mon_word(k, z=True)
-    out = TensorElement((torus, base), {})
-    rank3 = alg.coproduct_mon(p).coproduct_leg(0)
-    for (m1, m2, m3), c in rank3.terms.items():
+    acc: dict = {}
+    for (m1, m2, m3), c in alg.coproduct_mon(p).coproduct_leg(0).terms.items():
         middle = prj_mon(m2)
         if middle.is_zero():
             continue
         weight = ell_table_mon(m1) * ell_table_mon(m3)
         for t_mon, tc in middle.terms.items():
             for b_mon, bc in weight.terms.items():
-                out = out + TensorElement(
-                    (torus, base), {(t_mon, b_mon): c * tc * bc}
-                )
-    return out
+                add_term(acc, (t_mon, b_mon), c * tc * bc)
+    return TensorElement((torus, base), acc)
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +455,7 @@ class BicrossAlgebra(Algebra):
         for j in (0, 1):
             swap = (i - j) % 2
             h = (k, l) if swap == 0 else (l, k)
-            key = ((j, *h), (swap, k, l))
-            out[key] = out.get(key, QScalar.zero()) + ONE
+            out[((j, *h), (swap, k, l))] = ONE
         return TensorElement((self, self), out)
 
     def counit_mon(self, mon) -> QScalar:
@@ -525,10 +513,7 @@ def phi_mon(mon, conv: CleavingConvention = CORRECTED) -> Element:
 
 
 def phi(e: Element, conv: CleavingConvention = CORRECTED) -> Element:
-    out = adtq().zero()
-    for mon, c in e.terms.items():
-        out = out + phi_mon(mon, conv) * c
-    return out
+    return adtq().combine((phi_mon(mon, conv), c) for mon, c in e.terms.items())
 
 
 def phi_inverse(e: Element, conv: CleavingConvention = CORRECTED) -> Element:
@@ -538,8 +523,8 @@ def phi_inverse(e: Element, conv: CleavingConvention = CORRECTED) -> Element:
     z = alg.gen("z")
     classical = z * e
     quantum = e - classical
-    out = bic.zero()
     sign = conv.diag_sign_exponent
+    acc: dict = {}
     for mon, c in classical.terms.items():
         view = quotient_mon_view(mon)
         if view.gen == "a":
@@ -550,16 +535,16 @@ def phi_inverse(e: Element, conv: CleavingConvention = CORRECTED) -> Element:
             key = (0, view.d, view.d)
         else:
             raise NotInBaseImage(f"unexpected diagonal-corner monomial {mon}")
-        out = out + bic.monomial(key, c)
+        add_term(acc, key, c)
     staged: dict[int, QScalar] = {}
     for mon, c in quantum.terms.items():
         view = quotient_mon_view(mon)
         if view.gen == "b":
             coeff = c * _sign_power(view.d) * QScalar.q_power(view.d * view.d)
-            out = out + bic.monomial((1, view.d, view.d + view.n), coeff)
+            add_term(acc, (1, view.d, view.d + view.n), coeff)
         elif view.gen == "c":
             coeff = c * _sign_power(view.d) * QScalar.q_power(-view.d * view.d)
-            out = out + bic.monomial((1, view.d + view.n, view.d), coeff)
+            add_term(acc, (1, view.d + view.n, view.d), coeff)
         elif view.gen is None and not view.z:
             staged[view.d] = staged.get(view.d, QScalar.zero()) + c
         elif view.gen is None and view.z:
@@ -570,10 +555,8 @@ def phi_inverse(e: Element, conv: CleavingConvention = CORRECTED) -> Element:
         # the pair D^d - D^d z is the alternating image of the diagonal branch
         if quantum.coefficient(quotient_mon_word(d, z=True)) != -c:
             raise NotInBaseImage("unbalanced idempotent pair in the quantum corner")
-        if c.is_zero():
-            continue
-        out = out + bic.monomial((1, sign * d, sign * d), c * _sign_power(d))
-    return out
+        add_term(acc, (1, sign * d, sign * d), c * _sign_power(d))
+    return Element(bic, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -719,10 +702,9 @@ class TorusCoaction:
         return out
 
     def of(self, e: Element) -> TensorElement:
-        out = tensor_of([self.alg.zero(), self.torus.zero()])
-        for mon, c in e.terms.items():
-            out = out + self.of_mon(mon) * c
-        return out
+        return TensorElement.combine(
+            (self.alg, self.torus), ((self.of_mon(mon), c) for mon, c in e.terms.items())
+        )
 
 
 def torus_relation_defect(mutation: str | None = None) -> TensorElement:
@@ -788,13 +770,11 @@ def verify_prop14_diagram(max_exp: int = 4, mutation: str | None = None) -> list
 
 
 def _apply_rho_right(t: TensorElement, rho: TorusCoaction) -> TensorElement:
-    legs = (rho.alg, rho.alg, rho.torus)
-    out = TensorElement(legs, {})
+    acc: dict = {}
     for (am, vm), c in t.terms.items():
-        inner = rho.of_mon(vm)
-        for (a2, v2), c2 in inner.terms.items():
-            out = out + TensorElement(legs, {(am, a2, v2): c * c2})
-    return out
+        for (a2, v2), c2 in rho.of_mon(vm).terms.items():
+            add_term(acc, (am, a2, v2), c * c2)
+    return TensorElement((rho.alg, rho.alg, rho.torus), acc)
 
 
 # ---------------------------------------------------------------------------
@@ -806,11 +786,10 @@ def right_colinear_ok(k: int, l: int, conv: CleavingConvention) -> bool:
     alg, torus = adtq(), at2()
     j_el = cleaving_j_mon(k, l, conv)
     lifted = j_el.coproduct().apply_leg(1, prj_mon, torus)
-    expected = TensorElement((alg, torus), {})
-    for mon, c in j_el.terms.items():
-        expected = expected + TensorElement(
-            (alg, torus), {(mon, torus.lattice_mon(k, l)): c}
-        )
+    group_like = torus.lattice_mon(k, l)
+    expected = TensorElement(
+        (alg, torus), {(mon, group_like): c for mon, c in j_el.terms.items()}
+    )
     return lifted == expected
 
 

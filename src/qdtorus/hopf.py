@@ -18,7 +18,7 @@ import numpy as np
 from .algebras import Algebra, Element, TensorElement, quotient_mon_view
 from .errors import NotAHopfAlgebra, WindowExceeded
 from .report import Check
-from .scalars import QScalar
+from .scalars import QScalar, add_term
 
 
 def coproduct(e: Element) -> TensorElement:
@@ -127,10 +127,7 @@ class LinearMapTable:
         )
 
     def apply(self, e: Element) -> Element:
-        out = self.target.zero()
-        for m, c in e.terms.items():
-            out = out + self.apply_mon(m) * c
-        return out
+        return self.target.combine((self.apply_mon(m), c) for m, c in e.terms.items())
 
 
 def convolve(f: LinearMapTable, g: LinearMapTable) -> LinearMapTable:
@@ -140,10 +137,10 @@ def convolve(f: LinearMapTable, g: LinearMapTable) -> LinearMapTable:
     source, target = f.source, g.target
 
     def fallback(mon):
-        out = target.zero()
-        for (m1, m2), c in source.coproduct_mon(mon).terms.items():
-            out = out + (f.apply_mon(m1) * g.apply_mon(m2)) * c
-        return out
+        return target.combine(
+            (f.apply_mon(m1) * g.apply_mon(m2), c)
+            for (m1, m2), c in source.coproduct_mon(mon).terms.items()
+        )
 
     return LinearMapTable(
         source, target, window=f.window, fallback=fallback, name=f"({f.name})*({g.name})"
@@ -202,13 +199,12 @@ def haar_biinvariance_checks(algebra, max_degree: int) -> list[Check]:
 
 
 def _contract_haar(t: TensorElement, leg: int, algebra) -> Element:
-    out = algebra.zero()
+    acc: dict = {}
     for key, c in t.terms.items():
         weight = haar(algebra.monomial(key[leg]))
-        if weight.is_zero():
-            continue
-        out = out + algebra.monomial(key[1 - leg]) * (c * weight)
-    return out
+        if not weight.is_zero():
+            add_term(acc, key[1 - leg], c * weight)
+    return Element(algebra, acc)
 
 
 def haar_gram_min_eigenvalue(algebra, max_degree: int, theta: float) -> float:

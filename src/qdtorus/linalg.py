@@ -20,7 +20,7 @@ def _to_poly(s: QScalar) -> tuple[int, list[Fraction]]:
     lo = min(terms)
     coeffs = [Fraction(0)] * (max(terms) - lo + 1)
     for k, c in terms.items():
-        coeffs[k - lo] = c
+        coeffs[k - lo] = Fraction(c)  # int / int would give a float
     return lo, coeffs
 
 
@@ -29,7 +29,7 @@ def _from_poly(shift: int, coeffs: list[Fraction]) -> QScalar:
 
 
 def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+    a, b = _poly_trim([Fraction(c) for c in a]), _poly_trim([Fraction(c) for c in b])
     while b:
         _, r = _poly_divmod(a, b)
         a, b = b, r

@@ -19,23 +19,27 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 Rat = Fraction
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _exact(value):
+    """The canonical form of a coefficient: an int when integral, else a Fraction."""
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise TypeError(f"not an exact rational: {value!r}")
 
 
 class QScalar:
-    """Laurent polynomial sum(c_k * q^k) with Fraction coefficients.
+    """Laurent polynomial sum(c_k * q^k) with exact rational coefficients.
 
-    Instances are immutable and canonical: no stored coefficient is zero.
+    Instances are immutable and canonical: no stored coefficient is zero, and
+    each is an ``int`` when integral, else a ``Fraction`` (never a float);
+    ``int`` and ``Fraction`` compare and hash alike.  Products and sums of
+    single-term scalars, nearly all of them, take a path without loops.
     """
 
     __slots__ = ("_terms", "_hash")
@@ -44,7 +48,7 @@ class QScalar:
         canon = {}
         if terms:
             for k, c in terms.items():
-                c = _as_fraction(c)
+                c = _exact(c)
                 if c:
                     canon[int(k)] = c
         self._terms = canon
@@ -65,30 +69,31 @@ class QScalar:
         """Coerce an int, Fraction or QScalar."""
         if isinstance(value, QScalar):
             return value
-        return QScalar({0: _as_fraction(value)})
+        c = _exact(value)
+        return _wrap({0: c}) if c else _ZERO
 
     @staticmethod
     def q_power(k: int, coeff=1) -> "QScalar":
-        return QScalar({k: _as_fraction(coeff)})
+        return QScalar({k: coeff})
 
     # -- inspection ---------------------------------------------------
 
-    def items(self) -> Iterator[tuple[int, Fraction]]:
+    def items(self) -> Iterator[tuple[int, int | Fraction]]:
         return iter(sorted(self._terms.items()))
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_one(self) -> bool:
-        return self._terms == {0: Fraction(1)}
+        return self._terms == {0: 1}
 
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         """The value when no q appears; raises if q-dependent."""
         if not self._terms:
-            return Fraction(0)
+            return 0
         if set(self._terms) != {0}:
             raise ValueError(f"not a constant: {self}")
         return self._terms[0]
@@ -100,21 +105,30 @@ class QScalar:
         if isinstance(other, QScalar):
             return other
         if isinstance(other, (int, Fraction)):
-            return QScalar({0: _as_fraction(other)})
+            return QScalar.of(other)
         return None
 
     def __add__(self, other):
-        other = QScalar._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            s = out.get(k, _F0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return _wrap(out)
+        if type(other) is not QScalar:
+            other = QScalar._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self._terms, other._terms
+        if len(a) == 1 and len(b) == 1:
+            ((k1, c1),) = a.items()
+            ((k2, c2),) = b.items()
+            if k1 != k2:
+                return _wrap({k1: c1, k2: c2})
+            c = c1 + c2
+            if not c:
+                return _ZERO
+            if type(c) is not int and c.denominator == 1:
+                c = c.numerator
+            return _wrap({k1: c})
+        out = dict(a)
+        for k, c in b.items():
+            out[k] = out.get(k, 0) + c
+        return _canonical(out)
 
     __radd__ = __add__
 
@@ -131,21 +145,26 @@ class QScalar:
         return QScalar.of(other) + (-self)
 
     def __mul__(self, other):
-        other = QScalar._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not self._terms or not other._terms:
+        if type(other) is not QScalar:
+            other = QScalar._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self._terms, other._terms
+        if len(a) == 1 and len(b) == 1:
+            ((k1, c1),) = a.items()
+            ((k2, c2),) = b.items()
+            c = c1 * c2
+            if type(c) is not int and c.denominator == 1:
+                c = c.numerator
+            return _wrap({k1 + k2: c})
+        if not a or not b:
             return _ZERO
-        out: dict[int, Fraction] = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
+        out: dict = {}
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
                 k = k1 + k2
-                s = out.get(k, _F0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return _wrap(out)
+                out[k] = out.get(k, 0) + c1 * c2
+        return _canonical(out)
 
     __rmul__ = __mul__
 
@@ -166,7 +185,7 @@ class QScalar:
         if len(self._terms) != 1:
             raise ZeroDivisionError(f"not an invertible monomial scalar: {self}")
         ((k, c),) = self._terms.items()
-        return QScalar({-k: Fraction(1) / c})
+        return QScalar({-k: 1 / Fraction(c)})
 
     # -- the *-structure and specialisations ---------------------------
 
@@ -185,39 +204,41 @@ class QScalar:
         """Reduce all exponents modulo ``order`` (the ring Q[q]/(q^M - 1))."""
         if order < 1:
             raise ValueError("cyclotomic order must be >= 1")
-        out: dict[int, Fraction] = {}
+        if all(0 <= k < order for k in self._terms):
+            return self
+        out: dict = {}
         for k, c in self._terms.items():
-            k = k % order
-            s = out.get(k, _F0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return _wrap(out)
+            k %= order
+            out[k] = out.get(k, 0) + c
+        return _canonical(out)
 
     def reduce_mod_poly(self, poly: tuple[Fraction, ...]) -> "QScalar":
         """Remainder modulo a monic-led polynomial given as ascending coeffs."""
         if min(self._terms, default=0) < 0:
             raise ValueError("reduce exponents first; negative powers present")
         deg = len(poly) - 1
-        coeffs = [Fraction(0)] * (max(self._terms, default=0) + 1)
+        top = max(self._terms, default=0)
+        if top < deg:
+            return self
+        # Fractions from here on: int / int would give a float
+        coeffs = [_F0] * (top + 1)
         for k, c in self._terms.items():
-            coeffs[k] = c
-        lead = poly[-1]
-        for i in range(len(coeffs) - 1, deg - 1, -1):
+            coeffs[k] = Fraction(c)
+        lead = Fraction(poly[-1])
+        for i in range(top, deg - 1, -1):
             if coeffs[i]:
                 factor = coeffs[i] / lead
                 for j, p in enumerate(poly):
                     coeffs[i - deg + j] -= factor * p
-        return _wrap({k: c for k, c in enumerate(coeffs[:deg]) if c})
+        return _canonical(dict(enumerate(coeffs[:deg])))
 
     # -- equality / hashing / display ----------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not QScalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = QScalar.of(other)
-        if not isinstance(other, QScalar):
-            return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self) -> int:
@@ -242,19 +263,28 @@ class QScalar:
 
 _F0 = Fraction(0)
 _ZERO = QScalar()
-_ONE = QScalar({0: Fraction(1)})
+_ONE = QScalar({0: 1})
 Q = QScalar.q_power(1)
 QINV = QScalar.q_power(-1)
 
 
-def _wrap(terms: dict[int, Fraction]) -> QScalar:
+def _wrap(terms: dict) -> QScalar:
     s = QScalar.__new__(QScalar)
     s._terms = terms
     s._hash = None
     return s
 
 
-def _format_term(k: int, c: Fraction, first: bool) -> str:
+def _canonical(sums: dict) -> QScalar:
+    """Wrap raw coefficient sums: drop zeros, store integral Fractions as int."""
+    out = {}
+    for k, c in sums.items():
+        if c:
+            out[k] = c if type(c) is int or c.denominator != 1 else c.numerator
+    return _wrap(out)
+
+
+def _format_term(k: int, c, first: bool) -> str:
     sign = "-" if c < 0 else ("" if first else "+")
     mag = abs(c)
     if k == 0:
@@ -263,6 +293,51 @@ def _format_term(k: int, c: Fraction, first: bool) -> str:
         qpart = "q" if k == 1 else f"q^{k}"
         body = qpart if mag == 1 else f"{mag}*{qpart}"
     return sign + body if first else f" {sign or '+'} {body}"
+
+
+# ---------------------------------------------------------------------------
+# Linear combinations: sum raw, canonicalise once
+# ---------------------------------------------------------------------------
+
+
+def add_term(acc: dict, key, coeff: QScalar) -> None:
+    """Add ``coeff`` at ``key`` of a raw combination (key -> QScalar)."""
+    prev = acc.get(key)
+    acc[key] = coeff if prev is None else prev + coeff
+
+
+def add_scaled(acc: dict, terms: Mapping, coeff: QScalar | None = None) -> None:
+    """Add ``coeff * terms`` (coeff = 1 when None) into a raw combination."""
+    if coeff is not None and coeff._terms == _ONE._terms:
+        coeff = None
+    get = acc.get
+    for key, c in terms.items():
+        if coeff is not None:
+            c = c * coeff
+        prev = get(key)
+        acc[key] = c if prev is None else prev + c
+
+
+def keep_scalar(s: QScalar) -> QScalar:
+    """The canonical map of the generic mode: every scalar is canonical."""
+    return s
+
+
+def settle(acc: dict, canon: Callable[[QScalar], QScalar]) -> dict:
+    """The canonical combination: ``canon`` once per key, zeros dropped.
+
+    Each ``canon`` is a ring homomorphism onto canonical representatives (the
+    identity, Q[q]/(q^M-1) or Q[q]/Phi_M), so canonicalising the finished sum
+    gives the same representative as canonicalising after every step.
+    """
+    if canon is keep_scalar:
+        return {key: c for key, c in acc.items() if c}
+    out = {}
+    for key, c in acc.items():
+        c = canon(c)
+        if c:
+            out[key] = c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +392,10 @@ def _poly_trim(p: list[Fraction]) -> list[Fraction]:
 
 
 def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    lead = den[-1]
+    # Fractions on entry: int / int would give a float
+    num = [Fraction(c) for c in num]
+    q = [_F0] * max(0, len(num) - len(den) + 1)
+    lead = Fraction(den[-1])
     for i in range(len(num) - len(den), -1, -1):
         factor = num[i + len(den) - 1] / lead
         if factor:
@@ -350,9 +426,9 @@ def invert_in_cyclotomic_field(s: QScalar, mode: CyclotomicMode) -> QScalar:
     if s.is_zero():
         raise ZeroDivisionError("zero in cyclotomic field")
     phi = list(cyclotomic_polynomial(mode.order))
-    a = [Fraction(0)] * (max(s._terms) + 1) if s._terms else [Fraction(0)]
+    a = [_F0] * (max(s._terms) + 1)
     for k, c in s._terms.items():
-        a[k] = c
+        a[k] = Fraction(c)
     # extended Euclid over Q[x]: find u with u*a = gcd mod phi
     r0, r1 = phi, _poly_trim(a)
     u0, u1 = [Fraction(0)], [Fraction(1)]
@@ -362,8 +438,7 @@ def invert_in_cyclotomic_field(s: QScalar, mode: CyclotomicMode) -> QScalar:
         u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
     if len(r0) != 1:
         raise ZeroDivisionError(f"not invertible modulo the cyclotomic polynomial: {s}")
-    inv = [c / r0[0] for c in u0]
-    return mode.canon(_wrap({k: c for k, c in enumerate(inv) if c}))
+    return mode.canon(_canonical({k: c / r0[0] for k, c in enumerate(u0)}))
 
 
 class CyclotomicInversionError(ArithmeticError):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from . import corep, galois, gns
 from .algebras import (
     BasisWindow,
+    TensorElement,
     adtq,
     at2,
     auq2,
@@ -31,7 +32,7 @@ from .hopf import (
     verify_hopf_axioms,
 )
 from .report import Check, Report
-from .scalars import CyclotomicMode, QScalar
+from .scalars import CyclotomicMode, QScalar, add_term
 
 SUITE_NAMES = (
     "hopf",
@@ -260,11 +261,10 @@ def _thunks_cleaving(p: SuiteParams):
             if galois.ell_table(el.star()) != galois.ell_table(el).star():
                 bad_star = bad_star or alg.format_mon(mon)
             # convolution square: ell coincides with its convolution inverse
-            square = base.zero()
-            for (m1, m2), c in el.coproduct().terms.items():
-                square = square + (
-                    galois.ell_table_mon(m1) * galois.ell_table_mon(m2)
-                ) * c
+            square = base.combine(
+                (galois.ell_table_mon(m1) * galois.ell_table_mon(m2), c)
+                for (m1, m2), c in el.coproduct().terms.items()
+            )
             if square != base.unit() * el.counit():
                 bad_conv = bad_conv or alg.format_mon(mon)
         out.append(Check("cocleaving_table_equals_derived", bad_pair is None, witness=bad_pair))
@@ -304,18 +304,12 @@ def _thunks_cleaving(p: SuiteParams):
 
     def _lambda_then_lambda(k, l):
         # (lambda tensor id) after lambda, with the torus leg re-expanded
-        base = az2()
-        first = galois.coaction_lambda_mon(k, l)
-        legs = (torus, az2(), az2())
-        from .algebras import TensorElement
-
-        out = TensorElement(legs, {})
-        for (t_mon, b_mon), c in first.terms.items():
-            kk, ll = torus.lattice_exponents(t_mon)
-            inner = galois.coaction_lambda_mon(kk, ll)
+        acc: dict = {}
+        for (t_mon, b_mon), c in galois.coaction_lambda_mon(k, l).terms.items():
+            inner = galois.coaction_lambda_mon(*torus.lattice_exponents(t_mon))
             for (t2, b2), c2 in inner.terms.items():
-                out = out + TensorElement(legs, {(t2, b2, b_mon): c * c2})
-        return out
+                add_term(acc, (t2, b2, b_mon), c * c2)
+        return TensorElement((torus, az2(), az2()), acc)
 
     return [j_star_map, j_colinear, j_convolution_inverse, j_algebra_map_only_classically, ell_checks, lambda_checks]
 
@@ -398,9 +392,10 @@ def _thunks_haar(p: SuiteParams):
         # invariance applied to the central unitary group-like annihilates it,
         # which together with normalisation forces the half weights
         g = alg.gen("z") * 2 - alg.unit()
-        contracted = alg.zero()
-        for (m1, m2), c in g.coproduct().terms.items():
-            contracted = contracted + alg.monomial(m1) * (c * haar(alg.monomial(m2)))
+        contracted = alg.combine(
+            (alg.monomial(m1), c * haar(alg.monomial(m2)))
+            for (m1, m2), c in g.coproduct().terms.items()
+        )
         ok = contracted == alg.unit() * haar(g) and haar(g).is_zero()
         return [Check("haar_weight_half_forced_by_invariance", ok)]
 
@@ -527,20 +522,24 @@ def _thunks_fdquot(p: SuiteParams):
             alg = build_finite_quotient(p.quotient_n, mode)
         except RootConditionViolated as exc:
             return [Check("fdquot_build", False, witness=str(exc))]
-        expected = {1: 2, 2: 8}.get(p.quotient_n)
-        dim_ok = expected is None or alg.dimension == expected
+        n = p.quotient_n
+        # 2n^2 when the order divides 2n.  Otherwise q^(2n) != 1, and
+        # b*D^n = q^(2n)*D^n*b with D^n = 1 forces b = 0, likewise c = 0; then
+        # z = 1 - b^n = 1, and a, D commute with a^n = D^n = 1 (d = D*a^(n-1)),
+        # which leaves the n^2 words D^i a^j.
+        expected = 2 * n * n if (2 * n) % p.q_root == 0 else n * n
+        dim_ok = alg.dimension == expected
         out.append(
             Check(
                 "fdquot_dimension",
                 dim_ok,
-                witness=None if dim_ok else f"dimension {alg.dimension}",
+                witness=None if dim_ok else f"dimension {alg.dimension}, expected {expected}",
             )
         )
         out.append(
             Check("fdquot_confluent", not alg.system.unresolved_pairs(2 * p.quotient_n + 4))
         )
         parent = adtq()
-        n = p.quotient_n
         z = parent.gen("z")
         one = parent.unit()
         ideal_gens = {
@@ -626,11 +625,11 @@ def run_suite(name: str, params: SuiteParams | None = None) -> Report:
                 notes[alg.tag] = alg.notes
         if notes:
             report_params["algebra_notes"] = notes
-    duration = (time.perf_counter() - started) * 1000
+    cleaving_convention = galois.convention_report(params.convention)
     return Report(
         suite=name,
         params=report_params,
-        cleaving_convention=galois.convention_report(params.convention),
+        cleaving_convention=cleaving_convention,
         checks=checks,
-        duration_ms=duration,
+        duration_ms=(time.perf_counter() - started) * 1000,
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .errors import CompletionFailure, UnknownGenerator
-from .scalars import QScalar
+from .scalars import QScalar, add_scaled, add_term, keep_scalar, settle
 
 Word = tuple[str, ...]
 Combo = dict[Word, QScalar]
@@ -57,7 +57,7 @@ class RewriteSystem:
         self._rank = {x: i for i, x in enumerate(self.letters)}
         if len(self._rank) != len(self.letters):
             raise ValueError("duplicate letters")
-        self.scalar_canon = scalar_canon or (lambda s: s)
+        self.scalar_canon = scalar_canon or keep_scalar
         self.rules: list[RewriteRule] = []
         self._by_first: dict[str, list[int]] = {x: [] for x in self.letters}
         self._cache: dict[Word, Combo] = {}
@@ -126,17 +126,18 @@ class RewriteSystem:
             if use_cache:
                 hit = self._cache.get(w)
                 if hit is not None:
-                    _merge_scaled(out, hit, c, self.scalar_canon)
+                    add_scaled(out, hit, c)
                     continue
             redex = self.find_redex(w, rule_order)
             if redex is None:
-                _merge_term(out, w, c, self.scalar_canon)
+                add_term(out, w, c)
                 continue
             pos, idx = redex
             rule = self.rules[idx]
             tail = pos + len(rule.pattern)
             for rc, rw in rule.result:
                 stack.append((self.scalar_canon(c * rc), w[:pos] + rw + w[tail:]))
+        out = settle(out, self.scalar_canon)
         if use_cache and coeff.is_one():
             self._cache[word] = dict(out)
         return out
@@ -144,8 +145,8 @@ class RewriteSystem:
     def normalize_combo(self, combo: Combo) -> Combo:
         out: Combo = {}
         for w, c in combo.items():
-            _merge_scaled(out, self.normalize(w), c, self.scalar_canon)
-        return out
+            add_scaled(out, self.normalize(w), c)
+        return settle(out, self.scalar_canon)
 
     # -- ambiguities -------------------------------------------------------
 
@@ -179,7 +180,7 @@ class RewriteSystem:
         tail = pos + len(rule.pattern)
         combo: Combo = {}
         for rc, rw in rule.result:
-            _merge_term(combo, word[:pos] + rw + word[tail:], rc, self.scalar_canon)
+            add_term(combo, word[:pos] + rw + word[tail:], rc)
         return self.normalize_combo(combo)
 
     def unresolved_pairs(self, max_len: int | None = None) -> list[CriticalPair]:
@@ -213,8 +214,8 @@ class RewriteSystem:
                 return
             for pair in pairs:
                 diff: Combo = dict(pair.left)
-                _merge_scaled(diff, pair.right, QScalar.of(-1), self.scalar_canon)
-                diff = {w: c for w, c in diff.items() if c}
+                add_scaled(diff, pair.right, QScalar.of(-1))
+                diff = settle(diff, self.scalar_canon)
                 if not diff:
                     continue
                 lm = self.leading_monomial(diff)
@@ -279,16 +280,3 @@ class RewriteSystem:
             out.extend(nxt)
             frontier = nxt
         return out
-
-
-def _merge_term(out: Combo, word: Word, coeff: QScalar, canon):
-    s = canon(out.get(word, QScalar.zero()) + coeff)
-    if s:
-        out[word] = s
-    else:
-        out.pop(word, None)
-
-
-def _merge_scaled(out: Combo, combo: Combo, coeff: QScalar, canon):
-    for w, c in combo.items():
-        _merge_term(out, w, coeff * c, canon)

@@ -300,3 +300,58 @@ def test_check_confluence_entry_point():
     assert check_confluence(adtq(), 6) == []
     # the weakened antidiagonal relation destroys confluence, returned as data
     assert check_confluence(adtq("bc_weak"), 6)
+
+
+_LETTER_RACE_SCRIPT = """
+import sys, threading
+from qdtorus.algebras import adtq
+
+alg = adtq()  # cold: nothing has asked for a structure map yet
+words = alg.basis_by_degree(3)
+barrier = threading.Barrier(8)
+results = [None] * 8
+errors = []
+
+def work(i):
+    maps = (alg.antipode_mon, alg.star_mon)
+    try:
+        barrier.wait(timeout=60)
+        results[i] = [str(maps[(i + j) % 2](w)) for j, w in enumerate(words)]
+    except Exception as exc:
+        errors.append(repr(exc))
+
+old = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+finally:
+    sys.setswitchinterval(old)
+assert not any(t.is_alive() for t in threads), "a thread did not finish"
+assert not errors, errors
+# threads 0, 2, 4, 6 and 1, 3, 5, 7 asked for the same maps of the same words
+assert all(results[i] == results[i % 2] for i in range(8))
+print("ok")
+"""
+
+
+def test_structure_maps_are_published_whole():
+    """Eight threads racing onto a cold ADTq's antipode and star read only
+    fully built letter tables."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LETTER_RACE_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr[-2000:]

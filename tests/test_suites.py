@@ -85,3 +85,43 @@ def test_gns_report_includes_defects():
     report = run_suite("gns", SuiteParams(window=5))
     defects = report.params["gns_max_defect_per_relation"]
     assert defects and all(float(v) <= 1e-10 for v in defects.values())
+
+
+def test_duration_covers_the_convention_section(monkeypatch):
+    import time
+
+    real = galois.convention_report
+
+    def slow(name="corrected", exp_range=2):
+        time.sleep(0.4)
+        return real(name, exp_range)
+
+    monkeypatch.setattr(galois, "convention_report", slow)
+    report = run_suite("haar", SuiteParams())
+    assert report.ok
+    assert report.duration_ms >= 400
+
+
+@pytest.mark.parametrize(
+    "n, order, dimension",
+    [(1, 2, 2), (2, 4, 8), (3, 6, 18), (3, 18, 9), (4, 8, 32), (4, 16, 16)],
+)
+def test_fdquot_dimension_is_checked_for_every_n(n, order, dimension):
+    from qdtorus.algebras import build_finite_quotient
+    from qdtorus.scalars import CyclotomicMode
+
+    assert build_finite_quotient(n, CyclotomicMode(order)).dimension == dimension
+    report = run_suite("fdquot", SuiteParams(quotient_n=n, q_root=order))
+    assert report.ok, [(c.name, c.witness) for c in report.checks if not c.passed]
+
+
+def test_fdquot_dimension_check_rejects_a_planted_dimension(monkeypatch):
+    from qdtorus.algebras import build_finite_quotient
+    from qdtorus.scalars import CyclotomicMode
+
+    alg = build_finite_quotient(3, CyclotomicMode(18))
+    monkeypatch.setattr(alg, "dimension", 18)  # the 2n^2 of an order dividing 2n
+    report = run_suite("fdquot", SuiteParams(quotient_n=3, q_root=18))
+    found = {c.name: c for c in report.checks}
+    assert not found["fdquot_dimension"].passed
+    assert found["fdquot_dimension"].witness == "dimension 18, expected 9"
