@@ -16,9 +16,10 @@ construction and cache aggressively; they are safe to share between threads.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import product as iproduct
 from typing import Iterable, Sequence
 
@@ -167,10 +168,10 @@ class Element:
     # -- comparisons --------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QScalar)):
-            other = self.algebra.unit() * _sc(other)
         if not isinstance(other, Element):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, QScalar)):
+                return NotImplemented
+            other = self.algebra.unit() * _sc(other)
         if self.algebra is not other.algebra:
             raise CrossAlgebraMix(
                 f"comparing {self.algebra.tag} with {other.algebra.tag}"
@@ -701,7 +702,27 @@ class QGroupAlgebra(WordAlgebra):
         return self
 
 
-@lru_cache(maxsize=None)
+_FACTORY_LOCK = threading.RLock()
+
+
+def algebra_factory(build):
+    """Memoize an algebra factory so that each instance is built once.
+
+    Elements of two instances of one algebra cannot be mixed, so threads
+    that call a cold factory together must share one build.  The lock is
+    shared and reentrant because factories call one another.
+    """
+    cached = lru_cache(maxsize=None)(build)
+
+    @wraps(build)
+    def get(*args):
+        with _FACTORY_LOCK:
+            return cached(*args)
+
+    return get
+
+
+@algebra_factory
 def auq2() -> QGroupAlgebra:
     return QGroupAlgebra(
         "AUq2",
@@ -714,7 +735,7 @@ def auq2() -> QGroupAlgebra:
     )._install_derived_letters(_antipode_images())
 
 
-@lru_cache(maxsize=None)
+@algebra_factory
 def adtq(mutation: str | None = None) -> QGroupAlgebra:
     tag = "ADTq" if mutation is None else f"ADTq!{mutation}"
     alg = QGroupAlgebra(tag, _qg_base_rules() + _quotient_extra_rules(), mutation=mutation)
@@ -759,7 +780,7 @@ def _torus_rules(names, q_swap: QScalar | None) -> list[RewriteRule]:
     return rules
 
 
-@lru_cache(maxsize=None)
+@algebra_factory
 def at2() -> TorusAlgebra:
     names = ("u", "uinv", "v", "vinv")
     alg = TorusAlgebra(
@@ -775,7 +796,7 @@ def at2() -> TorusAlgebra:
     return alg
 
 
-@lru_cache(maxsize=None)
+@algebra_factory
 def at2q() -> TorusAlgebra:
     # x y = q y x, so moving y leftward past x costs q^-1
     names = ("x", "xinv", "y", "yinv")
@@ -814,7 +835,7 @@ class Z2Algebra(WordAlgebra):
         return [("d0",), ("d1",)]
 
 
-@lru_cache(maxsize=None)
+@algebra_factory
 def az2() -> Z2Algebra:
     r = RewriteRule
     one = ONE
@@ -844,7 +865,7 @@ def az2() -> Z2Algebra:
     return alg
 
 
-@lru_cache(maxsize=None)
+@algebra_factory
 def free_algebra(letters: tuple[str, ...] = ("g",)) -> WordAlgebra:
     """Free associative algebra; no relations, every word is normal."""
     return WordAlgebra(
@@ -1064,7 +1085,7 @@ def build_finite_quotient(n: int, mode: CyclotomicMode | None) -> WordAlgebra:
     return _finite_quotient_cached(n, mode.order)
 
 
-@lru_cache(maxsize=None)
+@algebra_factory
 def _finite_quotient_cached(n: int, order: int) -> WordAlgebra:
     mode = CyclotomicMode(order, primitive=True)
     letters = ("D", "z", "a", "d", "b", "c")

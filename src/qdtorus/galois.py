@@ -15,17 +15,21 @@ is kept behind the toggle to reproduce the documented discrepancy.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebras import (
     Algebra,
+    BasisWindow,
     Element,
     TensorElement,
     adtq,
+    algebra_factory,
     at2,
     at2q,
     az2,
+    enumerate_basis,
     quotient_mon_view,
     quotient_mon_word,
     tensor_of,
@@ -66,6 +70,7 @@ def _sign_power(k: int) -> QScalar:
     return QScalar.of(1 if k % 2 == 0 else -1)
 
 
+@lru_cache(maxsize=None)
 def cleaving_j_mon(k: int, l: int, conv: CleavingConvention = CORRECTED) -> Element:
     alg = adtq()
     if k > l:
@@ -151,10 +156,15 @@ def two_corner_inverse(e: Element) -> Element:
     return inv
 
 
+@lru_cache(maxsize=None)
+def cleaving_j_inverse_mon(k: int, l: int, conv: CleavingConvention = CORRECTED) -> Element:
+    return two_corner_inverse(cleaving_j_mon(k, l, conv))
+
+
 def cleaving_j_inverse(h: Element, conv: CleavingConvention = CORRECTED) -> Element:
     """Convolution inverse of the cleaving map, pointwise on group-likes."""
     return adtq().combine(
-        (two_corner_inverse(cleaving_j_mon(*at2().lattice_exponents(mon), conv)), c)
+        (cleaving_j_inverse_mon(*at2().lattice_exponents(mon), conv), c)
         for mon, c in h.terms.items()
     )
 
@@ -250,8 +260,18 @@ def sigma_q_exponent(k: int, l: int, m: int, n: int) -> int:
 
 
 def sigma_table(k: int, l: int, m: int, n: int) -> Element:
+    return _sigma_of_exponent(sigma_q_exponent(k, l, m, n))
+
+
+@lru_cache(maxsize=None)
+def _sigma_of_exponent(e: int) -> Element:
     base = az2()
-    return base.delta(0) + base.delta(1) * QScalar.q_power(sigma_q_exponent(k, l, m, n))
+    return base.delta(0) + base.delta(1) * QScalar.q_power(e)
+
+
+@lru_cache(maxsize=None)
+def _sigma_product(e1: int, e2: int) -> Element:
+    return _sigma_of_exponent(e1) * _sigma_of_exponent(e2)
 
 
 def sigma_convolution(
@@ -263,8 +283,7 @@ def sigma_convolution(
     idempotent span (which is how the printed diagonal branch fails).
     """
     product = cleaving_j_mon(k, l, conv) * cleaving_j_mon(m, n, conv)
-    inverse = two_corner_inverse(cleaving_j_mon(k + m, l + n, conv))
-    return to_az2(product * inverse)
+    return to_az2(product * cleaving_j_inverse_mon(k + m, l + n, conv))
 
 
 def cocycle_sigma(h_mon, g_mon, method: str = "table", conv=CORRECTED) -> Element:
@@ -278,26 +297,19 @@ def cocycle_sigma(h_mon, g_mon, method: str = "table", conv=CORRECTED) -> Elemen
 
 
 def verify_cocycle_condition(exp_range: int) -> list[Check]:
-    """The trivial-action two-cocycle identity on group-like triples."""
-    witness = None
-    torus = at2()
-    for k in range(-exp_range, exp_range + 1):
-        for l in range(-exp_range, exp_range + 1):
-            for m in range(-exp_range, exp_range + 1):
-                for n in range(-exp_range, exp_range + 1):
-                    for p in range(-exp_range, exp_range + 1):
-                        for r in range(-exp_range, exp_range + 1):
-                            lhs = sigma_table(k, l, m, n) * sigma_table(
-                                k + m, l + n, p, r
-                            )
-                            rhs = sigma_table(m, n, p, r) * sigma_table(
-                                k, l, m + p, n + r
-                            )
-                            if lhs != rhs:
-                                witness = (
-                                    f"(u^{k}v^{l}, u^{m}v^{n}, u^{p}v^{r})"
-                                )
-                                return [Check("cocycle_identity", False, witness)]
+    """The trivial-action two-cocycle identity on group-like triples.
+
+    Both sides are element products of table values, memoized by the pair
+    of q-exponents of their factors.
+    """
+    e = sigma_q_exponent
+    span = range(-exp_range, exp_range + 1)
+    for k, l, m, n, p, r in itertools.product(span, repeat=6):
+        lhs = _sigma_product(e(k, l, m, n), e(k + m, l + n, p, r))
+        rhs = _sigma_product(e(m, n, p, r), e(k, l, m + p, n + r))
+        if lhs != rhs:
+            witness = f"(u^{k}v^{l}, u^{m}v^{n}, u^{p}v^{r})"
+            return [Check("cocycle_identity", False, witness)]
     return [Check("cocycle_identity", True, None)]
 
 
@@ -345,8 +357,7 @@ def ell_from_j_mon(mon, conv: CleavingConvention = CORRECTED) -> Element:
     return to_az2(
         alg.combine(
             (
-                alg.monomial(m1)
-                * two_corner_inverse(cleaving_j_mon(*at2().lattice_exponents(t), conv)),
+                alg.monomial(m1) * cleaving_j_inverse_mon(*at2().lattice_exponents(t), conv),
                 c * c2,
             )
             for (m1, m2), c in alg.coproduct_mon(mon).terms.items()
@@ -498,7 +509,7 @@ def build_bicross_product(convention_name: str = "corrected") -> BicrossAlgebra:
     return _bicross_cached(convention(convention_name).name)
 
 
-@lru_cache(maxsize=None)
+@algebra_factory
 def _bicross_cached(convention_name: str) -> BicrossAlgebra:
     return BicrossAlgebra(convention(convention_name))
 
@@ -589,13 +600,7 @@ def verify_exact_sequence(exp_range: int = 3) -> list[Check]:
             bad = bad or f"star at {base.format_mon(mon)}"
     checks.append(Check("exactseq_i_hopf_star_map", bad is None, witness=bad))
 
-    window = []
-    for d in range(-exp_range, exp_range + 1):
-        window.append(quotient_mon_word(d))
-        window.append(quotient_mon_word(d, z=True))
-        for g in ("a", "d", "b", "c"):
-            for n in range(1, exp_range + 1):
-                window.append(quotient_mon_word(d, gen=g, n=n))
+    window = enumerate_basis(alg, BasisWindow(d_max=exp_range, gen_max=exp_range))
     table = prj_table()
     bad = None
     for mon in window:
@@ -621,14 +626,13 @@ def verify_exact_sequence(exp_range: int = 3) -> list[Check]:
     # surjectivity via explicit preimages: u^k v^l is the image of
     # D^l a^(k-l) when k >= l and of D^k d^(l-k) otherwise
     surj_ok = True
-    for k in range(-exp_range, exp_range + 1):
-        for l in range(-exp_range, exp_range + 1):
-            if k >= l:
-                pre = quotient_mon_word(l, gen="a", n=k - l) if k > l else quotient_mon_word(k, z=True)
-            else:
-                pre = quotient_mon_word(k, gen="d", n=l - k)
-            if table.apply_mon(pre) != torus.monomial(torus.lattice_mon(k, l)):
-                surj_ok = False
+    for k, l in itertools.product(range(-exp_range, exp_range + 1), repeat=2):
+        if k >= l:
+            pre = quotient_mon_word(l, gen="a", n=k - l) if k > l else quotient_mon_word(k, z=True)
+        else:
+            pre = quotient_mon_word(k, gen="d", n=l - k)
+        if table.apply_mon(pre) != torus.monomial(torus.lattice_mon(k, l)):
+            surj_ok = False
     checks.append(Check("exactseq_prj_surjective", surj_ok))
 
     # kernel on the window: exactly the off-diagonal corner, i.e. the ideal
@@ -797,33 +801,23 @@ def right_colinear_ok(k: int, l: int, conv: CleavingConvention) -> bool:
 def convention_report(convention_name: str = "corrected", exp_range: int = 2) -> dict:
     """The mandatory report section naming the active diagonal convention."""
     conv = convention(convention_name)
-    sigma_ok = True
+    span = range(-exp_range, exp_range + 1)
     try:
-        for k in range(-exp_range, exp_range + 1):
-            for l in range(-exp_range, exp_range + 1):
-                for m in range(-exp_range, exp_range + 1):
-                    for n in range(-exp_range, exp_range + 1):
-                        if sigma_table(k, l, m, n) != sigma_convolution(k, l, m, n, conv):
-                            sigma_ok = False
+        sigma_ok = all(
+            sigma_table(*klmn) == sigma_convolution(*klmn, conv)
+            for klmn in itertools.product(span, repeat=4)
+        )
     except NotInBaseImage:
         sigma_ok = False
     ell_ok = True
-    for d in range(-exp_range, exp_range + 1):
-        mons = [quotient_mon_word(d), quotient_mon_word(d, z=True)] + [
-            quotient_mon_word(d, gen=g, n=n)
-            for g in ("a", "d", "b", "c")
-            for n in range(1, exp_range + 1)
-        ]
-        for mon in mons:
-            try:
-                if ell_table_mon(mon) != ell_from_j_mon(mon, conv):
-                    ell_ok = False
-            except NotInBaseImage:
+    for mon in enumerate_basis(adtq(), BasisWindow(d_max=exp_range, gen_max=exp_range)):
+        try:
+            if ell_table_mon(mon) != ell_from_j_mon(mon, conv):
                 ell_ok = False
+        except NotInBaseImage:
+            ell_ok = False
     colinear_ok = all(
-        right_colinear_ok(k, l, conv)
-        for k in range(-exp_range, exp_range + 1)
-        for l in range(-exp_range, exp_range + 1)
+        right_colinear_ok(k, l, conv) for k, l in itertools.product(span, repeat=2)
     )
     return {
         "active": conv.name,

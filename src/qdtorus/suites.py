@@ -7,10 +7,12 @@ the mandatory cleaving-convention section into the report.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from . import corep, galois, gns
 from .algebras import (
@@ -22,7 +24,6 @@ from .algebras import (
     az2,
     build_finite_quotient,
     enumerate_basis,
-    quotient_mon_word,
 )
 from .errors import NotInBaseImage, QdtError, RootConditionViolated
 from .hopf import (
@@ -74,6 +75,11 @@ class SuiteParams:
             "jobs": self.jobs,
         }
 
+    @cached_property
+    def gns_relations(self) -> tuple[list[Check], dict[str, float]]:
+        """The GNS relation checks and defects, computed once per run."""
+        return gns.verify_gns_relations(self.window, self.theta)
+
 
 def algebra_by_name(name: str, convention: str = "corrected"):
     table = {
@@ -119,23 +125,14 @@ def _thunks_cocycle(p: SuiteParams):
 
     def cross_check():
         witness = None
-        for k in range(-r, r + 1):
-            for l in range(-r, r + 1):
-                for m in range(-r, r + 1):
-                    for n in range(-r, r + 1):
-                        try:
-                            direct = galois.sigma_convolution(k, l, m, n, conv)
-                        except NotInBaseImage:
-                            witness = f"NotInBaseImage at (u^{k}v^{l}, u^{m}v^{n})"
-                            break
-                        if direct != galois.sigma_table(k, l, m, n):
-                            witness = f"value mismatch at ({k},{l},{m},{n})"
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
+        for k, l, m, n in itertools.product(range(-r, r + 1), repeat=4):
+            try:
+                direct = galois.sigma_convolution(k, l, m, n, conv)
+            except NotInBaseImage:
+                witness = f"NotInBaseImage at (u^{k}v^{l}, u^{m}v^{n})"
+                break
+            if direct != galois.sigma_table(k, l, m, n):
+                witness = f"value mismatch at ({k},{l},{m},{n})"
                 break
         return [Check("sigma_table_equals_convolution", witness is None, witness=witness)]
 
@@ -152,9 +149,8 @@ def _thunks_cocycle(p: SuiteParams):
     def printed_discrepancy():
         # the printed diagonal branch must fail to land in the base image
         try:
-            for m in range(-2, 3):
-                for n in range(-2, 3):
-                    galois.sigma_convolution(1, 1, m, n, galois.PRINTED)
+            for m, n in itertools.product(range(-2, 3), repeat=2):
+                galois.sigma_convolution(1, 1, m, n, galois.PRINTED)
         except NotInBaseImage:
             return [Check("printed_convention_discrepancy_reproduced", True)]
         return [
@@ -169,7 +165,7 @@ def _thunks_cocycle(p: SuiteParams):
         cross_check,
         normalization,
         printed_discrepancy,
-        lambda: galois.verify_cocycle_condition(2),
+        lambda: galois.verify_cocycle_condition(r),
     ]
 
 
@@ -178,22 +174,21 @@ def _thunks_cleaving(p: SuiteParams):
     r = p.exp_range
     torus = at2()
     alg = adtq()
+    lattice = list(itertools.product(range(-r, r + 1), repeat=2))
 
     def j_star_map():
         bad = None
-        for k in range(-r, r + 1):
-            for l in range(-r, r + 1):
-                h = torus.monomial(torus.lattice_mon(k, l))
-                if galois.cleaving_j(h.star(), conv) != galois.cleaving_j(h, conv).star():
-                    bad = f"u^{k}v^{l}"
+        for k, l in lattice:
+            h = torus.monomial(torus.lattice_mon(k, l))
+            if galois.cleaving_j(h.star(), conv) != galois.cleaving_j(h, conv).star():
+                bad = f"u^{k}v^{l}"
         return [Check("cleaving_j_star_map", bad is None, witness=bad)]
 
     def j_colinear():
         bad = None
-        for k in range(-r, r + 1):
-            for l in range(-r, r + 1):
-                if not galois.right_colinear_ok(k, l, conv):
-                    bad = bad or f"u^{k}v^{l}"
+        for k, l in lattice:
+            if not galois.right_colinear_ok(k, l, conv):
+                bad = bad or f"u^{k}v^{l}"
         expected_fail = conv.name == "printed"
         if expected_fail:
             return [
@@ -207,12 +202,11 @@ def _thunks_cleaving(p: SuiteParams):
 
     def j_convolution_inverse():
         bad = None
-        for k in range(-r, r + 1):
-            for l in range(-r, r + 1):
-                j_el = galois.cleaving_j_mon(k, l, conv)
-                j_inv = galois.two_corner_inverse(j_el)
-                if j_el * j_inv != alg.unit() or j_inv * j_el != alg.unit():
-                    bad = bad or f"u^{k}v^{l}"
+        for k, l in lattice:
+            j_el = galois.cleaving_j_mon(k, l, conv)
+            j_inv = galois.two_corner_inverse(j_el)
+            if j_el * j_inv != alg.unit() or j_inv * j_el != alg.unit():
+                bad = bad or f"u^{k}v^{l}"
         return [Check("cleaving_j_convolution_inverse", bad is None, witness=bad)]
 
     def j_algebra_map_only_classically():
@@ -242,14 +236,7 @@ def _thunks_cleaving(p: SuiteParams):
         out = []
         bad_pair = bad_star = bad_conv = None
         base = az2()
-        window = []
-        for d in range(-r, r + 1):
-            window.append(quotient_mon_word(d))
-            window.append(quotient_mon_word(d, z=True))
-            for g in ("a", "d", "b", "c"):
-                for n in range(1, r + 1):
-                    window.append(quotient_mon_word(d, gen=g, n=n))
-        for mon in window:
+        for mon in enumerate_basis(alg, BasisWindow(d_max=r, gen_max=r)):
             try:
                 derived = galois.ell_from_j_mon(mon, conv)
             except NotInBaseImage:
@@ -275,27 +262,25 @@ def _thunks_cleaving(p: SuiteParams):
     def lambda_checks():
         bad_pair = bad_hom = bad_coaction = bad_star = None
         base = az2()
-        for k in range(-r, r + 1):
-            for l in range(-r, r + 1):
-                formula = galois.coaction_lambda_mon(k, l)
-                if galois.coaction_lambda_from_ell(k, l, conv) != formula:
-                    bad_pair = bad_pair or f"u^{k}v^{l}"
-                # coaction laws
-                if formula.coproduct_leg(1) != _lambda_then_lambda(k, l):
-                    bad_coaction = bad_coaction or f"u^{k}v^{l}"
-                if formula.counit_leg(1) != torus.monomial(torus.lattice_mon(k, l)):
-                    bad_coaction = bad_coaction or f"u^{k}v^{l}"
-                mon_el = torus.monomial(torus.lattice_mon(k, l))
-                if galois.coaction_lambda(mon_el.star()) != formula.star_legs():
-                    bad_star = bad_star or f"u^{k}v^{l}"
-                for m in range(-2, 3):
-                    for n in range(-2, 3):
-                        other = galois.coaction_lambda_mon(m, n)
-                        prod = formula * other
-                        if prod != galois.coaction_lambda(
-                            mon_el * torus.monomial(torus.lattice_mon(m, n))
-                        ):
-                            bad_hom = bad_hom or f"u^{k}v^{l} * u^{m}v^{n}"
+        for k, l in lattice:
+            formula = galois.coaction_lambda_mon(k, l)
+            if galois.coaction_lambda_from_ell(k, l, conv) != formula:
+                bad_pair = bad_pair or f"u^{k}v^{l}"
+            # coaction laws
+            if formula.coproduct_leg(1) != _lambda_then_lambda(k, l):
+                bad_coaction = bad_coaction or f"u^{k}v^{l}"
+            if formula.counit_leg(1) != torus.monomial(torus.lattice_mon(k, l)):
+                bad_coaction = bad_coaction or f"u^{k}v^{l}"
+            mon_el = torus.monomial(torus.lattice_mon(k, l))
+            if galois.coaction_lambda(mon_el.star()) != formula.star_legs():
+                bad_star = bad_star or f"u^{k}v^{l}"
+            for m, n in itertools.product(range(-2, 3), repeat=2):
+                other = galois.coaction_lambda_mon(m, n)
+                prod = formula * other
+                if prod != galois.coaction_lambda(
+                    mon_el * torus.monomial(torus.lattice_mon(m, n))
+                ):
+                    bad_hom = bad_hom or f"u^{k}v^{l} * u^{m}v^{n}"
         return [
             Check("coaction_formula_equals_derived", bad_pair is None, witness=bad_pair),
             Check("coaction_star_algebra_hom", bad_hom is None and bad_star is None, witness=bad_hom or bad_star),
@@ -462,8 +447,7 @@ def _thunks_gns(p: SuiteParams):
     alg = adtq()
 
     def relations():
-        checks, _ = gns.verify_gns_relations(p.window, p.theta)
-        return checks
+        return p.gns_relations[0]
 
     def sector_preservation():
         opset = gns.operator_set(p.window, p.theta)
@@ -591,29 +575,46 @@ _SUITE_BUILDERS = {
 }
 
 
+def _contained(suite: str, thunk) -> list[Check]:
+    """Run one check thunk; an internal error becomes a failed check.
+
+    Package errors (:class:`QdtError`) still propagate, so the command line
+    keeps reporting them as usage errors.
+    """
+    try:
+        return thunk()
+    except QdtError:
+        raise
+    except Exception as exc:
+        return [Check(suite, False, witness=f"{type(exc).__name__}: {exc}")]
+
+
 def run_suite(name: str, params: SuiteParams | None = None) -> Report:
-    params = params or SuiteParams()
+    # a fresh copy per run, so results cached on it are never reused
+    params = replace(params) if params else SuiteParams()
     if name not in SUITE_NAMES:
         raise QdtError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     started = time.perf_counter()
-    thunks = []
     if name == "all":
-        hopf_params = SuiteParams(**{**params.__dict__, "algebra": "all"})
-        for key, builder in _SUITE_BUILDERS.items():
-            thunks.extend(builder(hopf_params if key == "hopf" else params))
+        hopf_params = replace(params, algebra="all")
+        thunks = [
+            (key, thunk)
+            for key, builder in _SUITE_BUILDERS.items()
+            for thunk in builder(hopf_params if key == "hopf" else params)
+        ]
     else:
-        thunks.extend(_SUITE_BUILDERS[name](params))
+        thunks = [(name, thunk) for thunk in _SUITE_BUILDERS[name](params)]
     checks: list[Check] = []
     if params.jobs > 1:
         with ThreadPoolExecutor(max_workers=params.jobs) as pool:
-            for result in pool.map(lambda thunk: thunk(), thunks):
+            for result in pool.map(lambda pair: _contained(*pair), thunks):
                 checks.extend(result)
     else:
-        for thunk in thunks:
-            checks.extend(thunk())
+        for pair in thunks:
+            checks.extend(_contained(*pair))
     report_params = params.as_dict()
-    if name in ("gns", "all"):
-        _, defects = gns.verify_gns_relations(params.window, params.theta)
+    if "gns_relations" in vars(params):  # computed by the gns relations thunk
+        _, defects = params.gns_relations
         report_params["gns_max_defect_per_relation"] = {
             rel: f"{value:.3e}" for rel, value in defects.items()
         }

@@ -59,8 +59,10 @@ class RewriteSystem:
             raise ValueError("duplicate letters")
         self.scalar_canon = scalar_canon or keep_scalar
         self.rules: list[RewriteRule] = []
-        self._by_first: dict[str, list[int]] = {x: [] for x in self.letters}
+        # pattern length -> pattern -> index of the first rule with it
+        self._by_length: dict[int, dict[Word, int]] = {}
         self._cache: dict[Word, Combo] = {}
+        self._max_pattern = 0  # longest rule pattern, for resumed redex search
         for rule in rules:
             self.add_rule(rule, check_orientation=check_orientation)
 
@@ -80,7 +82,9 @@ class RewriteSystem:
                 if self.order_key(w) >= key:
                     raise ValueError(f"rule does not decrease the monomial order: {rule}")
         self.rules.append(rule)
-        self._by_first[rule.pattern[0]].append(len(self.rules) - 1)
+        same_length = self._by_length.setdefault(len(rule.pattern), {})
+        same_length.setdefault(rule.pattern, len(self.rules) - 1)
+        self._max_pattern = max(self._max_pattern, len(rule.pattern))
         self._cache.clear()
 
     # -- the monomial order ----------------------------------------------
@@ -93,17 +97,26 @@ class RewriteSystem:
 
     # -- reduction --------------------------------------------------------
 
-    def find_redex(self, word: Word, rule_order: Sequence[int] | None = None):
-        """Leftmost position with a matching rule, or None if irreducible."""
+    def find_redex(self, word: Word, rule_order: Sequence[int] | None = None, start: int = 0):
+        """Leftmost position from ``start`` with a matching rule, or None.
+
+        At that position the rule is the first in ``rule_order``, by default
+        the first added, whose pattern matches.
+        """
         n = len(word)
-        for pos in range(n):
-            candidates = (
-                self._by_first[word[pos]] if rule_order is None else rule_order
-            )
-            for idx in candidates:
-                rule = self.rules[idx]
-                L = len(rule.pattern)
-                if pos + L <= n and word[pos : pos + L] == rule.pattern:
+        for pos in range(start, n):
+            if rule_order is None:
+                best = None
+                for L, table in self._by_length.items():
+                    idx = table.get(word[pos : pos + L])
+                    if idx is not None and (best is None or idx < best):
+                        best = idx
+                if best is not None:
+                    return pos, best
+                continue
+            for idx in rule_order:
+                pattern = self.rules[idx].pattern
+                if word[pos : pos + len(pattern)] == pattern:
                     return pos, idx
         return None
 
@@ -116,27 +129,36 @@ class RewriteSystem:
         coeff: QScalar | None = None,
         rule_order: Sequence[int] | None = None,
     ) -> Combo:
-        """Full normal form of coeff * word as a word combination."""
+        """Full normal form of coeff * word as a word combination.
+
+        After a rewrite at ``pos`` the search for the next redex resumes at
+        ``pos - (longest pattern - 1)``: every position further left held
+        no redex before and sees only unchanged letters after.
+        """
         coeff = QScalar.one() if coeff is None else coeff
         use_cache = rule_order is None
+        if use_cache and coeff.is_one() and word in self._cache:
+            return dict(self._cache[word])
+        back = self._max_pattern - 1
         out: Combo = {}
-        stack: list[tuple[QScalar, Word]] = [(coeff, word)]
+        stack: list[tuple[QScalar, Word, int]] = [(coeff, word, 0)]
         while stack:
-            c, w = stack.pop()
+            c, w, start = stack.pop()
             if use_cache:
                 hit = self._cache.get(w)
                 if hit is not None:
                     add_scaled(out, hit, c)
                     continue
-            redex = self.find_redex(w, rule_order)
+            redex = self.find_redex(w, rule_order, start)
             if redex is None:
                 add_term(out, w, c)
                 continue
             pos, idx = redex
             rule = self.rules[idx]
             tail = pos + len(rule.pattern)
+            resume = max(0, pos - back)
             for rc, rw in rule.result:
-                stack.append((self.scalar_canon(c * rc), w[:pos] + rw + w[tail:]))
+                stack.append((self.scalar_canon(c * rc), w[:pos] + rw + w[tail:], resume))
         out = settle(out, self.scalar_canon)
         if use_cache and coeff.is_one():
             self._cache[word] = dict(out)

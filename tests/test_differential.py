@@ -2,23 +2,32 @@
 
 The references are the straightforward implementations the package used
 before its fast paths: scalars as dicts of Fraction coefficients combined by
-nested loops, and element sums folded as ``out = out + piece * c`` with the
-coefficients canonicalised after every step.  The package must agree with
-them exactly, and must store every coefficient as an ``int`` or as a
-``Fraction`` with denominator other than 1, never as a float.
+nested loops, element sums folded as ``out = out + piece * c`` with the
+coefficients canonicalised after every step, memoized maps recomputed
+without their caches, and leftmost reduction that rescans every word from
+position 0 without a cache.  The package must agree with them exactly, and
+must store every coefficient as an ``int`` or as a ``Fraction`` with
+denominator other than 1, never as a float.
 """
 
+import itertools
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdtorus import galois
 from qdtorus.algebras import (
     Element,
     TensorElement,
     adtq,
     auq2,
+    az2,
     build_finite_quotient,
 )
 from qdtorus.linalg import exact_div, solve_unique
@@ -28,6 +37,7 @@ from qdtorus.scalars import (
     cyclotomic_polynomial,
     invert_in_cyclotomic_field,
 )
+from qdtorus.words import RewriteRule, RewriteSystem
 
 # ---------------------------------------------------------------------------
 # Fraction-only reference scalars: {exponent: Fraction}, zeros dropped
@@ -374,3 +384,149 @@ def test_sum_cancelling_only_after_cyclotomic_canon():
     assert x * x == ref_mul_el(x, x) == D * (2 * q)
     assert alg.combine([(unit, q * q), (unit, None)]).is_zero()
     assert ref_fold(alg, [(unit, q * q), (unit, QScalar.one())]).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# Memoized cleft-extension maps against uncached recomputation
+# ---------------------------------------------------------------------------
+
+LATTICE = [(k, l) for k in range(-3, 4) for l in range(-3, 4)]
+
+
+@pytest.mark.parametrize("conv", [galois.CORRECTED, galois.PRINTED], ids=lambda c: c.name)
+def test_cached_cleaving_maps_match_recomputation(conv):
+    for k, l in LATTICE:
+        fresh = galois.cleaving_j_mon.__wrapped__(k, l, conv)
+        assert galois.cleaving_j_mon(k, l, conv) == fresh
+        assert galois.cleaving_j_inverse_mon(k, l, conv) == galois.two_corner_inverse(fresh)
+
+
+def test_cached_sigma_matches_recomputation():
+    base = az2()
+    for (k, l), (m, n) in itertools.product(LATTICE, repeat=2):
+        e = galois.sigma_q_exponent(k, l, m, n)
+        fresh = base.delta(0) + base.delta(1) * QScalar.q_power(e)
+        assert galois.sigma_table(k, l, m, n) == fresh
+        assert galois._sigma_of_exponent.__wrapped__(e) == fresh
+    for e1, e2 in itertools.product(range(-12, 13, 3), repeat=2):
+        fresh = base.delta(0) + base.delta(1) * QScalar.q_power(e1 + e2)
+        assert galois._sigma_product(e1, e2) == fresh
+
+
+# ---------------------------------------------------------------------------
+# RewriteSystem.normalize against a cold system and a leftmost-scan reference
+# ---------------------------------------------------------------------------
+
+
+def ref_find_redex(system: RewriteSystem, word, rule_order=None):
+    """Leftmost position, then the first rule in order whose pattern matches."""
+    order = range(len(system.rules)) if rule_order is None else rule_order
+    for pos in range(len(word)):
+        for idx in order:
+            pattern = system.rules[idx].pattern
+            if word[pos : pos + len(pattern)] == pattern:
+                return pos, idx
+    return None
+
+
+def ref_normalize(system: RewriteSystem, word, rule_order=None) -> dict:
+    """Leftmost reduction that rescans every word from position 0, no cache."""
+    out: dict = {}
+    stack = [(QScalar.one(), tuple(word))]
+    while stack:
+        c, w = stack.pop()
+        redex = ref_find_redex(system, w, rule_order)
+        if redex is None:
+            out[w] = out.get(w, QScalar.zero()) + c
+            continue
+        pos, idx = redex
+        rule = system.rules[idx]
+        for rc, rw in rule.result:
+            stack.append((system.scalar_canon(c * rc), w[:pos] + rw + w[pos + len(rule.pattern) :]))
+    out = {w: system.scalar_canon(c) for w, c in out.items()}
+    return {w: c for w, c in out.items() if not c.is_zero()}
+
+
+REWRITE_ALGEBRAS = {
+    "AUq2": auq2,
+    "ADTq": adtq,
+    "FDQUOT(n=3,order=6)": lambda: build_finite_quotient(3, CyclotomicMode(6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REWRITE_ALGEBRAS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_normalize_matches_a_cold_system_and_the_reference(name, data):
+    system = REWRITE_ALGEBRAS[name]().system
+    word = tuple(data.draw(st.lists(st.sampled_from(system.letters), max_size=6)))
+    order = data.draw(st.permutations(range(len(system.rules))))
+    cold = RewriteSystem(system.letters, system.rules, system.scalar_canon)
+    expected = ref_normalize(system, word)
+    assert cold.normalize(word) == expected
+    assert system.normalize(word) == expected
+    assert system.normalize(word) == expected  # the cache-hit return
+    assert system.normalize(word, rule_order=order) == expected
+    assert ref_normalize(system, word, order) == expected
+    assert system.find_redex(word) == ref_find_redex(system, word)
+    assert system.find_redex(word, order) == ref_find_redex(system, word, order)
+
+
+def test_cache_hit_returns_a_copy():
+    system = adtq().system
+    word = ("c", "b", "D")
+    system.normalize(word)
+    system.normalize(word).clear()  # clears the copy the cache hit returned
+    assert system.normalize(word) == ref_normalize(system, word) != {}
+
+
+def _verify_cocycle(convention: str, jobs: int) -> tuple[int, dict]:
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdtorus", "verify", "cocycle", "--report", "json",
+         "--convention", convention, "--jobs", str(jobs)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    payload = json.loads(proc.stdout)
+    del payload["duration_ms"], payload["params"]["jobs"]
+    return proc.returncode, payload
+
+
+@pytest.mark.parametrize("convention", ["corrected", "printed"])
+def test_threaded_cocycle_suite_on_cold_caches_matches_serial(convention):
+    # each run is a fresh process, so four threads fill every memo from cold
+    assert _verify_cocycle(convention, 4) == _verify_cocycle(convention, 1)
+
+
+def _overlapping_system() -> RewriteSystem:
+    """Not confluent: at the start of x*y*y three rules of two lengths match,
+    and the normal form depends on which one the search picks."""
+    q = QScalar.q_power(1)
+    rules = [
+        RewriteRule(("y", "y"), ((q, ("x",)),)),
+        RewriteRule(("x", "y", "y"), ((QScalar.of(2), ("y",)),)),
+        RewriteRule(("x", "y"), ((QScalar.of(3), ("x",)),)),
+        RewriteRule(("x", "y"), ((QScalar.of(5), ()),)),  # shadowed by the rule above
+    ]
+    return RewriteSystem(("x", "y"), rules)
+
+
+def test_find_redex_picks_the_first_added_rule_among_lengths():
+    system = _overlapping_system()
+    assert system.find_redex(("x", "y", "y")) == (0, 1)
+    assert system.find_redex(("y", "x", "y")) == (1, 2)
+    assert system.find_redex(("x", "y", "y"), rule_order=[3, 0, 1, 2]) == (0, 3)
+
+
+@given(word=st.lists(st.sampled_from(["x", "y"]), max_size=8), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_normalize_follows_the_rule_choice_on_a_non_confluent_system(word, data):
+    system = _overlapping_system()
+    order = data.draw(st.permutations(range(len(system.rules))))
+    word = tuple(word)
+    assert system.find_redex(word) == ref_find_redex(system, word)
+    assert system.normalize(word) == ref_normalize(system, word)
+    assert system.normalize(word, rule_order=order) == ref_normalize(system, word, order)

@@ -338,9 +338,7 @@ print("ok")
 """
 
 
-def test_structure_maps_are_published_whole():
-    """Eight threads racing onto a cold ADTq's antipode and star read only
-    fully built letter tables."""
+def _run_fresh(script: str):
     import os
     import subprocess
     import sys
@@ -348,10 +346,51 @@ def test_structure_maps_are_published_whole():
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
-        [sys.executable, "-c", _LETTER_RACE_SCRIPT],
+        [sys.executable, "-c", script],
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr[-2000:]
+
+
+def test_structure_maps_are_published_whole():
+    """Eight threads racing onto a cold ADTq's antipode and star read only
+    fully built letter tables."""
+    _run_fresh(_LETTER_RACE_SCRIPT)
+
+
+_FACTORY_RACE_SCRIPT = """
+import sys, threading
+from qdtorus.algebras import adtq, at2, auq2, az2
+from qdtorus.galois import build_bicross_product
+
+factories = (adtq, auq2, at2, az2, build_bicross_product)
+barrier = threading.Barrier(8)
+got = [None] * 8
+
+def work(i):
+    barrier.wait(timeout=60)
+    got[i] = {f: f() for f in factories[i % 2 :] + factories[: i % 2]}
+
+old = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+finally:
+    sys.setswitchinterval(old)
+assert not any(t.is_alive() for t in threads), "a thread did not finish"
+assert all(row[f] is f() for row in got for f in factories)
+print("ok")
+"""
+
+
+def test_cold_factories_build_one_instance_under_threads():
+    """Eight threads calling cold algebra factories together all receive the
+    same instance; elements of two instances of one algebra cannot mix."""
+    _run_fresh(_FACTORY_RACE_SCRIPT)

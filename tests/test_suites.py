@@ -125,3 +125,87 @@ def test_fdquot_dimension_check_rejects_a_planted_dimension(monkeypatch):
     found = {c.name: c for c in report.checks}
     assert not found["fdquot_dimension"].passed
     assert found["fdquot_dimension"].witness == "dimension 18, expected 9"
+
+
+def test_cocycle_suite_uses_the_range(monkeypatch):
+    seen = []
+    real = galois.verify_cocycle_condition
+
+    def recording(exp_range):
+        seen.append(exp_range)
+        return real(exp_range)
+
+    monkeypatch.setattr(galois, "verify_cocycle_condition", recording)
+    report = run_suite("cocycle", SuiteParams(exp_range=3))
+    assert seen == [3]
+    assert {c.name: c.passed for c in report.checks}["cocycle_identity"]
+
+
+def test_warm_caches_do_not_hide_the_sigma_mutation(monkeypatch):
+    assert run_suite("cocycle").ok  # every memo of the suite is now warm
+    original = galois.sigma_q_exponent
+
+    def mutated(k, l, m, n):
+        if k > l and m > n:
+            return -2 * k * n + 1  # the off-by-one of the branch mutation above
+        return original(k, l, m, n)
+
+    monkeypatch.setattr(galois, "sigma_q_exponent", mutated)
+    report = run_suite("cocycle")
+    failed = [c for c in report.checks if not c.passed]
+    assert failed and all(c.witness for c in failed)
+
+
+def test_gns_relations_run_once_per_report(monkeypatch):
+    import qdtorus.gns as gns
+
+    calls = []
+    real = gns.verify_gns_relations
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gns, "verify_gns_relations", counting)
+    params = SuiteParams(window=5)
+    first = run_suite("gns", params)
+    second = run_suite("gns", params)  # a run never reuses another's result
+    assert calls == [(5, 0.31), (5, 0.31)]
+    for report in (first, second):
+        assert report.ok and report.params["gns_max_defect_per_relation"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_crashing_check_is_contained(monkeypatch, capsys, jobs):
+    import json
+
+    from qdtorus import cli, suites
+
+    def planted():
+        raise ZeroDivisionError("planted")
+
+    honest = suites._SUITE_BUILDERS["haar"]
+    monkeypatch.setitem(suites._SUITE_BUILDERS, "haar", lambda p: [*honest(p), planted])
+    report = run_suite("haar", SuiteParams(jobs=jobs))
+    crashed = [c for c in report.checks if c.name == "haar"]
+    assert [(c.passed, c.witness) for c in crashed] == [(False, "ZeroDivisionError: planted")]
+    assert all(c.passed for c in report.checks if c.name != "haar")  # the rest still ran
+
+    code = cli.main(["verify", "haar", "--report", "json", "--jobs", str(jobs)])
+    out, err = capsys.readouterr()
+    assert code == 1 and "Traceback" not in err
+    assert {"name": "haar", "status": "fail", "witness": "ZeroDivisionError: planted"} in (
+        json.loads(out)["checks"]
+    )
+
+
+def test_package_errors_in_a_check_stay_usage_errors(monkeypatch, capsys):
+    from qdtorus import cli, suites
+    from qdtorus.errors import WindowOverflow
+
+    def planted():
+        raise WindowOverflow("planted")
+
+    monkeypatch.setitem(suites._SUITE_BUILDERS, "haar", lambda p: [planted])
+    assert cli.main(["verify", "haar"]) == 2
+    assert "error: planted" in capsys.readouterr().err
