@@ -10,11 +10,10 @@ from .algebras import (
     auq2,
     az2,
     build_finite_quotient,
-    elements_equal,
     enumerate_basis,
 )
 from .exprs import parse_element, parse_expression, print_expression
-from .scalars import CyclotomicMode, QScalar, eval_scalar, reduce_cyclotomic, star_scalar
+from .scalars import CyclotomicMode, QScalar
 from .suites import SuiteParams, run_suite
 
 __all__ = [
@@ -30,13 +29,9 @@ __all__ = [
     "auq2",
     "az2",
     "build_finite_quotient",
-    "elements_equal",
     "enumerate_basis",
-    "eval_scalar",
     "parse_element",
     "parse_expression",
     "print_expression",
-    "reduce_cyclotomic",
     "run_suite",
-    "star_scalar",
 ]

@@ -380,10 +380,6 @@ def tensor_of(elements: Sequence[Element]) -> TensorElement:
     return TensorElement._settled(tuple(e.algebra for e in elements), acc)
 
 
-def elements_equal(e1: Element, e2: Element) -> bool:
-    return e1 == e2
-
-
 # ---------------------------------------------------------------------------
 # Algebra base and word algebras
 # ---------------------------------------------------------------------------
@@ -710,12 +706,18 @@ def algebra_factory(build):
 
     Elements of two instances of one algebra cannot be mixed, so threads
     that call a cold factory together must share one build.  The lock is
-    shared and reentrant because factories call one another.
+    shared and reentrant because factories call one another.  Omitted
+    arguments are filled in from the defaults, so ``adtq()`` and
+    ``adtq(None)`` are one key.
     """
     cached = lru_cache(maxsize=None)(build)
+    defaults = build.__defaults__ or ()
+    arity = build.__code__.co_argcount
 
     @wraps(build)
     def get(*args):
+        if len(args) < arity:
+            args += defaults[len(args) - arity :]
         with _FACTORY_LOCK:
             return cached(*args)
 
@@ -1162,12 +1164,3 @@ class FiniteQuotientAlgebra(WordAlgebra):
 def project_to_quotient(e: Element, target: WordAlgebra) -> Element:
     """Reinterpret words of the parent presentation inside a quotient."""
     return target.combine((target.normalize_word(m), c) for m, c in e.terms.items())
-
-
-def check_confluence(algebra: WordAlgebra, degree_bound: int):
-    """Unresolved critical pairs of the presentation up to the degree bound.
-
-    An empty list is the machine obligation that the irreducible words form
-    a linear basis; non-confluence is returned as data, not raised.
-    """
-    return algebra.system.unresolved_pairs(degree_bound)

@@ -189,12 +189,6 @@ def to_az2(e: Element) -> Element:
     return base.delta(0) * (c_unit + c_z) + base.delta(1) * c_unit
 
 
-def from_az2(x: Element) -> Element:
-    alg = adtq()
-    z = alg.gen("z")
-    return z * x.coefficient(("d0",)) + (alg.unit() - z) * x.coefficient(("d1",))
-
-
 def inj_table() -> LinearMapTable:
     alg = adtq()
     z = alg.gen("z")
@@ -782,7 +776,7 @@ def _apply_rho_right(t: TensorElement, rho: TorusCoaction) -> TensorElement:
 
 
 # ---------------------------------------------------------------------------
-# Colinearity and the mandatory convention summary
+# The three consistency comparisons and the mandatory convention summary
 # ---------------------------------------------------------------------------
 
 
@@ -797,31 +791,47 @@ def right_colinear_ok(k: int, l: int, conv: CleavingConvention) -> bool:
     return lifted == expected
 
 
-@lru_cache(maxsize=None)
+def sigma_table_mismatch(conv: CleavingConvention, exp_range: int) -> str | None:
+    """The first pair of group-likes where the cocycle table differs from
+    j(h) j(g) j^{-1}(hg), or None when they agree on the range."""
+    for k, l, m, n in itertools.product(range(-exp_range, exp_range + 1), repeat=4):
+        try:
+            direct = sigma_convolution(k, l, m, n, conv)
+        except NotInBaseImage:
+            return f"NotInBaseImage at (u^{k}v^{l}, u^{m}v^{n})"
+        if direct != sigma_table(k, l, m, n):
+            return f"value mismatch at ({k},{l},{m},{n})"
+    return None
+
+
+def cocleaving_table_mismatch(conv: CleavingConvention, exp_range: int) -> str | None:
+    """The first window monomial where the cocleaving table differs from the
+    map derived from the cleaving map, or None when they agree."""
+    alg = adtq()
+    for mon in enumerate_basis(alg, BasisWindow(d_max=exp_range, gen_max=exp_range)):
+        try:
+            same = ell_from_j_mon(mon, conv) == ell_table_mon(mon)
+        except NotInBaseImage:
+            same = False
+        if not same:
+            return alg.format_mon(mon)
+    return None
+
+
+def colinearity_failure(conv: CleavingConvention, exp_range: int) -> str | None:
+    """The first group-like whose cleaving image is not right colinear."""
+    for k, l in itertools.product(range(-exp_range, exp_range + 1), repeat=2):
+        if not right_colinear_ok(k, l, conv):
+            return f"u^{k}v^{l}"
+    return None
+
+
 def convention_report(convention_name: str = "corrected", exp_range: int = 2) -> dict:
     """The mandatory report section naming the active diagonal convention."""
     conv = convention(convention_name)
-    span = range(-exp_range, exp_range + 1)
-    try:
-        sigma_ok = all(
-            sigma_table(*klmn) == sigma_convolution(*klmn, conv)
-            for klmn in itertools.product(span, repeat=4)
-        )
-    except NotInBaseImage:
-        sigma_ok = False
-    ell_ok = True
-    for mon in enumerate_basis(adtq(), BasisWindow(d_max=exp_range, gen_max=exp_range)):
-        try:
-            if ell_table_mon(mon) != ell_from_j_mon(mon, conv):
-                ell_ok = False
-        except NotInBaseImage:
-            ell_ok = False
-    colinear_ok = all(
-        right_colinear_ok(k, l, conv) for k, l in itertools.product(span, repeat=2)
-    )
     return {
         "active": conv.name,
-        "sigma_table_matches_convolution": sigma_ok,
-        "cocleaving_table_matches_derived": ell_ok,
-        "right_colinearity": colinear_ok,
+        "sigma_table_matches_convolution": sigma_table_mismatch(conv, exp_range) is None,
+        "cocleaving_table_matches_derived": cocleaving_table_mismatch(conv, exp_range) is None,
+        "right_colinearity": colinearity_failure(conv, exp_range) is None,
     }

@@ -1,10 +1,10 @@
 """Hopf *-structure maps, convolution algebra and the invariant functional.
 
 The structure maps themselves live on the algebra objects (they are letter
-data extended (anti)multiplicatively); this module provides the element-level
-entry points, the axiom verifier used by the suites, linear-map tables with
-their convolution product, and the Haar functional of the double-torus
-quotient together with its positivity and invariance checks.
+data extended (anti)multiplicatively); this module provides the axiom
+verifier used by the suites, linear-map tables with their convolution
+product, and the Haar functional of the double-torus quotient together with
+its positivity and invariance checks.
 """
 
 from __future__ import annotations
@@ -19,22 +19,6 @@ from .algebras import Algebra, Element, TensorElement, quotient_mon_view
 from .errors import NotAHopfAlgebra, WindowExceeded
 from .report import Check
 from .scalars import QScalar, add_term
-
-
-def coproduct(e: Element) -> TensorElement:
-    return e.coproduct()
-
-
-def counit(e: Element) -> QScalar:
-    return e.counit()
-
-
-def antipode(e: Element) -> Element:
-    return e.antipode()
-
-
-def star_element(e: Element) -> Element:
-    return e.star()
 
 
 # ---------------------------------------------------------------------------

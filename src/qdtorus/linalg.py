@@ -122,13 +122,15 @@ class Frac:
         return exact_div(self.num, self.den)
 
 
-def solve_unique(rows: list[list[QScalar]], rhs: list[QScalar]) -> list[QScalar]:
-    """Solve A x = b over Q(q), requiring a unique solution with Laurent entries."""
-    m = [[Frac.of(c) for c in row] + [Frac.of(b)] for row, b in zip(rows, rhs)]
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
+def _reduce_rows(m: list[list[Frac]], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination of ``m`` in place on its first ``ncols`` columns.
+
+    Returns the pivot columns.  Row i then has a 1 in the i-th pivot column,
+    and every other row has a 0 there.
+    """
+    pivots: list[int] = []
     for col in range(ncols):
+        r = len(pivots)
         pivot = next((i for i in range(r, len(m)) if not m[i][col].is_zero()), None)
         if pivot is None:
             continue
@@ -140,36 +142,25 @@ def solve_unique(rows: list[list[QScalar]], rhs: list[QScalar]) -> list[QScalar]
                 f = m[i][col]
                 m[i] = [c - f * d for c, d in zip(m[i], m[r])]
         pivots.append(col)
-        r += 1
-    for i in range(r, len(m)):
-        if not m[i][-1].is_zero():
-            raise ArithmeticError("inconsistent linear system")
+    return pivots
+
+
+def solve_unique(rows: list[list[QScalar]], rhs: list[QScalar]) -> list[QScalar]:
+    """Solve A x = b over Q(q), requiring a unique solution with Laurent entries."""
+    m = [[Frac.of(c) for c in row] + [Frac.of(b)] for row, b in zip(rows, rhs)]
+    ncols = len(rows[0])
+    pivots = _reduce_rows(m, ncols)
+    if any(not row[-1].is_zero() for row in m[len(pivots) :]):
+        raise ArithmeticError("inconsistent linear system")
     if len(pivots) != ncols:
         raise ArithmeticError("linear system is underdetermined")
-    x = [Frac.of(0)] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = m[i][-1]
-    return [v.to_scalar() for v in x]
+    return [row[-1].to_scalar() for row in m[:ncols]]
 
 
 def nullspace(rows: list[list[QScalar]], ncols: int) -> list[list[QScalar]]:
     """Basis of the nullspace over Q(q), entries cleared to Laurent scalars."""
     m = [[Frac.of(c) for c in row] for row in rows if any(not QScalar.of(c).is_zero() for c in row)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if not m[i][col].is_zero()), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][col]
-        m[r] = [c / pv for c in m[r]]
-        for i in range(len(m)):
-            if i != r and not m[i][col].is_zero():
-                f = m[i][col]
-                m[i] = [c - f * d for c, d in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
+    pivots = _reduce_rows(m, ncols)
     basis = []
     free_cols = [c for c in range(ncols) if c not in pivots]
     for free in free_cols:

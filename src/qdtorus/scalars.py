@@ -19,9 +19,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping
-
-Rat = Fraction
+from typing import Callable, Iterator, Mapping
 
 
 def _exact(value):
@@ -86,9 +84,6 @@ class QScalar:
 
     def is_one(self) -> bool:
         return self._terms == {0: 1}
-
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
 
     def constant_value(self) -> int | Fraction:
         """The value when no q appears; raises if q-dependent."""
@@ -368,20 +363,6 @@ class CyclotomicMode:
         return s
 
 
-def star_scalar(s: QScalar) -> QScalar:
-    return s.star()
-
-
-def eval_scalar(s: QScalar, theta: float) -> complex:
-    return s.eval_unit(theta)
-
-
-def reduce_cyclotomic(s: QScalar, mode: CyclotomicMode) -> QScalar:
-    """Exponent reduction modulo the order; a ring homomorphism onto
-    Q[q]/(q^M - 1)."""
-    return s.reduce_exponents(mode.order)
-
-
 # -- polynomial helpers (ascending coefficient tuples over Q) ----------------
 
 
@@ -462,10 +443,3 @@ def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     for i, y in enumerate(b):
         out[i] -= y
     return _poly_trim(out)
-
-
-def scalars_product(scalars: Iterable[QScalar]) -> QScalar:
-    out = _ONE
-    for s in scalars:
-        out = out * s
-    return out

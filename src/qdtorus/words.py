@@ -40,10 +40,6 @@ class CriticalPair:
     left: Combo
     right: Combo
 
-    @property
-    def resolved(self) -> bool:
-        return self.left == self.right
-
 
 class RewriteSystem:
     def __init__(
@@ -286,19 +282,7 @@ class RewriteSystem:
         Raises :class:`CompletionFailure` if words keep growing past the cap,
         which signals a non-finite-dimensional (or non-completed) system.
         """
-        out: list[Word] = [()]
-        frontier: list[Word] = [()]
-        length = 0
-        while frontier:
-            length += 1
-            if length > hard_cap:
-                raise CompletionFailure("normal words do not stop growing")
-            nxt = []
-            for w in frontier:
-                for x in self.letters:
-                    ext = w + (x,)
-                    if self._suffix_normal(ext):
-                        nxt.append(ext)
-            out.extend(nxt)
-            frontier = nxt
+        out = self.normal_words_by_degree(hard_cap)
+        if len(out[-1]) == hard_cap:
+            raise CompletionFailure("normal words do not stop growing")
         return out

@@ -1,6 +1,10 @@
 """Command-line surface: commands, report schema, exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -145,3 +149,25 @@ class TestEdgeCases:
     def test_unknown_algebra_is_usage_error(self, capsys):
         code, _, err = run(capsys, "normalize", "a", "--algebra", "NOPE")
         assert code == 2 and "unknown algebra" in err
+
+
+_TESTS = pathlib.Path(__file__).parent
+
+
+@pytest.mark.parametrize("convention, exit_code", [("corrected", 0), ("printed", 1)])
+def test_verify_all_report_matches_the_golden_file(convention, exit_code):
+    """A fresh `verify all --report json` prints the recorded report, apart
+    from `duration_ms`, and keeps its exit code."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdtorus", "verify", "all", "--report", "json",
+         "--convention", convention],
+        env={**os.environ, "PYTHONPATH": str(_TESTS.parent / "src")},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == exit_code, proc.stderr[-2000:]
+    report = json.loads(proc.stdout)
+    assert isinstance(report.pop("duration_ms"), float)
+    golden = (_TESTS / "data" / f"verify_all_{convention}.json").read_text()
+    assert json.dumps(report, indent=2) + "\n" == golden

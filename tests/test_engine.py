@@ -11,7 +11,6 @@ from qdtorus.algebras import (
     auq2,
     az2,
     build_finite_quotient,
-    elements_equal,
     enumerate_basis,
     free_algebra,
     project_to_quotient,
@@ -85,21 +84,21 @@ class TestNormalize:
         with pytest.raises(CrossAlgebraMix):
             adtq().gen("a") * auq2().gen("a")
         with pytest.raises(CrossAlgebraMix):
-            elements_equal(adtq().gen("a"), auq2().gen("a"))
+            adtq().gen("a") == auq2().gen("a")
 
 
 class TestElementsEqual:
     def test_determinant_identity(self):
         B = adtq()
-        assert elements_equal(el("a*d", B), el("D*z", B))
+        assert el("a*d", B) == el("D*z", B)
 
     def test_distinct_idempotents(self):
         B = adtq()
-        assert not elements_equal(el("z", B), el("1 - z", B))
+        assert el("z", B) != el("1 - z", B)
 
     def test_q_squared_commutation(self):
         B = adtq()
-        assert elements_equal(el("b*c", B), el("q^2*c*b", B))
+        assert el("b*c", B) == el("q^2*c*b", B)
 
 
 class TestConfluence:
@@ -293,13 +292,11 @@ def test_project_between_presentations():
     assert project_to_quotient(e, B) == el("q*a*b + z", B)
 
 
-def test_check_confluence_entry_point():
-    from qdtorus.algebras import check_confluence
-
-    assert check_confluence(auq2(), 6) == []
-    assert check_confluence(adtq(), 6) == []
+def test_unresolved_pairs_entry_point():
+    assert auq2().system.unresolved_pairs(6) == []
+    assert adtq().system.unresolved_pairs(6) == []
     # the weakened antidiagonal relation destroys confluence, returned as data
-    assert check_confluence(adtq("bc_weak"), 6)
+    assert adtq("bc_weak").system.unresolved_pairs(6)
 
 
 _LETTER_RACE_SCRIPT = """
@@ -394,3 +391,15 @@ def test_cold_factories_build_one_instance_under_threads():
     """Eight threads calling cold algebra factories together all receive the
     same instance; elements of two instances of one algebra cannot mix."""
     _run_fresh(_FACTORY_RACE_SCRIPT)
+
+
+def test_factory_defaults_are_one_key():
+    """Omitted arguments take the build function's defaults, so every way of
+    asking for one algebra returns one instance."""
+    from qdtorus.galois import TorusCoaction
+
+    assert adtq() is adtq(None)
+    assert adtq("bc_weak") is not adtq()
+    assert free_algebra() is free_algebra(("g",))
+    assert TorusCoaction().alg is adtq()
+    assert adtq().gen("a") + adtq(None).gen("a") == adtq().gen("a") * 2

@@ -8,7 +8,7 @@ from qdtorus import galois
 from qdtorus.algebras import adtq, at2, az2
 from qdtorus.exprs import parse_element
 from qdtorus.gns import LatticeWindow, apply_element, operator_set
-from qdtorus.scalars import QScalar, eval_scalar
+from qdtorus.scalars import QScalar
 from qdtorus.suites import SuiteParams, run_suite
 
 
@@ -78,7 +78,7 @@ def test_unit_modulus_of_pure_powers():
     for _ in range(50):
         k = rng.randint(-40, 40)
         theta = rng.random()
-        assert abs(abs(eval_scalar(QScalar.q_power(k), theta)) - 1.0) <= 1e-12
+        assert abs(abs(QScalar.q_power(k).eval_unit(theta)) - 1.0) <= 1e-12
 
 
 def test_gns_report_includes_defects():
@@ -154,6 +154,62 @@ def test_warm_caches_do_not_hide_the_sigma_mutation(monkeypatch):
     report = run_suite("cocycle")
     failed = [c for c in report.checks if not c.passed]
     assert failed and all(c.witness for c in failed)
+
+
+def test_convention_section_is_recomputed_after_a_warm_run(monkeypatch):
+    warm = run_suite("haar")
+    assert warm.cleaving_convention["sigma_table_matches_convolution"] is True
+    original = galois.sigma_q_exponent
+
+    def mutated(k, l, m, n):
+        if k > l and m > n:
+            return -2 * k * n + 1  # the off-by-one of the branch mutation above
+        return original(k, l, m, n)
+
+    monkeypatch.setattr(galois, "sigma_q_exponent", mutated)
+    report = run_suite("haar")
+    assert report.cleaving_convention["sigma_table_matches_convolution"] is False
+
+
+# One planted defect per suite, each in a copy of the package run in a fresh
+# process: (suite, file, original text, planted text).
+_PLANTED_DEFECTS = {
+    "haar": ("hopf.py", "QScalar.of(Fraction(1, 2))", "QScalar.of(Fraction(1, 3))"),
+    "cleaving": (
+        "galois.py",
+        "base.delta(1) * (sign * QScalar.q_power(view.d * view.d))",
+        "base.delta(1) * (-sign * QScalar.q_power(view.d * view.d))",
+    ),
+    "fdquot": ("scalars.py", "        if self.primitive:\n", "        if False:\n"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_PLANTED_DEFECTS))
+def test_a_planted_defect_fails_its_suite(suite, tmp_path):
+    import json
+    import os
+    import pathlib
+    import shutil
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).parent.parent / "src"
+    shutil.copytree(src / "qdtorus", tmp_path / "qdtorus", ignore=shutil.ignore_patterns("__pycache__"))
+    name, original, planted = _PLANTED_DEFECTS[suite]
+    target = tmp_path / "qdtorus" / name
+    text = target.read_text()
+    assert text.count(original) == 1, f"the defect site moved in {name}"
+    target.write_text(text.replace(original, planted))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdtorus", "verify", suite, "--report", "json"],
+        env={**os.environ, "PYTHONPATH": str(tmp_path)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 1, proc.stderr[-2000:]
+    failed = [c for c in json.loads(proc.stdout)["checks"] if c["status"] == "fail"]
+    assert any(c.get("witness") for c in failed), failed
 
 
 def test_gns_relations_run_once_per_report(monkeypatch):
