@@ -576,9 +576,9 @@ def verify_exact_sequence(exp_range: int = 3) -> list[Check]:
     z = alg.gen("z")
 
     images = [inj.apply_mon(("d0",)), inj.apply_mon(("d1",))]
-    checks.append(
-        Check("exactseq_i_injective", images[0] != images[1] and not images[0].is_zero())
-    )
+    injective = images[0] != images[1] and not images[0].is_zero()
+    witness = None if injective else f"i(d0) = {images[0]}, i(d1) = {images[1]}"
+    checks.append(Check("exactseq_i_injective", injective, witness=witness))
 
     bad = None
     for mon in (("d0",), ("d1",)):
@@ -611,23 +611,27 @@ def verify_exact_sequence(exp_range: int = 3) -> list[Check]:
     checks.append(Check("exactseq_prj_hopf_star_map", bad is None, witness=bad))
 
     etc = unit_counit(base, torus)
-    ok = all(
-        table.apply(inj.apply_mon(mon)) == etc.apply_mon(mon)
-        for mon in (("d0",), ("d1",))
+    bad = next(
+        (
+            base.format_mon(mon)
+            for mon in (("d0",), ("d1",))
+            if table.apply(inj.apply_mon(mon)) != etc.apply_mon(mon)
+        ),
+        None,
     )
-    checks.append(Check("exactseq_prj_after_i_is_unit_counit", ok))
+    checks.append(Check("exactseq_prj_after_i_is_unit_counit", bad is None, witness=bad))
 
     # surjectivity via explicit preimages: u^k v^l is the image of
     # D^l a^(k-l) when k >= l and of D^k d^(l-k) otherwise
-    surj_ok = True
+    bad = None
     for k, l in itertools.product(range(-exp_range, exp_range + 1), repeat=2):
         if k >= l:
             pre = quotient_mon_word(l, gen="a", n=k - l) if k > l else quotient_mon_word(k, z=True)
         else:
             pre = quotient_mon_word(k, gen="d", n=l - k)
         if table.apply_mon(pre) != torus.monomial(torus.lattice_mon(k, l)):
-            surj_ok = False
-    checks.append(Check("exactseq_prj_surjective", surj_ok))
+            bad = bad or f"u^{k}v^{l}"
+    checks.append(Check("exactseq_prj_surjective", bad is None, witness=bad))
 
     # kernel on the window: exactly the off-diagonal corner, i.e. the ideal
     # generated by z - 1; every killed vector satisfies e = (1-z) e
@@ -719,7 +723,8 @@ def verify_prop14_diagram(max_exp: int = 4, mutation: str | None = None) -> list
 
     defect = torus_relation_defect(mutation)
     if mutation is None:
-        checks.append(Check("diagram_relation_transported", defect.is_zero()))
+        witness = None if defect.is_zero() else str(defect)
+        checks.append(Check("diagram_relation_transported", defect.is_zero(), witness=witness))
     else:
         checks.append(
             Check(
@@ -730,12 +735,15 @@ def verify_prop14_diagram(max_exp: int = 4, mutation: str | None = None) -> list
         )
         return checks
 
-    inv_ok = all(
-        (rho._images[g] * rho._images[f"{g}inv"])
-        == tensor_of([rho.alg.unit(), torus.unit()])
-        for g in ("x", "y")
+    bad = next(
+        (
+            f"rho({g}) * rho({g}inv)"
+            for g in ("x", "y")
+            if rho._images[g] * rho._images[f"{g}inv"] != tensor_of([rho.alg.unit(), torus.unit()])
+        ),
+        None,
     )
-    checks.append(Check("diagram_generator_images_unitary", inv_ok))
+    checks.append(Check("diagram_generator_images_unitary", bad is None, witness=bad))
 
     window = [
         torus.lattice_mon(i, j)

@@ -80,6 +80,21 @@ class SuiteParams:
         """The GNS relation checks and defects, computed once per run."""
         return gns.verify_gns_relations(self.window, self.theta)
 
+    @cached_property
+    def finite_quotient(self):
+        """The fdquot suite's quotient, built once per run: (quotient, None),
+        or (None, why) when it cannot be built, so that each of its checks
+        fails with the reason instead of one crash hiding them all."""
+        mode = CyclotomicMode(self.q_root, primitive=True)
+        try:
+            return build_finite_quotient(self.quotient_n, mode), None
+        except RootConditionViolated as exc:
+            return None, str(exc)
+        except QdtError:
+            raise
+        except Exception as exc:
+            return None, f"{type(exc).__name__}: {exc}"
+
 
 def algebra_by_name(name: str, convention: str = "corrected"):
     table = {
@@ -128,14 +143,17 @@ def _thunks_cocycle(p: SuiteParams):
         return [Check("sigma_table_equals_convolution", witness is None, witness=witness)]
 
     def normalization():
-        base = az2()
-        good = all(
-            galois.sigma_table(0, 0, m, n) == base.unit()
-            and galois.sigma_table(m, n, 0, 0) == base.unit()
-            for m in range(-r, r + 1)
-            for n in range(-r, r + 1)
+        unit = az2().unit()
+        bad = next(
+            (
+                f"sigma{args} = {galois.sigma_table(*args)}"
+                for m, n in itertools.product(range(-r, r + 1), repeat=2)
+                for args in ((0, 0, m, n), (m, n, 0, 0))
+                if galois.sigma_table(*args) != unit
+            ),
+            None,
         )
-        return [Check("sigma_normalized", good)]
+        return [Check("sigma_normalized", bad is None, witness=bad)]
 
     def printed_discrepancy():
         # the printed diagonal branch must fail to land in the base image
@@ -288,17 +306,26 @@ def _thunks_bicross(p: SuiteParams):
 
     def phi_bijective():
         window = enumerate_basis(alg, BasisWindow(d_max=1, gen_max=2))
-        images = [galois.phi_mon(m, conv) for m in bic.basis_by_degree(3)]
-        round1 = all(
-            galois.phi_inverse(galois.phi_mon(m, conv), conv) == bic.monomial(m)
-            for m in bic.basis_by_degree(3)
+        mons = bic.basis_by_degree(3)
+        images = [galois.phi_mon(m, conv) for m in mons]
+        bad = next(
+            (
+                f"phi_inverse(phi({bic.format_mon(m)}))"
+                for m in mons
+                if galois.phi_inverse(galois.phi_mon(m, conv), conv) != bic.monomial(m)
+            ),
+            None,
+        ) or next(
+            (
+                f"phi(phi_inverse({alg.format_mon(m)}))"
+                for m in window
+                if galois.phi(galois.phi_inverse(alg.monomial(m), conv), conv) != alg.monomial(m)
+            ),
+            None,
         )
-        round2 = all(
-            galois.phi(galois.phi_inverse(alg.monomial(m), conv), conv) == alg.monomial(m)
-            for m in window
-        )
-        distinct = len({frozenset(e.terms.items()) for e in images}) == len(images)
-        return [Check("bicross_phi_bijective", round1 and round2 and distinct)]
+        if bad is None and len({frozenset(e.terms.items()) for e in images}) < len(images):
+            bad = "two basis monomials share an image"
+        return [Check("bicross_phi_bijective", bad is None, witness=bad)]
 
     def phi_algebra_hom():
         rng = random.Random(20260810)
@@ -332,8 +359,12 @@ def _thunks_bicross(p: SuiteParams):
         v1 = bic.monomial((0, 0, 1)) + bic.monomial((1, 0, 1))
         expected = bic.monomial((0, 1, 1)) + bic.monomial((1, 1, 1), QScalar.q_power(-1))
         idem = bic.monomial((0, 0, 0))
-        ok = (u1 * v1 == expected) and (idem * idem == idem)
-        return [Check("bicross_product_examples", ok)]
+        bad = None
+        if u1 * v1 != expected:
+            bad = f"u1*v1 = {u1 * v1}, expected {expected}"
+        elif idem * idem != idem:
+            bad = f"the idempotent squares to {idem * idem}"
+        return [Check("bicross_product_examples", bad is None, witness=bad)]
 
     return [
         phi_bijective,
@@ -348,12 +379,20 @@ def _thunks_haar(p: SuiteParams):
     alg = adtq()
 
     def weights():
-        ok = (
-            haar(alg.unit()) == QScalar.one()
-            and str(haar(alg.gen("z"))) == "1/2"
-            and haar(alg.gen("D", 3) * alg.gen("a", 2)).is_zero()
+        cases = (
+            ("1", alg.unit(), "1"),
+            ("z", alg.gen("z"), "1/2"),
+            ("D^3*a^2", alg.gen("D", 3) * alg.gen("a", 2), "0"),
         )
-        return [Check("haar_weights", ok)]
+        bad = next(
+            (
+                f"haar({name}) = {haar(x)}, expected {want}"
+                for name, x, want in cases
+                if str(haar(x)) != want
+            ),
+            None,
+        )
+        return [Check("haar_weights", bad is None, witness=bad)]
 
     def weight_derivation():
         # invariance applied to the central unitary group-like annihilates it,
@@ -363,8 +402,12 @@ def _thunks_haar(p: SuiteParams):
             (alg.monomial(m1), c * haar(alg.monomial(m2)))
             for (m1, m2), c in g.coproduct().terms.items()
         )
-        ok = contracted == alg.unit() * haar(g) and haar(g).is_zero()
-        return [Check("haar_weight_half_forced_by_invariance", ok)]
+        bad = None
+        if contracted != alg.unit() * haar(g):
+            bad = f"(id x haar)(coproduct(2z - 1)) = {contracted}, not haar(2z - 1) = {haar(g)}"
+        elif not haar(g).is_zero():
+            bad = f"haar(2z - 1) = {haar(g)}, not 0"
+        return [Check("haar_weight_half_forced_by_invariance", bad is None, witness=bad)]
 
     def gram():
         value = haar_gram_min_eigenvalue(alg, 3, p.theta)
@@ -433,12 +476,16 @@ def _thunks_gns(p: SuiteParams):
 
     def sector_preservation():
         opset = gns.operator_set(p.window, p.theta)
-        ok = True
-        for gen, dead in (("a", "q"), ("d", "q"), ("b", "c"), ("c", "c")):
-            for site in opset.window.sites():
-                if site[0] == dead and opset[gen].cols.get(site):
-                    ok = False
-        return [Check("gns_sector_preservation", ok)]
+        bad = next(
+            (
+                f"{gen} acts on {site}"
+                for gen, dead in (("a", "q"), ("d", "q"), ("b", "c"), ("c", "c"))
+                for site in opset[gen].cols
+                if site[0] == dead
+            ),
+            None,
+        )
+        return [Check("gns_sector_preservation", bad is None, witness=bad)]
 
     def expectation_bridge():
         worst = 0.0
@@ -481,30 +528,23 @@ def _thunks_gns(p: SuiteParams):
 
 
 def _thunks_fdquot(p: SuiteParams):
-    def build_and_check():
-        out = []
-        mode = CyclotomicMode(p.q_root, primitive=True)
-        try:
-            alg = build_finite_quotient(p.quotient_n, mode)
-        except RootConditionViolated as exc:
-            return [Check("fdquot_build", False, witness=str(exc))]
-        n = p.quotient_n
+    n = p.quotient_n
+
+    def dimension(alg):
         # 2n^2 when the order divides 2n.  Otherwise q^(2n) != 1, and
         # b*D^n = q^(2n)*D^n*b with D^n = 1 forces b = 0, likewise c = 0; then
         # z = 1 - b^n = 1, and a, D commute with a^n = D^n = 1 (d = D*a^(n-1)),
         # which leaves the n^2 words D^i a^j.
         expected = 2 * n * n if (2 * n) % p.q_root == 0 else n * n
-        dim_ok = alg.dimension == expected
-        out.append(
-            Check(
-                "fdquot_dimension",
-                dim_ok,
-                witness=None if dim_ok else f"dimension {alg.dimension}, expected {expected}",
-            )
-        )
-        out.append(
-            Check("fdquot_confluent", not alg.system.unresolved_pairs(2 * p.quotient_n + 4))
-        )
+        if alg.dimension != expected:
+            return f"dimension {alg.dimension}, expected {expected}"
+        return None
+
+    def confluent(alg):
+        bad = alg.system.unresolved_pairs(2 * n + 4)
+        return "*".join(bad[0].word) if bad else None
+
+    def hopf_ideal(alg):
         parent = adtq()
         z = parent.gen("z")
         one = parent.unit()
@@ -528,16 +568,31 @@ def _thunks_fdquot(p: SuiteParams):
                 bad = bad or f"coproduct of {name} escapes the ideal"
             if not alg.from_parent(gen_el.antipode()).is_zero():
                 bad = bad or f"antipode of {name} escapes the ideal"
-        out.append(Check("fdquot_hopf_ideal", bad is None, witness=bad))
+        return bad
 
+    def on_quotient(name, check):
+        """A thunk for a check that returns its witness, or None on a pass."""
+
+        def thunk():
+            alg, why = p.finite_quotient
+            bad = why if alg is None else check(alg)
+            return [Check(name, bad is None, witness=bad)]
+
+        return thunk
+
+    def symbolic_refused():
         try:
-            build_finite_quotient(p.quotient_n, None)
-            out.append(Check("fdquot_symbolic_refused", False))
+            build_finite_quotient(n, None)
         except RootConditionViolated:
-            out.append(Check("fdquot_symbolic_refused", True))
-        return out
+            return [Check("fdquot_symbolic_refused", True)]
+        return [Check("fdquot_symbolic_refused", False, witness="built with symbolic q")]
 
-    return [build_and_check]
+    return [
+        on_quotient("fdquot_dimension", dimension),
+        on_quotient("fdquot_confluent", confluent),
+        on_quotient("fdquot_hopf_ideal", hopf_ideal),
+        symbolic_refused,
+    ]
 
 
 _SUITE_BUILDERS = {
