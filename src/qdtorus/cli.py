@@ -24,7 +24,14 @@ _ALGEBRAS = {"AUq2": auq2, "ADTq": adtq, "AT2": at2, "AT2q": at2q, "AZ2": az2}
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--algebra", default="ADTq", help="target algebra tag")
-    parser.add_argument("--max-deg", type=int, default=4, dest="max_deg")
+    parser.add_argument(
+        "--max-deg",
+        type=int,
+        default=4,
+        dest="max_deg",
+        help="basis degree scanned for witnesses where a Hopf axiom certificate "
+        "fails, and scanned outright for the bicrossed product (default 4)",
+    )
     parser.add_argument("--range", type=int, default=3, dest="exp_range")
     parser.add_argument("--window", type=int, default=6)
     parser.add_argument("--q-theta", type=float, default=0.31, dest="theta")

@@ -30,6 +30,7 @@ from .hopf import (
     haar,
     haar_biinvariance_checks,
     haar_gram_min_eigenvalue,
+    proof_summary,
     verify_hopf_axioms,
 )
 from .report import Check, Report
@@ -48,6 +49,20 @@ SUITE_NAMES = (
     "fdquot",
     "all",
 )
+
+# The windows fixed in code rather than taken from the parameters, by the
+# suite that uses them; a report names those of the suites it ran under
+# params["fixed_windows"].
+FIXED_WINDOWS = {
+    "hopf": {"confluence_max_len": 6},
+    "cocycle": {"printed_discrepancy_range": 2},
+    "cleaving": {"coaction_hom_range": 2},
+    "bicross": {"phi_max_deg": 3, "phi_inverse_window": {"d_max": 1, "gen_max": 2}},
+    "diagram": {"max_exp": 4},
+    "haar": {"biinvariance_max_deg": 5, "gram_max_deg": 3},
+    "gns": {"expectation_max_deg": 4},
+}
+CONVENTION_REPORT_RANGE = 2
 
 
 @dataclass
@@ -126,7 +141,7 @@ def _thunks_hopf(p: SuiteParams):
         thunks.append(lambda a=alg: verify_hopf_axioms(a, p.max_deg))
         if hasattr(alg, "system"):
             def confluence(a=alg):
-                bad = a.system.unresolved_pairs(6)
+                bad = a.system.unresolved_pairs(FIXED_WINDOWS["hopf"]["confluence_max_len"])
                 witness = None if not bad else "*".join(bad[0].word)
                 return [Check(f"confluence_{a.tag}", not bad, witness=witness)]
 
@@ -157,8 +172,9 @@ def _thunks_cocycle(p: SuiteParams):
 
     def printed_discrepancy():
         # the printed diagonal branch must fail to land in the base image
+        w = FIXED_WINDOWS["cocycle"]["printed_discrepancy_range"]
         try:
-            for m, n in itertools.product(range(-2, 3), repeat=2):
+            for m, n in itertools.product(range(-w, w + 1), repeat=2):
                 galois.sigma_convolution(1, 1, m, n, galois.PRINTED)
         except NotInBaseImage:
             return [Check("printed_convention_discrepancy_reproduced", True)]
@@ -261,6 +277,7 @@ def _thunks_cleaving(p: SuiteParams):
 
     def lambda_checks():
         bad_pair = bad_hom = bad_coaction = bad_star = None
+        hom_range = FIXED_WINDOWS["cleaving"]["coaction_hom_range"]
         base = az2()
         for k, l in lattice:
             formula = galois.coaction_lambda_mon(k, l)
@@ -274,7 +291,7 @@ def _thunks_cleaving(p: SuiteParams):
             mon_el = torus.monomial(torus.lattice_mon(k, l))
             if galois.coaction_lambda(mon_el.star()) != formula.star_legs():
                 bad_star = bad_star or f"u^{k}v^{l}"
-            for m, n in itertools.product(range(-2, 3), repeat=2):
+            for m, n in itertools.product(range(-hom_range, hom_range + 1), repeat=2):
                 other = galois.coaction_lambda_mon(m, n)
                 prod = formula * other
                 if prod != galois.coaction_lambda(
@@ -303,10 +320,11 @@ def _thunks_bicross(p: SuiteParams):
     conv = galois.convention(p.convention)
     bic = galois.build_bicross_product(conv.name)
     alg = adtq()
+    fixed = FIXED_WINDOWS["bicross"]
+    mons = bic.basis_by_degree(fixed["phi_max_deg"])
 
     def phi_bijective():
-        window = enumerate_basis(alg, BasisWindow(d_max=1, gen_max=2))
-        mons = bic.basis_by_degree(3)
+        window = enumerate_basis(alg, BasisWindow(**fixed["phi_inverse_window"]))
         images = [galois.phi_mon(m, conv) for m in mons]
         bad = next(
             (
@@ -329,7 +347,6 @@ def _thunks_bicross(p: SuiteParams):
 
     def phi_algebra_hom():
         rng = random.Random(20260810)
-        mons = bic.basis_by_degree(3)
         bad = None
         for _ in range(200):
             m1, m2 = rng.choice(mons), rng.choice(mons)
@@ -342,7 +359,7 @@ def _thunks_bicross(p: SuiteParams):
 
     def phi_coalgebra_hom():
         bad = None
-        for mon in bic.basis_by_degree(3):
+        for mon in mons:
             lhs = galois.phi(bic.monomial(mon), conv).coproduct()
             rhs = (
                 bic.coproduct_mon(mon)
@@ -377,6 +394,7 @@ def _thunks_bicross(p: SuiteParams):
 
 def _thunks_haar(p: SuiteParams):
     alg = adtq()
+    fixed = FIXED_WINDOWS["haar"]
 
     def weights():
         cases = (
@@ -410,14 +428,14 @@ def _thunks_haar(p: SuiteParams):
         return [Check("haar_weight_half_forced_by_invariance", bad is None, witness=bad)]
 
     def gram():
-        value = haar_gram_min_eigenvalue(alg, 3, p.theta)
+        value = haar_gram_min_eigenvalue(alg, fixed["gram_max_deg"], p.theta)
         ok = value >= -1e-9
         return [Check("haar_gram_positive", ok, witness=None if ok else f"min eig {value:.2e}")]
 
     return [
         weights,
         weight_derivation,
-        lambda: haar_biinvariance_checks(alg, 5),
+        lambda: haar_biinvariance_checks(alg, fixed["biinvariance_max_deg"]),
         gram,
     ]
 
@@ -490,7 +508,7 @@ def _thunks_gns(p: SuiteParams):
     def expectation_bridge():
         worst = 0.0
         bad = None
-        for mon in alg.basis_by_degree(4):
+        for mon in alg.basis_by_degree(FIXED_WINDOWS["gns"]["expectation_max_deg"]):
             el = alg.monomial(mon)
             numeric = gns.gns_expectation(el, p.window, p.theta)
             exact = haar(el).eval_unit(p.theta)
@@ -602,8 +620,10 @@ _SUITE_BUILDERS = {
     "bicross": _thunks_bicross,
     "exactseq": lambda p: [lambda: galois.verify_exact_sequence(p.exp_range)],
     "diagram": lambda p: [
-        lambda: galois.verify_prop14_diagram(4),
-        lambda: galois.verify_prop14_diagram(4, mutation="bc_weak"),
+        lambda: galois.verify_prop14_diagram(FIXED_WINDOWS["diagram"]["max_exp"]),
+        lambda: galois.verify_prop14_diagram(
+            FIXED_WINDOWS["diagram"]["max_exp"], mutation="bc_weak"
+        ),
     ],
     "haar": _thunks_haar,
     "characters": _thunks_characters,
@@ -626,11 +646,29 @@ def _contained(suite: str, thunk) -> list[Check]:
         return [Check(suite, False, witness=f"{type(exc).__name__}: {exc}")]
 
 
+def _hopf_proofs(checks: list[Check], params: SuiteParams) -> dict[str, str]:
+    """What the axiom checks of each algebra in ``checks`` covered."""
+    proofs = {}
+    for alg_name in ("AUq2", "ADTq", "AT2", "AZ2", "BICROSS"):
+        alg = algebra_by_name(alg_name, params.convention)
+        prefix = f"hopf_{alg.tag}_"
+        group = [c for c in checks if c.name.startswith(prefix)]
+        if group:
+            proofs[prefix[:-1]] = proof_summary(alg, params.max_deg, group)
+    return proofs
+
+
 def run_suite(name: str, params: SuiteParams | None = None) -> Report:
     # a fresh copy per run, so results cached on it are never reused
     params = replace(params) if params else SuiteParams()
     if name not in SUITE_NAMES:
         raise QdtError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    windows = {"max_deg": params.max_deg, "range": params.exp_range, "window": params.window}
+    for key, value in windows.items():
+        if value < 0:
+            raise QdtError(f"{key} must not be negative, got {value}")
+    if params.jobs < 1:
+        raise QdtError(f"jobs must be at least 1, got {params.jobs}")
     started = time.perf_counter()
     if name == "all":
         hopf_params = replace(params, algebra="all")
@@ -663,7 +701,16 @@ def run_suite(name: str, params: SuiteParams | None = None) -> Report:
                 notes[alg.tag] = alg.notes
         if notes:
             report_params["algebra_notes"] = notes
-    cleaving_convention = galois.convention_report(params.convention)
+    if name in ("hopf", "bicross", "all"):
+        report_params["proofs"] = _hopf_proofs(checks, params)
+    ran = _SUITE_BUILDERS if name == "all" else (name,)
+    report_params["fixed_windows"] = {
+        **{key: FIXED_WINDOWS[key] for key in ran if key in FIXED_WINDOWS},
+        "cleaving_convention": {"range": CONVENTION_REPORT_RANGE},
+    }
+    cleaving_convention = galois.convention_report(
+        params.convention, CONVENTION_REPORT_RANGE
+    )
     return Report(
         suite=name,
         params=report_params,

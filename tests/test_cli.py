@@ -93,6 +93,19 @@ class TestVerify:
             cli.main(["verify", "nonsense"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "hopf", "--max-deg", "-1"),
+            ("verify", "cocycle", "--range", "-1"),
+            ("gns", "--window", "-1"),
+            ("verify", "exactseq", "--jobs", "0"),
+        ],
+    )
+    def test_negative_window_or_no_jobs_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "error" in err and not out
+
     def test_bad_expression_is_usage_error(self, capsys):
         code, _, err = run(capsys, "normalize", "a^^2")
         assert code == 2 and "error" in err
@@ -128,6 +141,50 @@ class TestSuiteRunner:
         parallel = run_suite("exactseq", SuiteParams(jobs=4))
         names = lambda r: [(c.name, c.passed) for c in r.sorted_checks()]
         assert names(serial) == names(parallel)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_deg", -1), ("exp_range", -1), ("window", -1), ("jobs", 0), ("jobs", -2)],
+    )
+    def test_negative_windows_and_jobs_are_rejected(self, field, value):
+        from qdtorus.errors import QdtError
+
+        with pytest.raises(QdtError):
+            run_suite("exactseq", SuiteParams(**{field: value}))
+
+    def test_report_names_the_proofs_and_the_fixed_windows(self):
+        report = run_suite("hopf", SuiteParams(algebra="AT2"))
+        assert report.params["proofs"] == {
+            "hopf_AT2": "all degrees: 8 relations × {Δ, ε, S, *}; six laws on 4 generators"
+        }
+        assert report.params["fixed_windows"] == {
+            "hopf": {"confluence_max_len": 6},
+            "cleaving_convention": {"range": 2},
+        }
+        bicross = run_suite("bicross", SuiteParams(max_deg=2))
+        assert bicross.params["proofs"] == {"hopf_BICROSS[corrected]": "window max_deg=2"}
+        assert "proofs" not in run_suite("exactseq").params
+
+    def test_the_named_windows_are_the_ones_used(self, monkeypatch):
+        from qdtorus import suites
+
+        used = {}
+        real_gram = suites.haar_gram_min_eigenvalue
+        real_invariance = suites.haar_biinvariance_checks
+
+        def gram(alg, degree, theta):
+            used["gram_max_deg"] = degree
+            return real_gram(alg, degree, theta)
+
+        def invariance(alg, degree):
+            used["biinvariance_max_deg"] = degree
+            return real_invariance(alg, degree)
+
+        monkeypatch.setattr(suites, "haar_gram_min_eigenvalue", gram)
+        monkeypatch.setattr(suites, "haar_biinvariance_checks", invariance)
+        report = run_suite("haar")
+        assert report.ok
+        assert report.params["fixed_windows"]["haar"] == used
 
     def test_report_text_contains_convention(self):
         report = run_suite("haar", SuiteParams())

@@ -26,12 +26,15 @@ from qdtorus.errors import (
 )
 from qdtorus.exprs import parse_element
 from qdtorus.galois import cleaving_j_inverse, cleaving_j_mon, ell_table_map, two_corner_inverse
+from qdtorus.galois import build_bicross_product
 from qdtorus.hopf import (
     LinearMapTable,
+    broken_relations,
     convolve,
     haar,
     haar_biinvariance_checks,
     haar_gram_min_eigenvalue,
+    proof_summary,
     unit_counit,
     verify_hopf_axioms,
 )
@@ -105,6 +108,111 @@ class TestAxioms:
         checks = verify_hopf_axioms(adtq("bc_weak"), 3)
         failed = [c for c in checks if not c.passed]
         assert failed and all(c.witness for c in failed)
+
+
+def _quotient_with(antipode=None, coproduct=None):
+    """A fresh, unpublished copy of ADTq with planted letter data."""
+    from qdtorus import algebras
+
+    rules = algebras._qg_base_rules() + algebras._quotient_extra_rules()
+    alg = algebras.QGroupAlgebra("ADTq!planted", rules)
+    for letter, cop in (coproduct or {}).items():
+        alg._install_hopf_letter(letter, cop, algebras._QG_COUNIT[letter])
+    images = algebras._antipode_images()
+    return alg._install_derived_letters(
+        {"antipode": {**images["antipode"], **(antipode or {})}, "star": images["star"]}
+    )
+
+
+def _b_sign_flip():
+    return _quotient_with(coproduct={"b": [(1, ("a",), ("b",)), (-1, ("b",), ("d",))]})
+
+
+def _negated_antipode_of_b():
+    from qdtorus.algebras import _antipode_images
+
+    return _quotient_with(antipode={"b": [(-c, w) for c, w in _antipode_images()["antipode"]["b"]]})
+
+
+class TestAxiomCertificate:
+    """The relation-and-generator certificate against the basis scan."""
+
+    @pytest.mark.parametrize(
+        "factory, degree",
+        [(auq2, d) for d in range(5)] + [(f, d) for f in (adtq, at2, az2) for d in (0, 2, 4)],
+    )
+    def test_certificate_agrees_with_the_scan(self, factory, degree):
+        alg = factory()
+        scan = verify_hopf_axioms(alg, degree, mons=alg.basis_by_degree(degree))
+        assert verify_hopf_axioms(alg, degree) == scan
+        assert all(c.passed for c in scan)
+
+    def test_bicross_keeps_its_window_scan(self):
+        bic = build_bicross_product()
+        checks = verify_hopf_axioms(bic, 3)
+        assert checks == verify_hopf_axioms(bic, 3, mons=bic.basis_by_degree(3))
+        assert proof_summary(bic, 3, checks) == "window max_deg=3"
+
+    def test_a_passing_certificate_scans_no_window(self, monkeypatch):
+        from qdtorus import hopf
+
+        scanned = []
+        real = hopf._law_failures
+
+        def recording(algebra, mons):
+            scanned.append(list(mons))
+            return real(algebra, mons)
+
+        monkeypatch.setattr(hopf, "_law_failures", recording)
+        alg = auq2()
+        checks = verify_hopf_axioms(alg, 6)
+        assert all(c.passed for c in checks)
+        assert scanned == [alg.basis_by_degree(1)]  # the unit and the 7 letters
+        assert proof_summary(alg, 6, checks) == (
+            "all degrees: 24 relations × {Δ, ε, S, *}; six laws on 7 generators"
+        )
+
+    @pytest.mark.parametrize(
+        "planted", [lambda: adtq("bc_weak"), _b_sign_flip, _negated_antipode_of_b],
+        ids=["bc_weak", "b_sign_flip", "negated_antipode_of_b"],
+    )
+    def test_planted_defects_fail_with_the_unit_window(self, planted):
+        alg = planted()
+        checks = verify_hopf_axioms(alg, 0)
+        failed = [c for c in checks if not c.passed]
+        assert failed and all(c.witness for c in failed), checks
+        assert proof_summary(alg, 0, checks) == "window max_deg=0"
+
+    def test_the_unit_window_alone_misses_bc_weak(self):
+        alg = adtq("bc_weak")
+        assert all(c.passed for c in verify_hopf_axioms(alg, 0, mons=alg.basis_by_degree(0)))
+
+    def test_broken_relations_name_the_maps(self):
+        assert broken_relations(adtq()) == {}
+        assert broken_relations(adtq("bc_weak")) == {
+            "coproduct": "c*b",
+            "antipode": "c*b",
+            "star": "b*c",
+        }
+        assert set(broken_relations(_negated_antipode_of_b())) == {"antipode"}
+        assert "coproduct" in broken_relations(_b_sign_flip())
+
+    def test_a_failed_certificate_keeps_the_scan_witnesses(self):
+        alg = adtq("bc_weak")
+        scan = verify_hopf_axioms(alg, 3, mons=alg.basis_by_degree(3))
+        proved = verify_hopf_axioms(alg, 3)
+        for found, kept in zip(scan, proved):
+            assert not kept.passed
+            if not found.passed:
+                assert kept.witness == found.witness
+            else:
+                assert kept.witness.startswith("relation ")
+
+    def test_the_benchmark_canary(self):
+        """The planted defect the benchmark requires the verifier to catch."""
+        found = {c.name: c for c in verify_hopf_axioms(adtq("bc_weak"), 3)}
+        law = found["hopf_ADTq!bc_weak_antipode_law"]
+        assert (law.passed, law.witness) == (False, "z")
 
 
 class TestConvolution:

@@ -198,6 +198,18 @@ _PLANTED_DEFECTS = {
             "fdquot_symbolic_refused": "pass",
         },
     ),
+    # a sign flip in the coproduct of b: the certificate breaks on b*c, and
+    # the laws fail on the generators
+    "hopf": (
+        "algebras.py",
+        '(1, ("b",), ("d",))',
+        '(-1, ("b",), ("d",))',
+        {
+            "hopf_ADTq_coassociativity": "fail",
+            "hopf_ADTq_counit_law": "fail",
+            "hopf_ADTq_coproduct_star": "fail",
+        },
+    ),
     # a wrong exponent in the c lattice weight
     "gns": (
         "gns.py",
