@@ -187,10 +187,10 @@ def dispatch(args) -> int:
     if args.command == "fdquot":
         params = _params(args)
         params.quotient_n = args.n
+        report = run_suite("fdquot", params)
         algebra = build_finite_quotient(
             args.n, CyclotomicMode(args.q_root, primitive=True)
         )
-        report = run_suite("fdquot", params)
         code = _emit_report(args, report)
         print(f"dimension = {algebra.dimension}")
         return code

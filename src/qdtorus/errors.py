@@ -22,7 +22,8 @@ class NotAHopfAlgebra(QdtError):
 
 
 class WindowExceeded(QdtError):
-    """A linear-map table was queried outside its declared window."""
+    """A map was applied outside its domain: :func:`hopf.haar` raises it for
+    an element of an algebra other than the double-torus quotient."""
 
 
 class NonGrouplikeInput(QdtError):

@@ -1,10 +1,12 @@
 """Cleft extension apparatus: exact sequence, cleaving map, cocycle,
 cocleaving, coaction, the bicross product and its isomorphism.
 
-Two independent constructions exist for the cocycle (closed-form table vs
-convolution from the cleaving map), for the cocleaving map (table vs the
-right-coaction formula) and for the base coaction (closed swap formula vs
-the three-leg cocleaving formula); the suites check they agree exactly.
+Two independent constructions exist for the cocycle (closed-form
+``sigma_table`` vs ``sigma_convolution`` from the cleaving map), for the
+cocleaving map (``ell_table_mon`` vs ``ell_from_j_mon``, the right-coaction
+formula) and for the base coaction (``coaction_lambda_mon``, the closed swap
+formula, vs ``coaction_lambda_from_ell``, the three-leg cocleaving formula);
+the suites check they agree exactly.
 
 The diagonal branch of the cleaving map carries a convention toggle: the
 ``corrected`` convention uses the positive exponent on the alternating
@@ -35,7 +37,6 @@ from .algebras import (
     tensor_of,
 )
 from .errors import NonGrouplikeInput, NotInBaseImage
-from .hopf import LinearMapTable, unit_counit
 from .report import Check
 from .scalars import QScalar, add_term
 
@@ -189,16 +190,15 @@ def to_az2(e: Element) -> Element:
     return base.delta(0) * (c_unit + c_z) + base.delta(1) * c_unit
 
 
-def inj_table() -> LinearMapTable:
+def inj_mon(mon) -> Element:
+    """Inclusion of the base: d0 -> z and d1 -> 1 - z."""
     alg = adtq()
     z = alg.gen("z")
-    return LinearMapTable(
-        az2(),
-        alg,
-        images={("d0",): z, ("d1",): alg.unit() - z},
-        window="all",
-        name="i",
-    )
+    return {("d0",): z, ("d1",): alg.unit() - z}[mon]
+
+
+def inj(x: Element) -> Element:
+    return adtq().combine((inj_mon(mon), c) for mon, c in x.terms.items())
 
 
 def prj_mon(mon) -> Element:
@@ -211,12 +211,8 @@ def prj_mon(mon) -> Element:
     return at2().monomial(at2().lattice_mon(k, l))
 
 
-def prj_table() -> LinearMapTable:
-    return LinearMapTable(adtq(), at2(), fallback=prj_mon, window="all", name="prj")
-
-
 def prj(e: Element) -> Element:
-    return prj_table().apply(e)
+    return at2().combine((prj_mon(mon), c) for mon, c in e.terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +276,6 @@ def sigma_convolution(
     return to_az2(product * cleaving_j_inverse_mon(k + m, l + n, conv))
 
 
-def cocycle_sigma(h_mon, g_mon, method: str = "table", conv=CORRECTED) -> Element:
-    k, l = at2().lattice_exponents(h_mon)
-    m, n = at2().lattice_exponents(g_mon)
-    if method == "table":
-        return sigma_table(k, l, m, n)
-    if method == "convolution":
-        return sigma_convolution(k, l, m, n, conv)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def verify_cocycle_condition(exp_range: int) -> list[Check]:
     """The trivial-action two-cocycle identity on group-like triples.
 
@@ -330,21 +316,6 @@ def ell_table(e: Element) -> Element:
     return az2().combine((ell_table_mon(mon), c) for mon, c in e.terms.items())
 
 
-def ell_table_map() -> LinearMapTable:
-    return LinearMapTable(adtq(), az2(), fallback=ell_table_mon, window="all", name="ell")
-
-
-def cocleaving_l(
-    e: Element, method: str = "table", conv: CleavingConvention = CORRECTED
-) -> Element:
-    """The cocleaving map, by the closed table or derived from the cleaving map."""
-    if method == "table":
-        return ell_table(e)
-    if method == "fromJ":
-        return az2().combine((ell_from_j_mon(mon, conv), c) for mon, c in e.terms.items())
-    raise ValueError(f"unknown method {method!r}")
-
-
 def ell_from_j_mon(mon, conv: CleavingConvention = CORRECTED) -> Element:
     """The cocleaving map from the right coaction: p -> p_(0) j^{-1}(p_(1))."""
     alg = adtq()
@@ -376,21 +347,12 @@ def coaction_lambda_mon(k: int, l: int) -> TensorElement:
     )
 
 
-def coaction_lambda(
-    h: Element, method: str = "formula", conv: CleavingConvention = CORRECTED
-) -> TensorElement:
+def coaction_lambda(h: Element) -> TensorElement:
     torus = at2()
-    pairs = []
-    for mon, c in h.terms.items():
-        k, l = torus.lattice_exponents(mon)
-        if method == "formula":
-            piece = coaction_lambda_mon(k, l)
-        elif method == "fromL":
-            piece = coaction_lambda_from_ell(k, l, conv)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        pairs.append((piece, c))
-    return TensorElement.combine((torus, az2()), pairs)
+    return TensorElement.combine(
+        (torus, az2()),
+        ((coaction_lambda_mon(*torus.lattice_exponents(mon)), c) for mon, c in h.terms.items()),
+    )
 
 
 def coaction_lambda_from_ell(
@@ -572,10 +534,9 @@ def phi_inverse(e: Element, conv: CleavingConvention = CORRECTED) -> Element:
 def verify_exact_sequence(exp_range: int = 3) -> list[Check]:
     alg, torus, base = adtq(), at2(), az2()
     checks: list[Check] = []
-    inj = inj_table()
     z = alg.gen("z")
 
-    images = [inj.apply_mon(("d0",)), inj.apply_mon(("d1",))]
+    images = [inj_mon(("d0",)), inj_mon(("d1",))]
     injective = images[0] != images[1] and not images[0].is_zero()
     witness = None if injective else f"i(d0) = {images[0]}, i(d1) = {images[1]}"
     checks.append(Check("exactseq_i_injective", injective, witness=witness))
@@ -583,39 +544,37 @@ def verify_exact_sequence(exp_range: int = 3) -> list[Check]:
     bad = None
     for mon in (("d0",), ("d1",)):
         x = base.monomial(mon)
-        ix = inj.apply(x)
-        if ix.coproduct() != x.coproduct().apply_leg(0, lambda m: inj.apply_mon(m), alg).apply_leg(1, lambda m: inj.apply_mon(m), alg):
+        ix = inj(x)
+        if ix.coproduct() != x.coproduct().apply_leg(0, inj_mon, alg).apply_leg(1, inj_mon, alg):
             bad = f"coproduct at {base.format_mon(mon)}"
         if ix.counit() != x.counit():
             bad = bad or f"counit at {base.format_mon(mon)}"
-        if ix.antipode() != inj.apply(x.antipode()):
+        if ix.antipode() != inj(x.antipode()):
             bad = bad or f"antipode at {base.format_mon(mon)}"
-        if ix.star() != inj.apply(x.star()):
+        if ix.star() != inj(x.star()):
             bad = bad or f"star at {base.format_mon(mon)}"
     checks.append(Check("exactseq_i_hopf_star_map", bad is None, witness=bad))
 
     window = enumerate_basis(alg, BasisWindow(d_max=exp_range, gen_max=exp_range))
-    table = prj_table()
     bad = None
     for mon in window:
         p = alg.monomial(mon)
-        pp = table.apply(p)
+        pp = prj(p)
         if pp.coproduct() != p.coproduct().apply_leg(0, prj_mon, torus).apply_leg(1, prj_mon, torus):
             bad = bad or f"coproduct at {alg.format_mon(mon)}"
         if pp.counit() != p.counit():
             bad = bad or f"counit at {alg.format_mon(mon)}"
-        if pp.antipode() != table.apply(p.antipode()):
+        if pp.antipode() != prj(p.antipode()):
             bad = bad or f"antipode at {alg.format_mon(mon)}"
-        if pp.star() != table.apply(p.star()):
+        if pp.star() != prj(p.star()):
             bad = bad or f"star at {alg.format_mon(mon)}"
     checks.append(Check("exactseq_prj_hopf_star_map", bad is None, witness=bad))
 
-    etc = unit_counit(base, torus)
     bad = next(
         (
             base.format_mon(mon)
             for mon in (("d0",), ("d1",))
-            if table.apply(inj.apply_mon(mon)) != etc.apply_mon(mon)
+            if prj(inj_mon(mon)) != torus.unit() * base.counit_mon(mon)
         ),
         None,
     )
@@ -629,7 +588,7 @@ def verify_exact_sequence(exp_range: int = 3) -> list[Check]:
             pre = quotient_mon_word(l, gen="a", n=k - l) if k > l else quotient_mon_word(k, z=True)
         else:
             pre = quotient_mon_word(k, gen="d", n=l - k)
-        if table.apply_mon(pre) != torus.monomial(torus.lattice_mon(k, l)):
+        if prj_mon(pre) != torus.monomial(torus.lattice_mon(k, l)):
             bad = bad or f"u^{k}v^{l}"
     checks.append(Check("exactseq_prj_surjective", bad is None, witness=bad))
 
@@ -640,7 +599,7 @@ def verify_exact_sequence(exp_range: int = 3) -> list[Check]:
     collisions = 0
     image_index: dict = {}
     for mon in window:
-        img = table.apply_mon(mon)
+        img = prj_mon(mon)
         if img.is_zero():
             kernel_gens.append(alg.monomial(mon))
             continue

@@ -2,14 +2,13 @@
 
 The structure maps themselves live on the algebra objects (they are letter
 data extended (anti)multiplicatively); this module provides the axiom
-verifier used by the suites, linear-map tables with their convolution
-product, and the Haar functional of the double-torus quotient together with
-its positivity and invariance checks.
+verifier used by the suites, the convolution product of maps given on
+monomials, and the Haar functional of the double-torus quotient together
+with its positivity and invariance checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -26,7 +25,7 @@ from .scalars import QScalar, add_term
 # ---------------------------------------------------------------------------
 
 
-def verify_hopf_axioms(algebra: Algebra, max_degree: int, mons=None) -> list[Check]:
+def verify_hopf_axioms(algebra: Algebra, max_degree: int) -> list[Check]:
     """Check the Hopf *-algebra axioms, in every degree where the algebra has
     a presentation.
 
@@ -44,16 +43,14 @@ def verify_hopf_axioms(algebra: Algebra, max_degree: int, mons=None) -> list[Che
     ``max_degree`` are scanned for witnesses, and every law that uses a map
     which broke a relation fails, naming the relation where the scan finds
     nothing.  An algebra without a presentation (the bicrossed product) is
-    scanned up to ``max_degree``; so are the monomials ``mons`` when given.
+    scanned up to ``max_degree``.
     """
     if not algebra.is_hopf:
         raise NotAHopfAlgebra(f"{algebra.tag} carries no coproduct")
-    if mons is None and hasattr(algebra, "system"):
+    if hasattr(algebra, "system"):
         failures = _certified_failures(algebra, max_degree)
     else:
-        failures = _law_failures(
-            algebra, algebra.basis_by_degree(max_degree) if mons is None else mons
-        )
+        failures = _law_failures(algebra, algebra.basis_by_degree(max_degree))
     return [
         Check(f"hopf_{algebra.tag}_{name}", failures[name] is None, witness=failures[name])
         for name in _LAW_MAPS
@@ -166,62 +163,17 @@ def proof_summary(algebra, max_degree: int, checks: list[Check]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Linear maps and convolution
+# Convolution
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LinearMapTable:
-    """A linear map given by images of basis monomials, with optional fallback.
-
-    Out-of-window queries raise :class:`WindowExceeded` instead of silently
-    extrapolating.
-    """
-
-    source: Algebra
-    target: Algebra
-    images: dict = field(default_factory=dict)
-    window: str = ""
-    fallback: Callable | None = None
-    name: str = ""
-
-    def apply_mon(self, mon) -> Element:
-        hit = self.images.get(mon)
-        if hit is not None:
-            return hit
-        if self.fallback is not None:
-            return self.fallback(mon)
-        raise WindowExceeded(
-            f"{self.name or 'map'}: monomial outside window {self.window!r}"
-        )
-
-    def apply(self, e: Element) -> Element:
-        return self.target.combine((self.apply_mon(m), c) for m, c in e.terms.items())
-
-
-def convolve(f: LinearMapTable, g: LinearMapTable) -> LinearMapTable:
-    """Convolution product: multiply the images of the two coproduct legs."""
-    if f.source is not g.source or f.target is not g.target:
-        raise WindowExceeded("convolution needs a common source and target")
-    source, target = f.source, g.target
-
-    def fallback(mon):
-        return target.combine(
-            (f.apply_mon(m1) * g.apply_mon(m2), c)
-            for (m1, m2), c in source.coproduct_mon(mon).terms.items()
-        )
-
-    return LinearMapTable(
-        source, target, window=f.window, fallback=fallback, name=f"({f.name})*({g.name})"
-    )
-
-
-def unit_counit(source: Algebra, target: Algebra) -> LinearMapTable:
-    return LinearMapTable(
-        source,
-        target,
-        fallback=lambda mon: target.unit() * source.counit_mon(mon),
-        name="unit∘counit",
+def convolve(
+    f: Callable[..., Element], g: Callable[..., Element], e: Element, target: Algebra
+) -> Element:
+    """The convolution product (f * g)(e) = Σ f(e_(1)) g(e_(2)) of two maps
+    given on monomials, with values in ``target``."""
+    return target.combine(
+        (f(m1) * g(m2), c) for (m1, m2), c in e.coproduct().terms.items()
     )
 
 

@@ -27,6 +27,7 @@ from .algebras import (
 )
 from .errors import NotInBaseImage, QdtError, RootConditionViolated
 from .hopf import (
+    convolve,
     haar,
     haar_biinvariance_checks,
     haar_gram_min_eigenvalue,
@@ -264,10 +265,7 @@ def _thunks_cleaving(p: SuiteParams):
             if galois.ell_table(el.star()) != galois.ell_table(el).star():
                 bad_star = bad_star or alg.format_mon(mon)
             # convolution square: ell coincides with its convolution inverse
-            square = base.combine(
-                (galois.ell_table_mon(m1) * galois.ell_table_mon(m2), c)
-                for (m1, m2), c in el.coproduct().terms.items()
-            )
+            square = convolve(galois.ell_table_mon, galois.ell_table_mon, el, base)
             if square != base.unit() * el.counit():
                 bad_conv = bad_conv or alg.format_mon(mon)
         out.append(Check("cocleaving_table_equals_derived", bad_pair is None, witness=bad_pair))
@@ -667,8 +665,12 @@ def run_suite(name: str, params: SuiteParams | None = None) -> Report:
     for key, value in windows.items():
         if value < 0:
             raise QdtError(f"{key} must not be negative, got {value}")
-    if params.jobs < 1:
-        raise QdtError(f"jobs must be at least 1, got {params.jobs}")
+    at_least_one = {"jobs": params.jobs, "quotient_n": params.quotient_n, "q_root": params.q_root}
+    for key, value in at_least_one.items():
+        if value < 1:
+            raise QdtError(f"{key} must be at least 1, got {value}")
+    if not 0 <= params.theta < 1:
+        raise QdtError(f"q_theta must lie in [0, 1), got {params.theta}")
     started = time.perf_counter()
     if name == "all":
         hopf_params = replace(params, algebra="all")

@@ -12,7 +12,7 @@ relations such as D*a = d are consequences of the quotient generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import CompletionFailure, UnknownGenerator
@@ -47,7 +47,6 @@ class RewriteSystem:
         letters: Sequence[str],
         rules: Iterable[RewriteRule],
         scalar_canon: Callable[[QScalar], QScalar] | None = None,
-        check_orientation: bool = True,
     ):
         self.letters = tuple(letters)
         self._rank = {x: i for i, x in enumerate(self.letters)}
@@ -60,11 +59,11 @@ class RewriteSystem:
         self._cache: dict[Word, Combo] = {}
         self._max_pattern = 0  # longest rule pattern, for resumed redex search
         for rule in rules:
-            self.add_rule(rule, check_orientation=check_orientation)
+            self.add_rule(rule)
 
     # -- construction ---------------------------------------------------
 
-    def add_rule(self, rule: RewriteRule, check_orientation: bool = True):
+    def add_rule(self, rule: RewriteRule):
         for x in rule.pattern:
             if x not in self._rank:
                 raise UnknownGenerator(f"letter {x!r} not in alphabet {self.letters}")
@@ -72,11 +71,10 @@ class RewriteSystem:
             (self.scalar_canon(c), w) for c, w in rule.result if self.scalar_canon(c)
         )
         rule = RewriteRule(rule.pattern, canon_result)
-        if check_orientation:
-            key = self.order_key(rule.pattern)
-            for _, w in rule.result:
-                if self.order_key(w) >= key:
-                    raise ValueError(f"rule does not decrease the monomial order: {rule}")
+        key = self.order_key(rule.pattern)
+        for _, w in rule.result:
+            if self.order_key(w) >= key:
+                raise ValueError(f"rule does not decrease the monomial order: {rule}")
         self.rules.append(rule)
         same_length = self._by_length.setdefault(len(rule.pattern), {})
         same_length.setdefault(rule.pattern, len(self.rules) - 1)
@@ -93,38 +91,25 @@ class RewriteSystem:
 
     # -- reduction --------------------------------------------------------
 
-    def find_redex(self, word: Word, rule_order: Sequence[int] | None = None, start: int = 0):
+    def find_redex(self, word: Word, start: int = 0):
         """Leftmost position from ``start`` with a matching rule, or None.
 
-        At that position the rule is the first in ``rule_order``, by default
-        the first added, whose pattern matches.
+        At that position the rule is the first added whose pattern matches.
         """
-        n = len(word)
-        for pos in range(start, n):
-            if rule_order is None:
-                best = None
-                for L, table in self._by_length.items():
-                    idx = table.get(word[pos : pos + L])
-                    if idx is not None and (best is None or idx < best):
-                        best = idx
-                if best is not None:
-                    return pos, best
-                continue
-            for idx in rule_order:
-                pattern = self.rules[idx].pattern
-                if word[pos : pos + len(pattern)] == pattern:
-                    return pos, idx
+        for pos in range(start, len(word)):
+            best = None
+            for L, table in self._by_length.items():
+                idx = table.get(word[pos : pos + L])
+                if idx is not None and (best is None or idx < best):
+                    best = idx
+            if best is not None:
+                return pos, best
         return None
 
     def is_normal(self, word: Word) -> bool:
         return self.find_redex(word) is None
 
-    def normalize(
-        self,
-        word: Word,
-        coeff: QScalar | None = None,
-        rule_order: Sequence[int] | None = None,
-    ) -> Combo:
+    def normalize(self, word: Word, coeff: QScalar | None = None) -> Combo:
         """Full normal form of coeff * word as a word combination.
 
         After a rewrite at ``pos`` the search for the next redex resumes at
@@ -132,20 +117,18 @@ class RewriteSystem:
         no redex before and sees only unchanged letters after.
         """
         coeff = QScalar.one() if coeff is None else coeff
-        use_cache = rule_order is None
-        if use_cache and coeff.is_one() and word in self._cache:
+        if coeff.is_one() and word in self._cache:
             return dict(self._cache[word])
         back = self._max_pattern - 1
         out: Combo = {}
         stack: list[tuple[QScalar, Word, int]] = [(coeff, word, 0)]
         while stack:
             c, w, start = stack.pop()
-            if use_cache:
-                hit = self._cache.get(w)
-                if hit is not None:
-                    add_scaled(out, hit, c)
-                    continue
-            redex = self.find_redex(w, rule_order, start)
+            hit = self._cache.get(w)
+            if hit is not None:
+                add_scaled(out, hit, c)
+                continue
+            redex = self.find_redex(w, start)
             if redex is None:
                 add_term(out, w, c)
                 continue
@@ -156,7 +139,7 @@ class RewriteSystem:
             for rc, rw in rule.result:
                 stack.append((self.scalar_canon(c * rc), w[:pos] + rw + w[tail:], resume))
         out = settle(out, self.scalar_canon)
-        if use_cache and coeff.is_one():
+        if coeff.is_one():
             self._cache[word] = dict(out)
         return out
 

@@ -100,11 +100,18 @@ class TestVerify:
             ("verify", "cocycle", "--range", "-1"),
             ("gns", "--window", "-1"),
             ("verify", "exactseq", "--jobs", "0"),
+            ("fdquot", "0"),
+            ("fdquot", "2", "--q-root", "0"),
+            ("gns", "--q-theta", "1.5", "--norm", "a"),
+            ("verify", "fdquot", "--quotient-n", "0"),
+            ("verify", "fdquot", "--q-root", "0"),
+            ("verify", "gns", "--q-theta", "1.5"),
         ],
     )
     def test_negative_window_or_no_jobs_is_usage_error(self, capsys, argv):
+        # also a quotient size or root order below 1 and a theta outside [0, 1)
         code, out, err = run(capsys, *argv)
-        assert code == 2 and "error" in err and not out
+        assert code == 2 and err.startswith("error: ") and not out
 
     def test_bad_expression_is_usage_error(self, capsys):
         code, _, err = run(capsys, "normalize", "a^^2")
@@ -144,7 +151,8 @@ class TestSuiteRunner:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("max_deg", -1), ("exp_range", -1), ("window", -1), ("jobs", 0), ("jobs", -2)],
+        [("max_deg", -1), ("exp_range", -1), ("window", -1), ("jobs", 0), ("jobs", -2),
+         ("quotient_n", 0), ("q_root", 0), ("theta", 1.0), ("theta", -0.5)],
     )
     def test_negative_windows_and_jobs_are_rejected(self, field, value):
         from qdtorus.errors import QdtError

@@ -24,6 +24,7 @@ from qdtorus.errors import (
 )
 from qdtorus.exprs import parse_element
 from qdtorus.scalars import CyclotomicMode, QScalar
+from qdtorus.words import RewriteRule, RewriteSystem
 
 
 def el(text, algebra):
@@ -113,15 +114,18 @@ class TestConfluence:
 
     def test_rule_order_invariance(self):
         # determinism under shuffled rule order on random words
-        B = adtq()
+        system = adtq().system
         rng = random.Random(123)
-        indices = list(range(len(B.system.rules)))
+        indices = list(range(len(system.rules)))
         for _ in range(500):
-            word = tuple(rng.choices(B.system.letters, k=rng.randint(0, 8)))
-            baseline = B.system.normalize(word)
+            word = tuple(rng.choices(system.letters, k=rng.randint(0, 8)))
+            baseline = system.normalize(word)
             shuffled = indices[:]
             rng.shuffle(shuffled)
-            assert B.system.normalize(word, rule_order=shuffled) == baseline
+            permuted = RewriteSystem(
+                system.letters, [system.rules[i] for i in shuffled], system.scalar_canon
+            )
+            assert permuted.normalize(word) == baseline
 
     def test_associativity_transport(self):
         A = auq2()
@@ -132,6 +136,34 @@ class TestConfluence:
                 for _ in range(3)
             ]
             assert (words[0] * words[1]) * words[2] == words[0] * (words[1] * words[2])
+
+
+_NOT_DECREASING = {
+    "longer": RewriteRule(("x",), ((QScalar.one(), ("x", "x")),)),
+    "later_in_letter_order": RewriteRule(("x", "y"), ((QScalar.one(), ("y", "x")),)),
+    "itself": RewriteRule(("y",), ((QScalar.of(2), ("y",)),)),
+}
+
+
+class TestOrientation:
+    """Every rule must send its pattern to strictly smaller words."""
+
+    @pytest.mark.parametrize("name", sorted(_NOT_DECREASING))
+    def test_the_constructor_rejects_it(self, name):
+        with pytest.raises(ValueError, match="does not decrease"):
+            RewriteSystem(("x", "y"), [_NOT_DECREASING[name]])
+
+    @pytest.mark.parametrize("name", sorted(_NOT_DECREASING))
+    def test_add_rule_rejects_it_and_keeps_the_system(self, name):
+        # add_rule is also how completion adds the rules it orients
+        system = RewriteSystem(
+            ("x", "y"), [RewriteRule(("y", "x"), ((QScalar.q_power(1), ("x", "y")),))]
+        )
+        before = system.normalize(("y", "x", "y"))
+        with pytest.raises(ValueError, match="does not decrease"):
+            system.add_rule(_NOT_DECREASING[name])
+        assert len(system.rules) == 1
+        assert system.normalize(("y", "x", "y")) == before
 
 
 class TestDerivedCommutation:

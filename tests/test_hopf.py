@@ -25,19 +25,24 @@ from qdtorus.errors import (
     WindowExceeded,
 )
 from qdtorus.exprs import parse_element
-from qdtorus.galois import cleaving_j_inverse, cleaving_j_mon, ell_table_map, two_corner_inverse
-from qdtorus.galois import build_bicross_product
+from qdtorus.galois import (
+    build_bicross_product,
+    cleaving_j_inverse,
+    cleaving_j_mon,
+    ell_table_mon,
+    two_corner_inverse,
+)
 from qdtorus.hopf import (
-    LinearMapTable,
+    _law_failures,
     broken_relations,
     convolve,
     haar,
     haar_biinvariance_checks,
     haar_gram_min_eigenvalue,
     proof_summary,
-    unit_counit,
     verify_hopf_axioms,
 )
+from qdtorus.report import Check
 from qdtorus.scalars import QScalar
 
 
@@ -134,6 +139,12 @@ def _negated_antipode_of_b():
     return _quotient_with(antipode={"b": [(-c, w) for c, w in _antipode_images()["antipode"]["b"]]})
 
 
+def _scan(alg, degree):
+    """The six law checks from a scan of the basis up to ``degree``."""
+    failures = _law_failures(alg, alg.basis_by_degree(degree))
+    return [Check(f"hopf_{alg.tag}_{law}", w is None, witness=w) for law, w in failures.items()]
+
+
 class TestAxiomCertificate:
     """The relation-and-generator certificate against the basis scan."""
 
@@ -143,14 +154,14 @@ class TestAxiomCertificate:
     )
     def test_certificate_agrees_with_the_scan(self, factory, degree):
         alg = factory()
-        scan = verify_hopf_axioms(alg, degree, mons=alg.basis_by_degree(degree))
+        scan = _scan(alg, degree)
         assert verify_hopf_axioms(alg, degree) == scan
         assert all(c.passed for c in scan)
 
     def test_bicross_keeps_its_window_scan(self):
         bic = build_bicross_product()
         checks = verify_hopf_axioms(bic, 3)
-        assert checks == verify_hopf_axioms(bic, 3, mons=bic.basis_by_degree(3))
+        assert checks == _scan(bic, 3)
         assert proof_summary(bic, 3, checks) == "window max_deg=3"
 
     def test_a_passing_certificate_scans_no_window(self, monkeypatch):
@@ -185,7 +196,7 @@ class TestAxiomCertificate:
 
     def test_the_unit_window_alone_misses_bc_weak(self):
         alg = adtq("bc_weak")
-        assert all(c.passed for c in verify_hopf_axioms(alg, 0, mons=alg.basis_by_degree(0)))
+        assert all(c.passed for c in _scan(alg, 0))
 
     def test_broken_relations_name_the_maps(self):
         assert broken_relations(adtq()) == {}
@@ -199,7 +210,7 @@ class TestAxiomCertificate:
 
     def test_a_failed_certificate_keeps_the_scan_witnesses(self):
         alg = adtq("bc_weak")
-        scan = verify_hopf_axioms(alg, 3, mons=alg.basis_by_degree(3))
+        scan = _scan(alg, 3)
         proved = verify_hopf_axioms(alg, 3)
         for found, kept in zip(scan, proved):
             assert not kept.passed
@@ -218,44 +229,31 @@ class TestAxiomCertificate:
 class TestConvolution:
     def test_unit_counit_is_idempotent(self):
         B = adtq()
-        eta_eps = unit_counit(B, B)
-        square = convolve(eta_eps, eta_eps)
+
+        def eta_eps(mon):
+            return B.unit() * B.counit_mon(mon)
+
         for mon in B.basis_by_degree(3):
-            assert square.apply_mon(mon) == eta_eps.apply_mon(mon)
+            assert convolve(eta_eps, eta_eps, B.monomial(mon), B) == eta_eps(mon)
 
     def test_cocleaving_self_inverse(self):
         B, base = adtq(), az2()
-        ell = ell_table_map()
-        square = convolve(ell, ell)
-        target = unit_counit(B, base)
         for mon in B.basis_by_degree(4):
-            assert square.apply_mon(mon) == target.apply_mon(mon)
+            square = convolve(ell_table_mon, ell_table_mon, B.monomial(mon), base)
+            assert square == base.unit() * B.counit_mon(mon)
 
     def test_cleaving_convolution_inverse_on_generator(self):
         torus, B = at2(), adtq()
-        j = LinearMapTable(
-            torus,
-            B,
-            fallback=lambda m: cleaving_j_mon(*torus.lattice_exponents(m)),
-            name="j",
-        )
-        j_inv = LinearMapTable(
-            torus,
-            B,
-            fallback=lambda m: two_corner_inverse(
-                cleaving_j_mon(*torus.lattice_exponents(m))
-            ),
-            name="j_inv",
-        )
-        u = torus.gen("u")
-        assert convolve(j, j_inv).apply(u) == B.unit()
-        assert cleaving_j_inverse(u) == el("Dinv*d - q^-1*Dinv*b", B)
 
-    def test_window_guard(self):
-        B = adtq()
-        table = LinearMapTable(B, B, images={(): B.unit()}, window="unit only")
-        with pytest.raises(WindowExceeded):
-            table.apply(B.gen("a"))
+        def j(mon):
+            return cleaving_j_mon(*torus.lattice_exponents(mon))
+
+        def j_inv(mon):
+            return two_corner_inverse(j(mon))
+
+        u = torus.gen("u")
+        assert convolve(j, j_inv, u, B) == B.unit()
+        assert cleaving_j_inverse(u) == el("Dinv*d - q^-1*Dinv*b", B)
 
 
 class TestHaar:

@@ -1,6 +1,10 @@
 """Cross-cutting suite properties: full run, mutation sensitivity, misc."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +21,36 @@ def test_verify_all_passes_with_defaults():
     assert report.ok
     assert "gns_max_defect_per_relation" in report.params
     assert "algebra_notes" in report.params
+
+
+_ROOT = pathlib.Path(__file__).parent.parent
+
+_TRACED_EXACTSEQ = """
+import layertrace
+from qdtorus.suites import run_suite
+
+tracer = layertrace.Tracer()
+layertrace.install(tracer)
+assert run_suite("exactseq").ok
+metrics = layertrace.layer_metrics(tracer)
+assert metrics["suites.exactseq_s"][0] > 0 and metrics["words.normalize_calls"][0] > 0
+"""
+
+
+def test_the_benchmark_layer_trace_installs_and_runs():
+    """`perfbench/run.py --trace 1` wraps package functions and methods by
+    name; a deletion or rename of one of them fails here first."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_EXACTSEQ],
+        env={
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join([str(_ROOT / "src"), str(_ROOT / "perfbench")]),
+        },
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_sigma_branch_mutation_flips_the_suite(monkeypatch):
