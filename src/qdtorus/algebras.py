@@ -10,8 +10,13 @@ classical torus, the base Z2 function algebra, the q-torus comodule algebra
 and the finite root-of-unity quotients are presented on their own alphabets.
 
 Elements are finite linear combinations of irreducible words with exact
-Laurent-polynomial coefficients.  All algebra objects are immutable after
-construction and cache aggressively; they are safe to share between threads.
+Laurent-polynomial coefficients.  Each structure map of a word algebra is
+one letter table of normalized images (a tensor for the coproduct, a scalar
+for the counit, an element each for the antipode and the involution),
+written down as formulas on the letters and extended to words by
+:func:`extend_letters`; the hopf suite proves that the tables respect every
+relation.  All algebra objects are immutable after construction and cache
+aggressively; they are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -380,6 +385,23 @@ def tensor_of(elements: Sequence[Element]) -> TensorElement:
     return TensorElement._settled(tuple(e.algebra for e in elements), acc)
 
 
+def extend_letters(cache: dict, letters: dict, word, anti: bool = False):
+    """The image of ``word`` under the map given on letters by ``letters``.
+
+    The map is multiplicative, or with ``anti`` antimultiplicative
+    (S(xw) = S(w)S(x)).  ``cache`` holds the images of the words met so far
+    and starts with the image of the empty word.
+    """
+    hit = cache.get(word)
+    if hit is None:
+        if anti:
+            hit = extend_letters(cache, letters, word[1:], True) * letters[word[0]]
+        else:
+            hit = extend_letters(cache, letters, word[:-1]) * letters[word[-1]]
+        cache[word] = hit
+    return hit
+
+
 # ---------------------------------------------------------------------------
 # Algebra base and word algebras
 # ---------------------------------------------------------------------------
@@ -428,23 +450,26 @@ class WordAlgebra(Algebra):
         tag: str,
         system: RewriteSystem,
         generator_names: Sequence[str],
-        is_hopf: bool = True,
         notes: str = "",
     ):
         self.tag = tag
         self.system = system
         self.generator_names = tuple(generator_names)
-        self.is_hopf = is_hopf
         self.notes = notes
-        self._mul_cache: dict = {}
-        self._cop_cache: dict = {}
-        self._antipode_cache: dict = {}
-        self._star_cache: dict = {}
-        self._cop_letter: dict[str, list] = {}
-        self._counit_letter: dict[str, QScalar] = {}
-        self._antipode_letter: dict[str, list] = {}
-        self._star_letter: dict[str, list] = {}
         self.canon_scalar = system.scalar_canon
+        self._mul_cache: dict = {}
+        # letter tables of normalized images, and the images of words met so far
+        self._cop_letter: dict[str, TensorElement] = {}
+        self._counit_letter: dict[str, QScalar] = {}
+        self._antipode_letter: dict[str, Element] = {}
+        self._star_letter: dict[str, Element] = {}
+        self._cop_cache: dict = {(): TensorElement((self, self), {((), ()): ONE})}
+        self._antipode_cache: dict = {(): self.unit()}
+        self._star_cache: dict = {(): self.unit()}
+
+    @property
+    def is_hopf(self) -> bool:
+        return bool(self._cop_letter)
 
     # -- element construction ---------------------------------------------
 
@@ -487,38 +512,25 @@ class WordAlgebra(Algebra):
             self._mul_cache[key] = hit
         return hit
 
-    # -- Hopf structure, extended from letter data ----------------------------
+    # -- Hopf structure, extended from letter tables ---------------------------
 
-    def _install_hopf_letter(self, letter, cop, counit, antipode=None, star=None):
-        self._cop_letter[letter] = [
-            (_sc(c), tuple(w1), tuple(w2)) for c, w1, w2 in cop
-        ]
-        self._counit_letter[letter] = _sc(counit)
-        if antipode is not None:
-            self._antipode_letter[letter] = [(_sc(c), tuple(w)) for c, w in antipode]
-        if star is not None:
-            self._star_letter[letter] = [(_sc(c), tuple(w)) for c, w in star]
-
-    def _letter_cop_tensor(self, letter) -> TensorElement:
-        acc: dict = {}
-        for c, w1, w2 in self._cop_letter[letter]:
-            e1 = self.element_from_combo(self.system.normalize(w1))
-            e2 = self.element_from_combo(self.system.normalize(w2))
-            _tensor_accumulate(acc, [e1, e2], c)
-        return TensorElement._settled((self, self), acc)
+    def _install_hopf_letter(self, letter, cop, counit, antipode, star):
+        """Normalize the images of one letter into the structure-map tables."""
+        self._cop_letter[letter] = TensorElement.combine(
+            (self, self),
+            (
+                (tensor_of([self.normalize_word(w1), self.normalize_word(w2)]), _sc(c))
+                for c, w1, w2 in cop
+            ),
+        )
+        self._counit_letter[letter] = self.canon_scalar(_sc(counit))
+        for table, image in ((self._antipode_letter, antipode), (self._star_letter, star)):
+            table[letter] = self.combine((self.normalize_word(w), _sc(c)) for c, w in image)
 
     def coproduct_mon(self, mon: Word) -> TensorElement:
         if not self.is_hopf:
             self._not_hopf()
-        hit = self._cop_cache.get(mon)
-        if hit is not None:
-            return hit
-        if not mon:
-            out = TensorElement((self, self), {((), ()): ONE})
-        else:
-            out = self.coproduct_mon(mon[:-1]) * self._letter_cop_tensor(mon[-1])
-        self._cop_cache[mon] = out
-        return out
+        return extend_letters(self._cop_cache, self._cop_letter, mon)
 
     def counit_mon(self, mon: Word) -> QScalar:
         if not self.is_hopf:
@@ -530,40 +542,13 @@ class WordAlgebra(Algebra):
                 break
         return self.canon_scalar(total)
 
-    def _letter_image(self, table: dict, letter: str) -> Element:
-        acc: dict = {}
-        for c, w in table[letter]:
-            add_scaled(acc, self.system.normalize(w, c))
-        return self.element_from_combo(acc)
-
     def antipode_mon(self, mon: Word) -> Element:
         if not self.is_hopf:
             self._not_hopf()
-        hit = self._antipode_cache.get(mon)
-        if hit is not None:
-            return hit
-        if not mon:
-            out = self.unit()
-        else:
-            # antimultiplicative: S(x w) = S(w) S(x)
-            out = self.antipode_mon(mon[1:]) * self._letter_image(
-                self._antipode_letter, mon[0]
-            )
-        self._antipode_cache[mon] = out
-        return out
+        return extend_letters(self._antipode_cache, self._antipode_letter, mon, anti=True)
 
     def star_mon(self, mon: Word) -> Element:
-        hit = self._star_cache.get(mon)
-        if hit is not None:
-            return hit
-        if not mon:
-            out = self.unit()
-        else:
-            out = self.star_mon(mon[1:]) * self._letter_image(
-                self._star_letter, mon[0]
-            )
-        self._star_cache[mon] = out
-        return out
+        return extend_letters(self._star_cache, self._star_letter, mon, anti=True)
 
     # -- display / enumeration ------------------------------------------------
 
@@ -644,6 +629,7 @@ def _quotient_extra_rules() -> list[RewriteRule]:
 
 _Z_DEFINING = ("Dinv", "a", "d")  # z is the determinant-normalised diagonal ad
 
+# the letter images of the Hopf *-structure; z's are computed from Dinv*a*d
 _QG_COPRODUCT = {
     "Dinv": [(1, ("Dinv",), ("Dinv",))],
     "D": [(1, ("D",), ("D",))],
@@ -653,7 +639,19 @@ _QG_COPRODUCT = {
     "d": [(1, ("c",), ("b",)), (1, ("d",), ("d",))],
 }
 
-_QG_COUNIT = {"Dinv": 1, "D": 1, "a": 1, "d": 1, "b": 0, "c": 0, "z": 1}
+_QG_COUNIT = {"Dinv": 1, "D": 1, "a": 1, "d": 1, "b": 0, "c": 0}
+
+_QG_ANTIPODE = {
+    "Dinv": [(1, ("D",))],
+    "D": [(1, ("Dinv",))],
+    "a": [(1, ("Dinv", "d"))],
+    "b": [(-QI, ("Dinv", "b"))],
+    "c": [(-Q, ("Dinv", "c"))],
+    "d": [(1, ("Dinv", "a"))],
+}
+
+# the compact real form: * is S with the images of b and c swapped
+_QG_STAR = {**_QG_ANTIPODE, "b": _QG_ANTIPODE["c"], "c": _QG_ANTIPODE["b"]}
 
 
 class QGroupAlgebra(WordAlgebra):
@@ -675,27 +673,16 @@ class QGroupAlgebra(WordAlgebra):
             notes=notes,
         )
         for letter, cop in _QG_COPRODUCT.items():
-            self._install_hopf_letter(letter, cop, _QG_COUNIT[letter])
-        self._counit_letter["z"] = ONE
-
-    def _install_derived_letters(self, images: dict) -> "QGroupAlgebra":
-        """Install the solved antipode and involution images, then the z data;
-        the factories call this before they publish the algebra."""
-        for letter, combo in images["antipode"].items():
-            self._antipode_letter[letter] = list(combo)
-        for letter, combo in images["star"].items():
-            self._star_letter[letter] = list(combo)
-        # z = Dinv*a*d: its structure maps are computed, not postulated
-        zc = self.unit().coproduct()
-        for x in _Z_DEFINING:
-            zc = zc * self._letter_cop_tensor(x)
-        self._cop_letter["z"] = [(c, k[0], k[1]) for k, c in zc.terms.items()]
-        for table in (self._antipode_letter, self._star_letter):
-            image = self.unit()
-            for x in reversed(_Z_DEFINING):
-                image = image * self._letter_image(table, x)
-            table["z"] = [(c, m) for m, c in image.terms.items()]
-        return self
+            self._install_hopf_letter(
+                letter, cop, _QG_COUNIT[letter], _QG_ANTIPODE[letter], _QG_STAR[letter]
+            )
+        for table, extend in (
+            (self._cop_letter, self.coproduct_mon),
+            (self._counit_letter, self.counit_mon),
+            (self._antipode_letter, self.antipode_mon),
+            (self._star_letter, self.star_mon),
+        ):
+            table["z"] = extend(_Z_DEFINING)
 
 
 _FACTORY_LOCK = threading.RLock()
@@ -734,14 +721,13 @@ def auq2() -> QGroupAlgebra:
             "basis prints integer powers, but no inverse of z is derivable "
             "from the presentation"
         ),
-    )._install_derived_letters(_antipode_images())
+    )
 
 
 @algebra_factory
 def adtq(mutation: str | None = None) -> QGroupAlgebra:
     tag = "ADTq" if mutation is None else f"ADTq!{mutation}"
-    alg = QGroupAlgebra(tag, _qg_base_rules() + _quotient_extra_rules(), mutation=mutation)
-    return alg._install_derived_letters(_antipode_images())
+    return QGroupAlgebra(tag, _qg_base_rules() + _quotient_extra_rules(), mutation=mutation)
 
 
 # -- the classical torus ------------------------------------------------------
@@ -806,11 +792,10 @@ def at2q() -> TorusAlgebra:
         "AT2q",
         RewriteSystem(("xinv", "x", "yinv", "y"), _torus_rules(names, QI)),
         generator_names=("x", "y"),
-        is_hopf=False,
     )
     alg._names = names
     for x, xi in (("x", "xinv"), ("xinv", "x"), ("y", "yinv"), ("yinv", "y")):
-        alg._star_letter[x] = [(ONE, (xi,))]
+        alg._star_letter[x] = alg.monomial((xi,))
     return alg
 
 
@@ -865,17 +850,6 @@ def az2() -> Z2Algebra:
         star=[(1, ("d1",))],
     )
     return alg
-
-
-@algebra_factory
-def free_algebra(letters: tuple[str, ...] = ("g",)) -> WordAlgebra:
-    """Free associative algebra; no relations, every word is normal."""
-    return WordAlgebra(
-        f"FREE({','.join(letters)})",
-        RewriteSystem(letters, []),
-        generator_names=letters,
-        is_hopf=False,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -975,89 +949,6 @@ def enumerate_basis(algebra: Algebra, window: BasisWindow) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Antipode derivation (solved once from the axioms, then frozen)
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _antipode_images() -> dict:
-    """Solve the antipode equations on the parent algebra.
-
-    The ansatz is a combination of the four degree-two monomials Dinv*g; the
-    matrix antipode identities then form a linear system with a unique
-    solution.  The involution follows from the compact-form convention
-    (the star of a diagonal entry is the antipode of that entry, the star of
-    an off-diagonal entry is the antipode of the opposite one).
-    """
-    from .linalg import solve_unique
-
-    # solved on an unpublished copy: the relations suffice, and auq2() is not
-    # re-entered while it builds
-    alg = QGroupAlgebra("AUq2", _qg_base_rules())
-    gens = ("a", "b", "c", "d")
-    cands = [("Dinv", g) for g in gens]
-    nunk = len(gens) * len(cands)
-
-    def unk(gen_i: int, cand_i: int) -> int:
-        return gen_i * len(cands) + cand_i
-
-    u = [["a", "b"], ["c", "d"]]
-    rows: dict = {}
-
-    def add_equation(products, const_is_unit):
-        # products: list of (gen_index, word_left_of_candidate, word_right)
-        coeffs: dict[Word, list[QScalar]] = {}
-        for gi, left, right in products:
-            for ci, cand in enumerate(cands):
-                e = alg.normalize_word(left + cand + right)
-                for m, c in e.terms.items():
-                    row = coeffs.setdefault(m, [QScalar.zero()] * nunk)
-                    row[unk(gi, ci)] = row[unk(gi, ci)] + c
-        const: dict[Word, QScalar] = {(): ONE} if const_is_unit else {}
-        for m in set(coeffs) | set(const):
-            row = coeffs.get(m, [QScalar.zero()] * nunk)
-            rows[(len(rows), m)] = (row, const.get(m, QScalar.zero()))
-
-    for i in range(2):
-        for j in range(2):
-            # sum_k S(u[i][k]) * u[k][j] = delta_ij
-            add_equation(
-                [(gens.index(u[i][k]), (), (u[k][j],)) for k in range(2)],
-                const_is_unit=(i == j),
-            )
-            # sum_k u[i][k] * S(u[k][j]) = delta_ij
-            add_equation(
-                [(gens.index(u[k][j]), (u[i][k],), ()) for k in range(2)],
-                const_is_unit=(i == j),
-            )
-
-    matrix = [row for row, _ in rows.values()]
-    rhs = [b for _, b in rows.values()]
-    solution = solve_unique(matrix, rhs)
-
-    images: dict[str, list] = {}
-    for gi, g in enumerate(gens):
-        combo = []
-        for ci, cand in enumerate(cands):
-            c = solution[unk(gi, ci)]
-            if not c.is_zero():
-                combo.append((c, cand))
-        images[g] = combo
-    antipode = dict(images)
-    antipode["D"] = [(ONE, ("Dinv",))]
-    antipode["Dinv"] = [(ONE, ("D",))]
-    star = {
-        "a": images["a"],
-        "d": images["d"],
-        "b": images["c"],
-        "c": images["b"],
-        "D": [(ONE, ("Dinv",))],
-        "Dinv": [(ONE, ("D",))],
-    }
-    return {"antipode": antipode, "star": star}
-
-
-# ---------------------------------------------------------------------------
 # Finite quotients at roots of unity
 # ---------------------------------------------------------------------------
 
@@ -1079,7 +970,6 @@ def build_finite_quotient(n: int, mode: CyclotomicMode | None) -> WordAlgebra:
         raise ValueError("n must be positive")
     if mode is None:
         raise RootConditionViolated("finite quotients need a root-of-unity mode")
-    mode = CyclotomicMode(mode.order, primitive=True)
     if not root_condition_holds(n, mode):
         raise RootConditionViolated(
             f"(-q)^{n * n} != 1 for a primitive root of order {mode.order}"
@@ -1089,7 +979,7 @@ def build_finite_quotient(n: int, mode: CyclotomicMode | None) -> WordAlgebra:
 
 @algebra_factory
 def _finite_quotient_cached(n: int, order: int) -> WordAlgebra:
-    mode = CyclotomicMode(order, primitive=True)
+    mode = CyclotomicMode(order)
     letters = ("D", "z", "a", "d", "b", "c")
 
     def translate(word: Word) -> Word:
@@ -1132,12 +1022,13 @@ def _finite_quotient_cached(n: int, order: int) -> WordAlgebra:
     alg._translate = translate
     parent = adtq()
     for letter in letters:
+        cop = parent._cop_letter[letter].terms.items()
         alg._install_hopf_letter(
             letter,
-            [(c, translate(w1), translate(w2)) for c, w1, w2 in parent._cop_letter[letter]],
+            [(c, translate(w1), translate(w2)) for (w1, w2), c in cop],
             parent._counit_letter[letter],
-            antipode=[(c, translate(w)) for c, w in parent._antipode_letter[letter]],
-            star=[(c, translate(w)) for c, w in parent._star_letter[letter]],
+            [(c, translate(w)) for w, c in parent._antipode_letter[letter].terms.items()],
+            [(c, translate(w)) for w, c in parent._star_letter[letter].terms.items()],
         )
     alg.dimension = len(system.all_normal_words())
     return alg
@@ -1159,8 +1050,3 @@ class FiniteQuotientAlgebra(WordAlgebra):
         return self.combine(
             (self.normalize_word(self._translate(m)), c) for m, c in e.terms.items()
         )
-
-
-def project_to_quotient(e: Element, target: WordAlgebra) -> Element:
-    """Reinterpret words of the parent presentation inside a quotient."""
-    return target.combine((target.normalize_word(m), c) for m, c in e.terms.items())

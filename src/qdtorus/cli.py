@@ -188,9 +188,7 @@ def dispatch(args) -> int:
         params = _params(args)
         params.quotient_n = args.n
         report = run_suite("fdquot", params)
-        algebra = build_finite_quotient(
-            args.n, CyclotomicMode(args.q_root, primitive=True)
-        )
+        algebra = build_finite_quotient(args.n, CyclotomicMode(args.q_root))
         code = _emit_report(args, report)
         print(f"dimension = {algebra.dimension}")
         return code

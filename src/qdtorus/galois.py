@@ -32,6 +32,7 @@ from .algebras import (
     at2q,
     az2,
     enumerate_basis,
+    extend_letters,
     quotient_mon_view,
     quotient_mon_word,
     tensor_of,
@@ -649,18 +650,10 @@ class TorusCoaction:
             "xinv": tensor_of([a.star(), xi]) + tensor_of([b.star(), yi]),
             "yinv": tensor_of([c.star(), xi]) + tensor_of([d.star(), yi]),
         }
-        self._cache: dict = {}
+        self._cache: dict = {(): tensor_of([self.alg.unit(), self.torus.unit()])}
 
     def of_mon(self, mon) -> TensorElement:
-        hit = self._cache.get(mon)
-        if hit is not None:
-            return hit
-        if not mon:
-            out = tensor_of([self.alg.unit(), self.torus.unit()])
-        else:
-            out = self.of_mon(mon[:-1]) * self._images[mon[-1]]
-        self._cache[mon] = out
-        return out
+        return extend_letters(self._cache, self._images, mon)
 
     def of(self, e: Element) -> TensorElement:
         return TensorElement.combine(

@@ -388,10 +388,13 @@ def estimate_operator_norm(
 
 
 def theta_continuity_defect(window_size: int, theta: float, step: float = 1e-6) -> float:
-    """Largest entrywise change of the generator operators under a theta nudge."""
+    """Largest entrywise change of the generator operators under a theta nudge.
+
+    The nudge wraps modulo 1: the operators depend on theta only through
+    q = exp(2*pi*i*theta)."""
     window = LatticeWindow(window_size)
     first = build_generator_operators(window, theta).ops
-    second = build_generator_operators(window, theta + step).ops
+    second = build_generator_operators(window, (theta + step) % 1.0).ops
     everywhere = np.ones(len(window), bool)
     gens = ("a", "b", "c", "d", "D", "z")
     return max(first[g].column_defect(second[g], everywhere) for g in gens)

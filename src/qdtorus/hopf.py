@@ -1,10 +1,12 @@
 """Hopf *-structure maps, convolution algebra and the invariant functional.
 
-The structure maps themselves live on the algebra objects (they are letter
-data extended (anti)multiplicatively); this module provides the axiom
-verifier used by the suites, the convolution product of maps given on
-monomials, and the Haar functional of the double-torus quotient together
-with its positivity and invariance checks.
+The structure maps themselves live on the algebra objects: each is one
+letter table of normalized images, written down from the formulas on the
+generators (S and * included, nothing is solved for) and extended to words
+(anti)multiplicatively.  This module proves those tables from the relations
+and the generators (:func:`verify_hopf_axioms`), and provides the
+convolution product of maps given on monomials and the Haar functional of
+the double-torus quotient with its positivity and invariance checks.
 """
 
 from __future__ import annotations

@@ -5,12 +5,12 @@ deformation parameter q with rational coefficients.  The unit-circle
 constraint on q makes the star operation an exponent flip (q* = q^-1);
 numeric checks specialise q to exp(2*pi*i*theta).
 
-Roots of unity are handled by :class:`CyclotomicMode`.  Plain mode reduces
-exponents modulo the order M (the quotient ring Q[q]/(q^M - 1)); primitive
-mode additionally reduces modulo the M-th cyclotomic polynomial, i.e. works
-in the field generated by a primitive M-th root.  The finite quotients need
-the primitive field (for order 2 the root condition forces q = -1, which is
-not an identity of the plain quotient ring).
+Roots of unity are handled by :class:`CyclotomicMode`: it reduces exponents
+modulo the order M and then modulo the M-th cyclotomic polynomial, i.e.
+works in the field Q[q]/Phi_M generated by a primitive M-th root.  The
+finite quotients need that field: their completion divides by coefficients,
+and for order 2 the root condition forces q = -1, which is no identity of
+the ring Q[q]/(q^M - 1).
 """
 
 from __future__ import annotations
@@ -342,15 +342,13 @@ def settle(acc: dict, canon: Callable[[QScalar], QScalar]) -> dict:
 
 @dataclass(frozen=True)
 class CyclotomicMode:
-    """Root-of-unity scalar mode: exponents of q are reduced modulo ``order``.
+    """Root-of-unity scalar mode: q is a primitive root of order ``order``.
 
-    With ``primitive`` set, coefficients are further reduced modulo the
-    cyclotomic polynomial of the order, so q acts as a primitive root (a
-    field).  The finite quotient construction uses primitive mode.
+    Exponents of q are reduced modulo the order, then coefficients modulo
+    the cyclotomic polynomial of the order, so scalars live in a field.
     """
 
     order: int
-    primitive: bool = False
 
     def __post_init__(self):
         if self.order < 1:
@@ -358,9 +356,7 @@ class CyclotomicMode:
 
     def canon(self, s: QScalar) -> QScalar:
         s = s.reduce_exponents(self.order)
-        if self.primitive:
-            s = s.reduce_mod_poly(cyclotomic_polynomial(self.order))
-        return s
+        return s.reduce_mod_poly(cyclotomic_polynomial(self.order))
 
 
 # -- polynomial helpers (ascending coefficient tuples over Q) ----------------
@@ -401,8 +397,6 @@ def cyclotomic_polynomial(order: int) -> tuple[Fraction, ...]:
 
 def invert_in_cyclotomic_field(s: QScalar, mode: CyclotomicMode) -> QScalar:
     """Inverse of a nonzero scalar in Q[q]/Phi_M via the extended Euclid."""
-    if not mode.primitive:
-        raise CyclotomicInversionError("inversion needs the primitive field")
     s = mode.canon(s)
     if s.is_zero():
         raise ZeroDivisionError("zero in cyclotomic field")
@@ -420,10 +414,6 @@ def invert_in_cyclotomic_field(s: QScalar, mode: CyclotomicMode) -> QScalar:
     if len(r0) != 1:
         raise ZeroDivisionError(f"not invertible modulo the cyclotomic polynomial: {s}")
     return mode.canon(_canonical({k: c / r0[0] for k, c in enumerate(u0)}))
-
-
-class CyclotomicInversionError(ArithmeticError):
-    pass
 
 
 def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

@@ -101,9 +101,8 @@ class SuiteParams:
         """The fdquot suite's quotient, built once per run: (quotient, None),
         or (None, why) when it cannot be built, so that each of its checks
         fails with the reason instead of one crash hiding them all."""
-        mode = CyclotomicMode(self.q_root, primitive=True)
         try:
-            return build_finite_quotient(self.quotient_n, mode), None
+            return build_finite_quotient(self.quotient_n, CyclotomicMode(self.q_root)), None
         except RootConditionViolated as exc:
             return None, str(exc)
         except QdtError:

@@ -186,12 +186,7 @@ class RewriteSystem:
 
     def unresolved_pairs(self, max_len: int | None = None) -> list[CriticalPair]:
         bad = []
-        seen = set()
         for word, at1, at2 in self.critical_words(max_len):
-            key = (word, at1, at2)
-            if key in seen or at1 == at2:
-                continue
-            seen.add(key)
             left = self.resolve(word, at1)
             right = self.resolve(word, at2)
             if left != right:
@@ -207,7 +202,7 @@ class RewriteSystem:
         """Orient unresolved critical pairs into new rules until confluent.
 
         ``invert_scalar`` must invert any nonzero coefficient (so the scalar
-        ring must be a field, e.g. a primitive cyclotomic mode).
+        ring must be a field, e.g. a cyclotomic mode).
         """
         for _ in range(max_rounds):
             pairs = self.unresolved_pairs(max_len)
@@ -240,24 +235,17 @@ class RewriteSystem:
         for _ in range(max_len):
             nxt = []
             for w in frontier:
+                # extending a normal word only creates redexes at its end
+                start = max(0, len(w) + 1 - self._max_pattern)
                 for x in self.letters:
                     ext = w + (x,)
-                    if self._suffix_normal(ext):
+                    if self.find_redex(ext, start) is None:
                         nxt.append(ext)
             out.extend(nxt)
             frontier = nxt
             if not frontier:
                 break
         return out
-
-    def _suffix_normal(self, word: Word) -> bool:
-        # extensions of normal words only create redexes ending at the last letter
-        n = len(word)
-        for idx, rule in enumerate(self.rules):
-            L = len(rule.pattern)
-            if L <= n and word[n - L :] == rule.pattern:
-                return False
-        return True
 
     def all_normal_words(self, hard_cap: int = 64) -> list[Word]:
         """Every irreducible word, for systems with finitely many.

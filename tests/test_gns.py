@@ -138,6 +138,14 @@ class TestStability:
     def test_theta_continuity(self):
         assert theta_continuity_defect(6, THETA) <= 1e-4
 
+    @pytest.mark.parametrize("theta", [0.9999995, 0.999999])
+    def test_the_nudge_wraps_past_one(self, theta):
+        from qdtorus.suites import SuiteParams, run_suite
+
+        assert theta_continuity_defect(4, theta) <= 1e-4
+        report = run_suite("gns", SuiteParams(window=4, theta=theta))
+        assert report.ok, [(c.name, c.witness) for c in report.checks if not c.passed]
+
     def test_determinant_unitary_on_interior(self, ops):
         det = ops["D"]
         adj = det.adjoint()

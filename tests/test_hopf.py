@@ -115,18 +115,17 @@ class TestAxioms:
         assert failed and all(c.witness for c in failed)
 
 
-def _quotient_with(antipode=None, coproduct=None):
-    """A fresh, unpublished copy of ADTq with planted letter data."""
+def _quotient_with(antipode=None, coproduct=None, star=None):
+    """A fresh, unpublished copy of ADTq built from planted letter tables."""
+    from unittest import mock
+
     from qdtorus import algebras
 
     rules = algebras._qg_base_rules() + algebras._quotient_extra_rules()
-    alg = algebras.QGroupAlgebra("ADTq!planted", rules)
-    for letter, cop in (coproduct or {}).items():
-        alg._install_hopf_letter(letter, cop, algebras._QG_COUNIT[letter])
-    images = algebras._antipode_images()
-    return alg._install_derived_letters(
-        {"antipode": {**images["antipode"], **(antipode or {})}, "star": images["star"]}
-    )
+    with mock.patch.dict(algebras._QG_COPRODUCT, coproduct or {}), mock.patch.dict(
+        algebras._QG_ANTIPODE, antipode or {}
+    ), mock.patch.dict(algebras._QG_STAR, star or {}):
+        return algebras.QGroupAlgebra("ADTq!planted", rules)
 
 
 def _b_sign_flip():
@@ -134,9 +133,12 @@ def _b_sign_flip():
 
 
 def _negated_antipode_of_b():
-    from qdtorus.algebras import _antipode_images
+    return _quotient_with(antipode={"b": [(QScalar.q_power(-1), ("Dinv", "b"))]})
 
-    return _quotient_with(antipode={"b": [(-c, w) for c, w in _antipode_images()["antipode"]["b"]]})
+
+def _wrong_star_of_b():
+    # b* is -q*Dinv*c; the planted image has q^-1 in place of q
+    return _quotient_with(star={"b": [(QScalar.q_power(-1, -1), ("Dinv", "c"))]})
 
 
 def _scan(alg, degree):
@@ -184,8 +186,9 @@ class TestAxiomCertificate:
         )
 
     @pytest.mark.parametrize(
-        "planted", [lambda: adtq("bc_weak"), _b_sign_flip, _negated_antipode_of_b],
-        ids=["bc_weak", "b_sign_flip", "negated_antipode_of_b"],
+        "planted",
+        [lambda: adtq("bc_weak"), _b_sign_flip, _negated_antipode_of_b, _wrong_star_of_b],
+        ids=["bc_weak", "b_sign_flip", "negated_antipode_of_b", "wrong_star_of_b"],
     )
     def test_planted_defects_fail_with_the_unit_window(self, planted):
         alg = planted()
@@ -206,6 +209,7 @@ class TestAxiomCertificate:
             "star": "b*c",
         }
         assert set(broken_relations(_negated_antipode_of_b())) == {"antipode"}
+        assert set(broken_relations(_wrong_star_of_b())) == {"star"}
         assert "coproduct" in broken_relations(_b_sign_flip())
 
     def test_a_failed_certificate_keeps_the_scan_witnesses(self):
@@ -218,6 +222,15 @@ class TestAxiomCertificate:
                 assert kept.witness == found.witness
             else:
                 assert kept.witness.startswith("relation ")
+
+    @pytest.mark.parametrize("planted", [_negated_antipode_of_b, _wrong_star_of_b])
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_a_planted_letter_table_fails_as_the_scan_does(self, planted, degree):
+        alg = planted()
+        checks = verify_hopf_axioms(alg, degree)
+        assert checks == _scan(alg, degree)
+        failed = [c for c in checks if not c.passed]
+        assert failed and all(c.witness for c in failed), checks
 
     def test_the_benchmark_canary(self):
         """The planted defect the benchmark requires the verifier to catch."""

@@ -223,8 +223,8 @@ _PLANTED_DEFECTS = {
     # the build crashes, and every check still reports under its own name
     "fdquot": (
         "scalars.py",
-        "        if self.primitive:\n",
-        "        if False:\n",
+        "        return s.reduce_mod_poly(cyclotomic_polynomial(self.order))\n",
+        "        return s\n",
         {
             "fdquot_dimension": "fail",
             "fdquot_confluent": "fail",
