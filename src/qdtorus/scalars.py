@@ -207,22 +207,26 @@ class QScalar:
             out[k] = out.get(k, 0) + c
         return _canonical(out)
 
-    def reduce_mod_poly(self, poly: tuple[Fraction, ...]) -> "QScalar":
-        """Remainder modulo a monic-led polynomial given as ascending coeffs."""
+    def reduce_mod_poly(self, poly: tuple[int, ...]) -> "QScalar":
+        """Remainder modulo a monic polynomial given as ascending coeffs.
+
+        A monic divisor needs no division, so int coefficients stay int and
+        Fraction ones stay Fraction.
+        """
+        if poly[-1] != 1:
+            raise ValueError(f"divisor is not monic: leading coefficient {poly[-1]}")
         if min(self._terms, default=0) < 0:
             raise ValueError("reduce exponents first; negative powers present")
         deg = len(poly) - 1
         top = max(self._terms, default=0)
         if top < deg:
             return self
-        # Fractions from here on: int / int would give a float
-        coeffs = [_F0] * (top + 1)
+        coeffs = [0] * (top + 1)
         for k, c in self._terms.items():
-            coeffs[k] = Fraction(c)
-        lead = Fraction(poly[-1])
+            coeffs[k] = c
         for i in range(top, deg - 1, -1):
-            if coeffs[i]:
-                factor = coeffs[i] / lead
+            factor = coeffs[i]
+            if factor:
                 for j, p in enumerate(poly):
                     coeffs[i - deg + j] -= factor * p
         return _canonical(dict(enumerate(coeffs[:deg])))
@@ -383,8 +387,11 @@ def _poly_divmod(num: list[Fraction], den: list[Fraction]):
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(order: int) -> tuple[Fraction, ...]:
-    """Ascending coefficients of the cyclotomic polynomial of given order."""
+def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
+    """Ascending coefficients of the cyclotomic polynomial of given order.
+
+    The polynomial is monic with integer coefficients, returned as ``int``.
+    """
     p = [Fraction(-1)] + [Fraction(0)] * (order - 1) + [Fraction(1)]
     for d in range(1, order):
         if order % d == 0:
@@ -392,7 +399,7 @@ def cyclotomic_polynomial(order: int) -> tuple[Fraction, ...]:
             if r:
                 raise ArithmeticError("cyclotomic division must be exact")
             p = q
-    return tuple(p)
+    return tuple(_exact(c) for c in p)
 
 
 def invert_in_cyclotomic_field(s: QScalar, mode: CyclotomicMode) -> QScalar:

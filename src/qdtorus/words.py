@@ -201,6 +201,11 @@ class RewriteSystem:
     ):
         """Orient unresolved critical pairs into new rules until confluent.
 
+        Each pass orients every unresolved pair it finds, in order: the
+        pair's difference is first normalized, so the rules added earlier in
+        the same pass apply, and it is skipped if that leaves zero.  The loop
+        ends only on a full pass that finds no unresolved pair.
+
         ``invert_scalar`` must invert any nonzero coefficient (so the scalar
         ring must be a field, e.g. a cyclotomic mode).
         """
@@ -211,7 +216,7 @@ class RewriteSystem:
             for pair in pairs:
                 diff: Combo = dict(pair.left)
                 add_scaled(diff, pair.right, QScalar.of(-1))
-                diff = settle(diff, self.scalar_canon)
+                diff = self.normalize_combo(diff)
                 if not diff:
                     continue
                 lm = self.leading_monomial(diff)
@@ -220,7 +225,6 @@ class RewriteSystem:
                     (self.scalar_canon(-inv * c), w) for w, c in diff.items() if w != lm
                 )
                 self.add_rule(RewriteRule(lm, result))
-                break
         else:
             raise CompletionFailure(
                 f"completion did not stabilise after {max_rounds} rounds"

@@ -21,7 +21,6 @@ from qdtorus.algebras import (
     quotient_mon_word,
 )
 from qdtorus.errors import NotInBaseImage
-from qdtorus.exprs import parse_element
 from qdtorus.galois import (
     CORRECTED,
     PRINTED,
@@ -47,7 +46,7 @@ from qdtorus.hopf import (
     verify_hopf_axioms,
 )
 from qdtorus.report import Check
-from qdtorus.scalars import CyclotomicMode, QScalar
+from qdtorus.scalars import CyclotomicMode
 from qdtorus import corep
 
 THETA = 0.31

@@ -4,8 +4,9 @@ The references are the straightforward implementations the package used
 before its fast paths: scalars as dicts of Fraction coefficients combined by
 nested loops, element sums folded as ``out = out + piece * c`` with the
 coefficients canonicalised after every step, memoized maps recomputed
-without their caches, and leftmost reduction that rescans every word from
-position 0 without a cache.  The package must agree with them exactly, and
+without their caches, leftmost reduction that rescans every word from
+position 0 without a cache, and Knuth-Bendix completion that orients one
+critical pair per pass.  The package must agree with them exactly, and
 must store every coefficient as an ``int`` or as a ``Fraction`` with
 denominator other than 1, never as a float.
 """
@@ -16,12 +17,13 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdtorus import galois
+from qdtorus import algebras, galois
 from qdtorus.algebras import (
     Element,
     TensorElement,
@@ -32,12 +34,15 @@ from qdtorus.algebras import (
     az2,
     build_finite_quotient,
 )
+from qdtorus.errors import CompletionFailure
 from qdtorus.linalg import exact_div, solve_unique
 from qdtorus.scalars import (
     CyclotomicMode,
     QScalar,
+    add_scaled,
     cyclotomic_polynomial,
     invert_in_cyclotomic_field,
+    settle,
 )
 from qdtorus.words import RewriteRule, RewriteSystem
 
@@ -161,6 +166,25 @@ def test_canon_matches_the_reference(x, order):
     got = CyclotomicMode(order).canon(QScalar(x))
     assert_canonical(got)
     assert ref_of(got) == ref_canon(ref(x), order)
+
+
+@given(st.dictionaries(st.integers(0, 40), coefficients, max_size=6), st.integers(1, 16))
+@settings(max_examples=300)
+def test_reduction_modulo_the_cyclotomic_polynomial_matches_the_reference(x, order):
+    phi = cyclotomic_polynomial(order)
+    assert all(type(c) is int for c in phi) and phi[-1] == 1
+    got = QScalar(x).reduce_mod_poly(phi)
+    assert_canonical(got)
+    assert ref_of(got) == ref_canon(ref(x), order)
+    assert all(k < len(phi) - 1 for k, _ in got.items())
+    if all(type(c) is int for c in x.values()):
+        assert all(type(c) is int for _, c in got.items())
+
+
+@pytest.mark.parametrize("poly", [(1, 0, 2), (1, Fraction(1, 2)), (0, -1)])
+def test_reduction_refuses_a_non_monic_divisor(poly):
+    with pytest.raises(ValueError, match="not monic"):
+        QScalar({3: 1}).reduce_mod_poly(poly)
 
 
 @given(raw_scalars, st.sampled_from([2, 3, 4, 5, 6, 8, 12]))
@@ -565,3 +589,48 @@ def test_normalize_follows_the_rule_choice_on_a_non_confluent_system(word, data)
     assert system.find_redex(word) == ref_find_redex(system, word)
     assert system.normalize(word) == ref_normalize(system, word)
     assert _permuted(system, order).normalize(word) == ref_normalize(system, word, order)
+
+
+# ---------------------------------------------------------------------------
+# Batched completion against one oriented pair per pass
+# ---------------------------------------------------------------------------
+
+
+def ref_complete(system: RewriteSystem, invert_scalar, max_len=12, max_rounds=40):
+    """Completion that orients the first unresolved pair, then starts a new pass."""
+    for _ in range(max_rounds):
+        pairs = system.unresolved_pairs(max_len)
+        if not pairs:
+            return
+        for pair in pairs:
+            diff = dict(pair.left)
+            add_scaled(diff, pair.right, QScalar.of(-1))
+            diff = settle(diff, system.scalar_canon)
+            if not diff:
+                continue
+            lm = system.leading_monomial(diff)
+            inv = invert_scalar(diff[lm])
+            result = tuple(
+                (system.scalar_canon(-inv * c), w) for w, c in diff.items() if w != lm
+            )
+            system.add_rule(RewriteRule(lm, result))
+            break
+    raise CompletionFailure(f"completion did not stabilise after {max_rounds} rounds")
+
+
+QUOTIENT_ORDERS = [
+    (2, 4), (3, 6), (4, 4), (4, 8), (5, 10), (6, 6), (6, 12), (7, 14), (8, 8), (8, 16),
+]
+
+
+@pytest.mark.parametrize("n,order", QUOTIENT_ORDERS)
+def test_batched_completion_matches_one_rule_per_pass(n, order):
+    with mock.patch.object(RewriteSystem, "complete", ref_complete):
+        want = algebras._finite_quotient_cached.__wrapped__(n, order)
+    got = build_finite_quotient(n, CyclotomicMode(order))
+    assert len(got.system.rules) == len(want.system.rules)
+    assert got.dimension == want.dimension
+    assert got.system.all_normal_words() == want.system.all_normal_words()
+    for k in range(5):
+        for word in itertools.product(got.system.letters, repeat=k):
+            assert got.system.normalize(word) == want.system.normalize(word), word

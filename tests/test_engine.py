@@ -1,9 +1,11 @@
 """Rewriting engine: normal forms, confluence, bases, finite quotients."""
 
 import random
+from unittest import mock
 
 import pytest
 
+from qdtorus import algebras
 from qdtorus.algebras import (
     BasisWindow,
     WordAlgebra,
@@ -14,9 +16,9 @@ from qdtorus.algebras import (
     az2,
     build_finite_quotient,
     enumerate_basis,
-    quotient_mon_word,
 )
 from qdtorus.errors import (
+    CompletionFailure,
     CrossAlgebraMix,
     InvalidExponent,
     RootConditionViolated,
@@ -316,6 +318,31 @@ class TestFiniteQuotient:
 
         alg = build_finite_quotient(2, CyclotomicMode(4))
         assert all(c.passed for c in verify_hopf_axioms(alg, 3))
+
+
+def test_finite_quotient_completes_in_a_few_passes():
+    original = RewriteSystem.unresolved_pairs
+    with mock.patch.object(
+        RewriteSystem, "unresolved_pairs", autospec=True, side_effect=original
+    ) as passes:
+        alg = algebras._finite_quotient_cached.__wrapped__(8, 16)
+    assert alg.dimension == 128
+    assert passes.call_count <= 6
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_completion_out_of_rounds_raises():
+    with mock.patch.object(RewriteSystem, "complete", autospec=True, side_effect=_Stop) as complete:
+        with pytest.raises(_Stop):
+            algebras._finite_quotient_cached.__wrapped__(3, 6)
+    (system,), kwargs = complete.call_args
+    with pytest.raises(CompletionFailure, match="after 1 rounds"):
+        system.complete(**kwargs, max_rounds=1)
+    system.complete(**kwargs)  # resumes from the rules the one round added
+    assert system.unresolved_pairs(kwargs["max_len"]) == []
 
 
 def test_project_between_presentations():

@@ -15,7 +15,6 @@ from qdtorus.gns import (
     estimate_operator_norm,
     gns_expectation,
     lattice_action,
-    operator_for_element,
     operator_for_word,
     operator_set,
     theta_continuity_defect,

@@ -1,6 +1,5 @@
 """Scalar ring: star structure, numeric evaluation, cyclotomic reduction."""
 
-import cmath
 from fractions import Fraction
 
 import pytest
