@@ -89,9 +89,6 @@ class Element:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self):
-        return set(self.terms)
-
     def coefficient(self, mon) -> QScalar:
         return self.terms.get(mon, QScalar.zero())
 

@@ -194,8 +194,8 @@ def intertwiner_space(v: CorepMatrix, w: CorepMatrix) -> list[list[list[QScalar]
     alg = v.algebra
     if alg.tag.startswith("FDQUOT"):
         raise CyclotomicModeUnsupported(
-            "intertwiner solving needs field coefficients; the cyclotomic "
-            "quotient ring has zero divisors"
+            "intertwiner solving divides Laurent polynomials and never "
+            "reduces modulo the cyclotomic polynomial"
         )
     nrows_T, ncols_T = w.dim, v.dim
     nunk = nrows_T * ncols_T

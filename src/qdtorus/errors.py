@@ -39,7 +39,7 @@ class RootConditionViolated(QdtError):
 
 
 class CyclotomicModeUnsupported(QdtError):
-    """Operation needs field coefficients; the cyclotomic quotient ring has none."""
+    """Operation not implemented for the finite quotients over Q[q]/Phi_M."""
 
 
 class IncompleteWindow(QdtError):

@@ -163,14 +163,6 @@ def cleaving_j_inverse_mon(k: int, l: int, conv: CleavingConvention = CORRECTED)
     return two_corner_inverse(cleaving_j_mon(k, l, conv))
 
 
-def cleaving_j_inverse(h: Element, conv: CleavingConvention = CORRECTED) -> Element:
-    """Convolution inverse of the cleaving map, pointwise on group-likes."""
-    return adtq().combine(
-        (cleaving_j_inverse_mon(*at2().lattice_exponents(mon), conv), c)
-        for mon, c in h.terms.items()
-    )
-
-
 # ---------------------------------------------------------------------------
 # Transport to and from the base algebra
 # ---------------------------------------------------------------------------

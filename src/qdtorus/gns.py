@@ -58,7 +58,7 @@ class LatticeWindow:
         return ("cq"[sector], m - self.size, k - self.size)
 
 
-def lattice_action(gen: str, site: Site, qval: complex, mutate_b: bool = False):
+def lattice_action(gen: str, site: Site, qval: complex):
     """Exact infinite-lattice action of one generator; None is a structural zero."""
     sector, m, n = site
     if gen == "a":
@@ -73,8 +73,7 @@ def lattice_action(gen: str, site: Site, qval: complex, mutate_b: bool = False):
         if sector != "q":
             return None
         if n > 0:
-            exponent = 2 * n if mutate_b else 2 * n - 1
-            return ("q", m + 1, n - 1), -(qval ** exponent)
+            return ("q", m + 1, n - 1), -(qval ** (2 * n - 1))
         return ("q", m, n - 1), qval ** (2 * m)
     if gen == "c":
         if sector != "q":
@@ -202,9 +201,7 @@ class OperatorSet:
         return SparseOperator(self.window, [(np.arange(n), np.ones(n, complex))])
 
 
-def build_generator_operators(
-    window: LatticeWindow, theta: float, mutate_b: bool = False
-) -> OperatorSet:
+def build_generator_operators(window: LatticeWindow, theta: float) -> OperatorSet:
     """The shift operators; the determinant, its inverse and the idempotent
     witness are composed from them rather than postulated.
 
@@ -217,7 +214,7 @@ def build_generator_operators(
         raise ValueError("theta parametrises the unit circle: need 0 <= theta < 1")
     padded = LatticeWindow(window.size + 3)
     qval = cmath.exp(2j * cmath.pi * theta)
-    ops = {gen: _generator(padded, gen, qval, mutate_b) for gen in ("a", "b", "c", "d")}
+    ops = {gen: _generator(padded, gen, qval) for gen in ("a", "b", "c", "d")}
     ad = ops["a"].compose(ops["d"])
     bc = ops["b"].compose(ops["c"]).scaled(-(qval ** -1))
     # a and d act on sector "c" only, b and c on sector "q": one shift holds both
@@ -230,12 +227,12 @@ def build_generator_operators(
     return OperatorSet(window, theta, {g: _clip(op, window, inner) for g, op in ops.items()})
 
 
-def _generator(window: LatticeWindow, gen: str, qval: complex, mutate_b: bool):
+def _generator(window: LatticeWindow, gen: str, qval: complex):
     targets = np.full(len(window), -1)
     weights = np.zeros(len(window), complex)
     truncated = np.zeros(len(window), bool)
     for i, site in enumerate(window.sites()):
-        hit = lattice_action(gen, site, qval, mutate_b)
+        hit = lattice_action(gen, site, qval)
         if hit is not None and window.contains(hit[0]):
             targets[i], weights[i] = window.index(hit[0]), hit[1]
         elif hit is not None:
@@ -286,8 +283,8 @@ def apply_element(e: Element, vec: Vec, opset: OperatorSet, strict: bool = True)
 
 
 @lru_cache(maxsize=None)
-def operator_set(window_size: int, theta: float, mutate_b: bool = False) -> OperatorSet:
-    return build_generator_operators(LatticeWindow(window_size), theta, mutate_b)
+def operator_set(window_size: int, theta: float) -> OperatorSet:
+    return build_generator_operators(LatticeWindow(window_size), theta)
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +293,13 @@ def operator_set(window_size: int, theta: float, mutate_b: bool = False) -> Oper
 
 
 def verify_gns_relations(
-    window_size: int, theta: float, mutate_b: bool = False, tol: float = 1e-10
+    window_size: int, theta: float, tol: float = 1e-10
 ) -> tuple[list[Check], dict[str, float]]:
     """Relations, adjoints and determinant isometry on the window interior.
 
     Returns the checks plus the maximal defect observed per relation.
     """
-    opset = operator_set(window_size, theta, mutate_b)
+    opset = operator_set(window_size, theta)
     window = opset.window
     alg = adtq()
     interior = np.array([window.is_interior(site) for site in window.sites()])
@@ -334,12 +331,6 @@ def verify_gns_relations(
     iso_bad = f"determinant at {window.site(cols[bad.argmax()])}" if bad.any() else None
     checks.append(Check("gns_determinant_isometric", iso_bad is None, witness=iso_bad))
     return checks, defects
-
-
-def vacuum_state() -> Vec:
-    """The cyclic vector: equal weight on the two sector origins."""
-    amp = 1.0 / math.sqrt(2.0)
-    return {("c", 0, 0): amp + 0j, ("q", 0, 0): amp + 0j}
 
 
 def gns_expectation(e: Element, window_size: int, theta: float) -> complex:

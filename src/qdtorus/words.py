@@ -106,9 +106,6 @@ class RewriteSystem:
                 return pos, best
         return None
 
-    def is_normal(self, word: Word) -> bool:
-        return self.find_redex(word) is None
-
     def normalize(self, word: Word, coeff: QScalar | None = None) -> Combo:
         """Full normal form of coeff * word as a word combination.
 

@@ -1,11 +1,13 @@
 """Lattice representation: shifts, relations, state bridge, norms."""
 
 import cmath
+import contextlib
 import functools
 
 import numpy as np
 import pytest
 
+from qdtorus import gns
 from qdtorus.algebras import adtq
 from qdtorus.errors import WindowOverflow
 from qdtorus.exprs import parse_element
@@ -28,6 +30,27 @@ THETA = 0.31
 
 def el(text):
     return parse_element(text, adtq())
+
+
+@contextlib.contextmanager
+def planted_b_weight(monkeypatch):
+    """The b lattice weight with exponent 2n in place of 2n - 1, on operators
+    built fresh and dropped again, so that no other test sees them."""
+    real = gns.lattice_action
+
+    def wrong(gen, site, qval):
+        sector, _, n = site
+        if gen == "b" and sector == "q" and n > 0:
+            return real(gen, site, qval)[0], -(qval ** (2 * n))
+        return real(gen, site, qval)
+
+    gns.operator_set.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(gns, "lattice_action", wrong)
+            yield
+    finally:
+        gns.operator_set.cache_clear()
 
 
 @pytest.fixture(scope="module")
@@ -94,8 +117,9 @@ class TestRelations:
         }
         assert weights <= {1.0, -1.0}
 
-    def test_mutated_weight_fails(self):
-        checks, defects = verify_gns_relations(6, THETA, mutate_b=True)
+    def test_mutated_weight_fails(self, monkeypatch):
+        with planted_b_weight(monkeypatch):
+            checks, _ = verify_gns_relations(6, THETA)
         relation_check = next(c for c in checks if c.name == "gns_defining_relations")
         assert not relation_check.passed and relation_check.witness
 
@@ -155,18 +179,11 @@ class TestStability:
 
 
 class TestVacuum:
-    def test_vacuum_state_normalised(self):
-        from qdtorus.gns import vacuum_state
-
-        vac = vacuum_state()
-        assert abs(sum(abs(v) ** 2 for v in vac.values()) - 1.0) < 1e-12
-
     def test_expectation_equals_vacuum_matrix_element(self, ops):
         # sectors never mix, so the split-state formula equals the full
-        # vacuum matrix element
-        from qdtorus.gns import vacuum_state
-
-        vac = vacuum_state()
+        # vacuum matrix element of the cyclic vector
+        amp = 2 ** -0.5 + 0j
+        vac = {("c", 0, 0): amp, ("q", 0, 0): amp}
         for text in ("z", "D", "a", "b*c", "2*z - 1"):
             element = el(text)
             image = apply_element(element, vac, ops)
@@ -242,11 +259,17 @@ def test_operators_and_norms_match_a_dense_oracle(size):
             assert dense - 1e-5 <= estimate <= dense + 1e-9, (text, theta)
 
 
+def test_norms_and_relations_share_one_operator_set():
+    gns.operator_set.cache_clear()
+    estimate_operator_norm(el("a"), 5, THETA)
+    verify_gns_relations(5, THETA)
+    info = gns.operator_set.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
 def test_the_surface_the_benchmark_reads(monkeypatch):
     """perfbench/ uses exactly these names; a refactor that breaks the
     benchmark harness fails here first."""
-    from qdtorus import gns
-
     # --trace 1 patches these two on the class itself
     assert callable(vars(gns.SparseOperator)["apply"])
     assert callable(vars(gns.SparseOperator)["compose"])

@@ -66,10 +66,24 @@ def test_sigma_branch_mutation_flips_the_suite(monkeypatch):
     assert not report.ok
 
 
-def test_pi_weight_mutation_flips_the_report():
-    from qdtorus.gns import verify_gns_relations
+def test_pi_weight_mutation_flips_the_report(monkeypatch):
+    from qdtorus import gns
 
-    checks, _ = verify_gns_relations(5, 0.31, mutate_b=True)
+    real = gns.lattice_action
+
+    def wrong(gen, site, qval):  # exponent 2n in place of 2n - 1 in the b weight
+        sector, _, n = site
+        if gen == "b" and sector == "q" and n > 0:
+            return real(gen, site, qval)[0], -(qval ** (2 * n))
+        return real(gen, site, qval)
+
+    gns.operator_set.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(gns, "lattice_action", wrong)
+            checks, _ = gns.verify_gns_relations(5, 0.31)
+    finally:
+        gns.operator_set.cache_clear()  # the wrong operators reach no other test
     assert not all(c.passed for c in checks)
 
 
@@ -243,6 +257,14 @@ _PLANTED_DEFECTS = {
             "hopf_ADTq_counit_law": "fail",
             "hopf_ADTq_coproduct_star": "fail",
         },
+    ),
+    # the elimination never reaches the last unknown, so a Schur space that
+    # should be zero gets a dimension
+    "characters": (
+        "linalg.py",
+        "    for col in range(ncols):\n",
+        "    for col in range(ncols - 1):\n",
+        {"intertwiner_dimensions": "fail"},
     ),
     # a wrong exponent in the c lattice weight
     "gns": (
