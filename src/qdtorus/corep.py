@@ -2,16 +2,14 @@
 
 The three families of unitary irreducibles are the determinant powers, their
 twists by the central unitary group-like 2z-1, and the two-dimensional
-family whose entries are determinant powers times generator runs.  The
-layout of the two-dimensional family (printed rows vs their transpose) is
-determined mechanically against the fixed coproduct convention and recorded.
+family whose entries are determinant powers times generator runs, laid out
+in the printed rows (their transpose breaks the corepresentation law).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .algebras import Element, TensorElement, adtq, quotient_mon_word, tensor_of
 from .errors import CyclotomicModeUnsupported, IncompleteWindow
@@ -49,30 +47,14 @@ def chiz(m: int) -> CorepMatrix:
     return CorepMatrix(f"chiz({m})", ((entry,),))
 
 
-@lru_cache(maxsize=None)
-def _two_dim_layout() -> str:
-    """Decide whether the printed entry layout or its transpose coreps."""
-    for layout in ("printed", "transposed"):
-        candidate = _build_w(0, 1, layout)
-        if all(c.passed for c in verify_corep(candidate, check_unitary=False)):
-            return layout
-    raise ArithmeticError("neither layout satisfies the corepresentation law")
-
-
-def _build_w(m: int, n: int, layout: str) -> CorepMatrix:
+def w_rep(m: int, n: int) -> CorepMatrix:
+    if n < 1:
+        raise ValueError("the two-dimensional family needs n >= 1")
     rows = (
         (_el(m, gen="a", n=n), _el(m, gen="b", n=n)),
         (_el(m, gen="c", n=n), _el(m, gen="d", n=n)),
     )
-    if layout == "transposed":
-        rows = tuple(zip(*rows))
     return CorepMatrix(f"w({m},{n})", rows)
-
-
-def w_rep(m: int, n: int) -> CorepMatrix:
-    if n < 1:
-        raise ValueError("the two-dimensional family needs n >= 1")
-    return _build_w(m, n, _two_dim_layout())
 
 
 def direct_sum(v: CorepMatrix, w: CorepMatrix) -> CorepMatrix:

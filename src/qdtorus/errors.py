@@ -26,10 +26,6 @@ class WindowExceeded(QdtError):
     an element of an algebra other than the double-torus quotient."""
 
 
-class NonGrouplikeInput(QdtError):
-    pass
-
-
 class NotInBaseImage(QdtError):
     """A product expected to land in the base subalgebra did not."""
 

@@ -226,7 +226,7 @@ def _thunks_cleaving(p: SuiteParams):
         bad = None
         for k, l in lattice:
             j_el = galois.cleaving_j_mon(k, l, conv)
-            j_inv = galois.two_corner_inverse(j_el)
+            j_inv = galois.cleaving_j_inverse_mon(k, l, conv)
             if j_el * j_inv != alg.unit() or j_inv * j_el != alg.unit():
                 bad = bad or f"u^{k}v^{l}"
         return [Check("cleaving_j_convolution_inverse", bad is None, witness=bad)]
@@ -444,9 +444,10 @@ def _thunks_characters(p: SuiteParams):
         out = []
         for w in (corep.w_rep(0, 1), corep.chi(1), corep.chiz(1), corep.w_rep(-1, 2)):
             out.extend(corep.verify_corep(w))
-        # the entry layout that satisfies the corep law is recorded by name
-        layout = corep._two_dim_layout()
-        out.append(Check(f"corep_two_dim_layout_{layout}", layout in ("printed", "transposed")))
+        # the printed entry layout is the one whose w(0, 1) obeys the corep
+        # and counit laws, the first two checks above
+        bad = next((c.witness for c in out[:2] if not c.passed), None)
+        out.append(Check("corep_two_dim_layout_printed", bad is None, witness=bad))
         return out
 
     def gram_identity():

@@ -556,7 +556,8 @@ def test_cached_cleaving_maps_match_recomputation(conv):
     for k, l in LATTICE:
         fresh = galois.cleaving_j_mon.__wrapped__(k, l, conv)
         assert galois.cleaving_j_mon(k, l, conv) == fresh
-        assert galois.cleaving_j_inverse_mon(k, l, conv) == galois.two_corner_inverse(fresh)
+        inverse = galois.cleaving_j_inverse_mon(k, l, conv)
+        assert fresh * inverse == adtq().unit() == inverse * fresh
 
 
 def test_cached_sigma_matches_recomputation():

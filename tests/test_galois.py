@@ -2,8 +2,18 @@
 bicross product, exact sequence, and the torus coaction diagram."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qdtorus.algebras import TensorElement, adtq, at2, az2, quotient_mon_word
+from qdtorus.algebras import (
+    BasisWindow,
+    TensorElement,
+    adtq,
+    at2,
+    az2,
+    enumerate_basis,
+    quotient_mon_word,
+)
 from qdtorus.errors import NotInBaseImage
 from qdtorus.exprs import parse_element
 from qdtorus.galois import (
@@ -29,7 +39,6 @@ from qdtorus.galois import (
     sigma_convolution,
     sigma_table,
     torus_relation_defect,
-    two_corner_inverse,
     verify_cocycle_condition,
     verify_exact_sequence,
     verify_prop14_diagram,
@@ -69,10 +78,13 @@ class TestCleavingMap:
         assert cleaving_j_inverse_mon(1, 1) == el("2*Dinv*z - Dinv", B)  # u*v
 
     def test_pointwise_inverse_property(self):
-        B = adtq()
-        for (k, l) in ((0, 0), (3, 1), (-1, -1), (2, 2), (-2, 1)):
-            j_el = cleaving_j_mon(k, l)
-            assert j_el * two_corner_inverse(j_el) == B.unit()
+        # a two-sided inverse is unique, so this pins cleaving_j_inverse_mon
+        unit = adtq().unit()
+        for conv in (CORRECTED, PRINTED):
+            for k in range(-6, 7):
+                for l in range(-6, 7):
+                    j_el, x = cleaving_j_mon(k, l, conv), cleaving_j_inverse_mon(k, l, conv)
+                    assert j_el * x == unit == x * j_el, (conv.name, k, l)
 
     def test_not_an_algebra_map_symbolically_but_classically(self):
         diff = cleaving_j_mon(1, 0) * cleaving_j_mon(0, 1) - cleaving_j_mon(1, 1)
@@ -191,6 +203,9 @@ class TestCoaction:
             assert coaction_lambda(x.star()) == coaction_lambda(x).star_legs()
 
 
+_PHI_WINDOW = enumerate_basis(adtq(), BasisWindow(d_max=4, gen_max=5))
+
+
 class TestBicross:
     def test_product_examples(self):
         bic = build_bicross_product()
@@ -226,14 +241,26 @@ class TestBicross:
         assert phi_mon((1, 1, 1)) == el("D*z - D", B)
 
     def test_phi_bijective_on_window(self):
-        bic = build_bicross_product()
-        B = adtq()
-        for mon in bic.basis_by_degree(3):
-            assert phi_inverse(phi_mon(mon)) == bic.monomial(mon)
-        from qdtorus.algebras import BasisWindow, enumerate_basis
+        for conv in (CORRECTED, PRINTED):
+            bic = build_bicross_product(conv.name)
+            for mon in bic.basis_by_degree(6):
+                assert phi_inverse(phi_mon(mon, conv), conv) == bic.monomial(mon)
 
-        for mon in enumerate_basis(B, BasisWindow(d_max=1, gen_max=2)):
-            assert phi(phi_inverse(B.monomial(mon))) == B.monomial(mon)
+    @given(
+        st.sampled_from([CORRECTED, PRINTED]),
+        st.lists(
+            st.tuples(
+                st.sampled_from(_PHI_WINDOW), st.integers(-3, 3).filter(bool), st.integers(-4, 4)
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_phi_after_phi_inverse_is_the_identity(self, conv, terms):
+        B = adtq()
+        x = B.combine((B.monomial(mon), QScalar.q_power(e, c)) for mon, c, e in terms)
+        assert phi(phi_inverse(x, conv), conv) == x
 
     def test_phi_is_hopf_iso_on_samples(self):
         import random

@@ -16,7 +16,6 @@ from qdtorus.corep import (
     standard_families,
     verify_corep,
     w_rep,
-    _two_dim_layout,
 )
 from qdtorus.errors import (
     CyclotomicModeUnsupported,
@@ -30,7 +29,6 @@ from qdtorus.galois import (
     cleaving_j_inverse_mon,
     cleaving_j_mon,
     ell_table_mon,
-    two_corner_inverse,
 )
 from qdtorus.hopf import (
     _law_failures,
@@ -262,7 +260,7 @@ class TestConvolution:
             return cleaving_j_mon(*torus.lattice_exponents(mon))
 
         def j_inv(mon):
-            return two_corner_inverse(j(mon))
+            return cleaving_j_inverse_mon(*torus.lattice_exponents(mon))
 
         u = torus.gen("u")
         assert convolve(j, j_inv, u, B) == B.unit()
@@ -301,7 +299,10 @@ class TestHaar:
 
 class TestCoreps:
     def test_layout_is_the_printed_one(self):
-        assert _two_dim_layout() == "printed"
+        w = w_rep(0, 1)
+        transposed = CorepMatrix(w.label, tuple(zip(*w.entries)))
+        assert all(c.passed for c in verify_corep(w, check_unitary=False))
+        assert not all(c.passed for c in verify_corep(transposed, check_unitary=False))
 
     def test_fundamental(self):
         assert all(c.passed for c in verify_corep(w_rep(0, 1)))

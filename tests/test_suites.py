@@ -266,6 +266,40 @@ _PLANTED_DEFECTS = {
         "    for col in range(ncols - 1):\n",
         {"intertwiner_dimensions": "fail"},
     ),
+    # a wrong sign in the q-power of the c twist of the cleaving map: the
+    # convolution cocycle and Phi stop matching the table and the product
+    "cocycle": (
+        "galois.py",
+        "QScalar.q_power(l * l)",
+        "QScalar.q_power(-l * l)",
+        {"sigma_table_equals_convolution": "fail"},
+    ),
+    "bicross": (
+        "galois.py",
+        "QScalar.q_power(l * l)",
+        "QScalar.q_power(-l * l)",
+        {"bicross_phi_algebra_hom": "fail", "bicross_phi_coalgebra_hom": "fail"},
+    ),
+    # the projection keeps the c corner
+    "exactseq": (
+        "galois.py",
+        'view.gen in ("b", "c")',
+        'view.gen == "b"',
+        {"exactseq_prj_hopf_star_map": "fail", "exactseq_kernel_is_offdiagonal_ideal": "fail"},
+    ),
+    # a sign flip in the coaction of y
+    "diagram": (
+        "galois.py",
+        "tensor_of([c, x]) + tensor_of([d, y])",
+        "tensor_of([c, x]) - tensor_of([d, y])",
+        {
+            "diagram_coaction_coassociative": "fail",
+            "diagram_coaction_counit": "fail",
+            "diagram_commutes_with_projection": "fail",
+            "diagram_generator_images_unitary": "fail",
+            "diagram_star_map": "fail",
+        },
+    ),
     # a wrong exponent in the c lattice weight
     "gns": (
         "gns.py",
