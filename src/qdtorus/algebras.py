@@ -479,12 +479,12 @@ class WordAlgebra(Algebra):
     def _post_combo(self, combo: dict) -> dict:
         return combo
 
-    def normalize_word(self, word: Iterable[str], coeff=1) -> Element:
+    def normalize_word(self, word: Iterable[str]) -> Element:
         word = tuple(word)
         for x in word:
             if x not in self.system._rank:
                 raise UnknownGenerator(f"{x!r} is not a generator of {self.tag}")
-        return self.element_from_combo(self.system.normalize(word, _sc(coeff)))
+        return self.element_from_combo(self.system.normalize(word))
 
     def gen(self, name: str, power: int = 1) -> Element:
         return self.normalize_word(self.gen_word(name, power))

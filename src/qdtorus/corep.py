@@ -81,7 +81,7 @@ def standard_families(m_max: int, n_max: int) -> list[CorepMatrix]:
 # ---------------------------------------------------------------------------
 
 
-def verify_corep(w: CorepMatrix, check_unitary: bool = True) -> list[Check]:
+def verify_corep(w: CorepMatrix) -> list[Check]:
     alg = w.algebra
 
     cop_bad = eps_bad = uni_bad = None
@@ -96,25 +96,23 @@ def verify_corep(w: CorepMatrix, check_unitary: bool = True) -> list[Check]:
             eps = w.entries[i][j].counit()
             if eps != (QScalar.one() if i == j else QScalar.zero()):
                 eps_bad = eps_bad or f"{w.label}[{i}][{j}]"
-    checks = [
+    unit = alg.unit()
+    for i in range(w.dim):
+        for j in range(w.dim):
+            target = unit if i == j else alg.zero()
+            rowsum = alg.combine(
+                (w.entries[i][k] * w.entries[j][k].star(), None) for k in range(w.dim)
+            )
+            colsum = alg.combine(
+                (w.entries[k][i].star() * w.entries[k][j], None) for k in range(w.dim)
+            )
+            if rowsum != target or colsum != target:
+                uni_bad = uni_bad or f"{w.label}[{i}][{j}]"
+    return [
         Check(f"corep_{w.label}_coproduct_law", cop_bad is None, witness=cop_bad),
         Check(f"corep_{w.label}_counit_law", eps_bad is None, witness=eps_bad),
+        Check(f"corep_{w.label}_unitary", uni_bad is None, witness=uni_bad),
     ]
-    if check_unitary:
-        unit = alg.unit()
-        for i in range(w.dim):
-            for j in range(w.dim):
-                target = unit if i == j else alg.zero()
-                rowsum = alg.combine(
-                    (w.entries[i][k] * w.entries[j][k].star(), None) for k in range(w.dim)
-                )
-                colsum = alg.combine(
-                    (w.entries[k][i].star() * w.entries[k][j], None) for k in range(w.dim)
-                )
-                if rowsum != target or colsum != target:
-                    uni_bad = uni_bad or f"{w.label}[{i}][{j}]"
-        checks.append(Check(f"corep_{w.label}_unitary", uni_bad is None, witness=uni_bad))
-    return checks
 
 
 def character_of(w: CorepMatrix) -> Element:

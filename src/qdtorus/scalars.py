@@ -19,6 +19,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Callable, Iterator, Mapping
 
 
@@ -403,40 +404,19 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
 
 
 def invert_in_cyclotomic_field(s: QScalar, mode: CyclotomicMode) -> QScalar:
-    """Inverse of a nonzero scalar in Q[q]/Phi_M via the extended Euclid."""
+    """Inverse of a nonzero scalar in Q[q]/Phi_M by the Galois norm.
+
+    The conjugates of s are s(q^j) for j prime to M.  Their product, the
+    norm, is a nonzero rational, so the product of the conjugates other
+    than s itself, divided by the norm, is the inverse of s.
+    """
     s = mode.canon(s)
     if s.is_zero():
         raise ZeroDivisionError("zero in cyclotomic field")
-    phi = list(cyclotomic_polynomial(mode.order))
-    a = [_F0] * (max(s._terms) + 1)
-    for k, c in s._terms.items():
-        a[k] = Fraction(c)
-    # extended Euclid over Q[x]: find u with u*a = gcd mod phi
-    r0, r1 = phi, _poly_trim(a)
-    u0, u1 = [Fraction(0)], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-    if len(r0) != 1:
-        raise ZeroDivisionError(f"not invertible modulo the cyclotomic polynomial: {s}")
-    return mode.canon(_canonical({k: c / r0[0] for k, c in enumerate(u0)}))
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _poly_trim(out)
+    others = _ONE
+    for j in range(2, mode.order):
+        if gcd(j, mode.order) == 1:
+            conjugate = mode.canon(QScalar({k * j: c for k, c in s._terms.items()}))
+            others = mode.canon(others * conjugate)
+    norm = mode.canon(s * others).constant_value()
+    return others * (1 / Fraction(norm))

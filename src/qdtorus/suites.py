@@ -63,7 +63,6 @@ FIXED_WINDOWS = {
     "haar": {"biinvariance_max_deg": 5, "gram_max_deg": 3},
     "gns": {"expectation_max_deg": 4},
 }
-CONVENTION_REPORT_RANGE = 2
 
 
 @dataclass
@@ -158,13 +157,12 @@ def _thunks_cocycle(p: SuiteParams):
         return [Check("sigma_table_equals_convolution", witness is None, witness=witness)]
 
     def normalization():
-        unit = az2().unit()
         bad = next(
             (
                 f"sigma{args} = {galois.sigma_table(*args)}"
                 for m, n in itertools.product(range(-r, r + 1), repeat=2)
                 for args in ((0, 0, m, n), (m, n, 0, 0))
-                if galois.sigma_table(*args) != unit
+                if galois.sigma_q_exponent(*args) != 0
             ),
             None,
         )
@@ -708,11 +706,9 @@ def run_suite(name: str, params: SuiteParams | None = None) -> Report:
     ran = _SUITE_BUILDERS if name == "all" else (name,)
     report_params["fixed_windows"] = {
         **{key: FIXED_WINDOWS[key] for key in ran if key in FIXED_WINDOWS},
-        "cleaving_convention": {"range": CONVENTION_REPORT_RANGE},
+        "cleaving_convention": {"range": galois.CONVENTION_REPORT_RANGE},
     }
-    cleaving_convention = galois.convention_report(
-        params.convention, CONVENTION_REPORT_RANGE
-    )
+    cleaving_convention = galois.convention_report(params.convention)
     return Report(
         suite=name,
         params=report_params,

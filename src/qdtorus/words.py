@@ -106,19 +106,18 @@ class RewriteSystem:
                 return pos, best
         return None
 
-    def normalize(self, word: Word, coeff: QScalar | None = None) -> Combo:
-        """Full normal form of coeff * word as a word combination.
+    def normalize(self, word: Word) -> Combo:
+        """Full normal form of a word as a word combination.
 
         After a rewrite at ``pos`` the search for the next redex resumes at
         ``pos - (longest pattern - 1)``: every position further left held
         no redex before and sees only unchanged letters after.
         """
-        coeff = QScalar.one() if coeff is None else coeff
-        if coeff.is_one() and word in self._cache:
+        if word in self._cache:
             return dict(self._cache[word])
         back = self._max_pattern - 1
         out: Combo = {}
-        stack: list[tuple[QScalar, Word, int]] = [(coeff, word, 0)]
+        stack: list[tuple[QScalar, Word, int]] = [(QScalar.one(), word, 0)]
         while stack:
             c, w, start = stack.pop()
             hit = self._cache.get(w)
@@ -136,8 +135,7 @@ class RewriteSystem:
             for rc, rw in rule.result:
                 stack.append((self.scalar_canon(c * rc), w[:pos] + rw + w[tail:], resume))
         out = settle(out, self.scalar_canon)
-        if coeff.is_one():
-            self._cache[word] = dict(out)
+        self._cache[word] = dict(out)
         return out
 
     def normalize_combo(self, combo: Combo) -> Combo:

@@ -36,6 +36,7 @@ from qdtorus.algebras import (
 )
 from qdtorus.errors import CompletionFailure
 from qdtorus.linalg import exact_div, nullspace, solve_unique
+from qdtorus.report import Check
 from qdtorus.scalars import (
     CyclotomicMode,
     QScalar,
@@ -567,9 +568,41 @@ def test_cached_sigma_matches_recomputation():
         fresh = base.delta(0) + base.delta(1) * QScalar.q_power(e)
         assert galois.sigma_table(k, l, m, n) == fresh
         assert galois._sigma_of_exponent.__wrapped__(e) == fresh
+    # AZ2 multiplies pointwise, so products of cocycle values add exponents
     for e1, e2 in itertools.product(range(-12, 13, 3), repeat=2):
-        fresh = base.delta(0) + base.delta(1) * QScalar.q_power(e1 + e2)
-        assert galois._sigma_product(e1, e2) == fresh
+        product = galois._sigma_of_exponent(e1) * galois._sigma_of_exponent(e2)
+        assert product == galois._sigma_of_exponent(e1 + e2)
+
+
+def ref_cocycle_scan(exp_range: int) -> list[Check]:
+    """The cocycle identity on AZ2 elements: sigma(h, g) sigma(hg, k) against
+    sigma(g, k) sigma(h, gk), with the first failing triple as witness."""
+    s = galois.sigma_table
+    span = range(-exp_range, exp_range + 1)
+    for k, l, m, n, p, r in itertools.product(span, repeat=6):
+        if s(k, l, m, n) * s(k + m, l + n, p, r) != s(m, n, p, r) * s(k, l, m + p, n + r):
+            return [Check("cocycle_identity", False, f"(u^{k}v^{l}, u^{m}v^{n}, u^{p}v^{r})")]
+    return [Check("cocycle_identity", True, None)]
+
+
+_REAL_SIGMA_EXPONENT = galois.sigma_q_exponent
+
+
+def _branch_off_by_one(k, l, m, n):
+    return _REAL_SIGMA_EXPONENT(k, l, m, n) + (1 if k > l and m > n else 0)
+
+
+def _far_shift(k, l, m, n):
+    return _REAL_SIGMA_EXPONENT(k, l, m, n) + (2 if abs(k) >= 4 else 0)
+
+
+@pytest.mark.parametrize("table", [None, _branch_off_by_one, _far_shift], ids=["real", "branch", "far"])
+def test_exponent_scan_matches_the_element_scan(table, monkeypatch):
+    if table is not None:
+        monkeypatch.setattr(galois, "sigma_q_exponent", table)
+    got = galois.verify_cocycle_condition(2)
+    assert got == ref_cocycle_scan(2)
+    assert got[0].passed == (table is None)
 
 
 # ---------------------------------------------------------------------------

@@ -297,12 +297,17 @@ class TestHaar:
             haar(auq2().gen("a"))
 
 
+def _corep_laws(w):
+    """The coproduct and counit checks of ``verify_corep``, without unitarity."""
+    return [c for c in verify_corep(w) if not c.name.endswith("_unitary")]
+
+
 class TestCoreps:
     def test_layout_is_the_printed_one(self):
         w = w_rep(0, 1)
         transposed = CorepMatrix(w.label, tuple(zip(*w.entries)))
-        assert all(c.passed for c in verify_corep(w, check_unitary=False))
-        assert not all(c.passed for c in verify_corep(transposed, check_unitary=False))
+        assert all(c.passed for c in _corep_laws(w))
+        assert not all(c.passed for c in _corep_laws(transposed))
 
     def test_fundamental(self):
         assert all(c.passed for c in verify_corep(w_rep(0, 1)))
@@ -319,7 +324,7 @@ class TestCoreps:
                 (B.gen("c"), B.gen("d") + B.gen("b")),
             ),
         )
-        checks = verify_corep(bad, check_unitary=False)
+        checks = _corep_laws(bad)
         failed = [c for c in checks if not c.passed]
         assert failed and failed[0].witness
 

@@ -1,10 +1,13 @@
-"""Source hygiene: no module-level import goes unused, and no exception
-class goes unraised.
+"""Source hygiene: no module-level import goes unused, no exception class
+goes unraised, and no parameter is quietly ignored.
 
 An import counts as used when its bound name is read anywhere in the module
 (as a name or as the base of an attribute), or is listed in ``__all__``.
 An exception class of ``errors.py`` counts as raised when some ``raise``
 under ``src/qdtorus/`` names it (called or bare, plain or as an attribute).
+A parameter of a ``def`` under ``src/qdtorus/`` counts as read when its name
+is loaded anywhere in the body, nested functions included; ``self`` and
+``cls`` are exempt, and so are the few listed in ``UNREAD_ALLOWED``.
 """
 
 import ast
@@ -74,3 +77,57 @@ def test_the_scan_sees_an_unraised_class():
     )
     user = ast.parse("raise A('x')\nraise errors.C\nB('built, never raised')\n")
     assert unraised_classes(errors, [user]) == ["B"]
+
+
+# (module, function, parameter) -> why the body may leave it unread
+UNREAD_ALLOWED = {
+    ("algebras.py", "basis_by_degree", "max_len"): "an override: the basis of AZ2 is finite",
+    ("suites.py", "_thunks_characters", "p"): "every suite builder takes the suite parameters",
+    ("galois.py", "coaction_lambda_from_ell", "conv"): (
+        "the cocleaving map does not depend on the convention, "
+        "but the acceptance tests pin the signature"
+    ),
+}
+
+
+def unread_parameters(tree: ast.Module) -> list[tuple[str, str, int]]:
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        read = {
+            n.id
+            for stmt in node.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        found += [
+            (node.name, a.arg, node.lineno)
+            for a in params
+            if a.arg not in ("self", "cls") and a.arg not in read
+        ]
+    return found
+
+
+def test_no_parameter_is_quietly_ignored():
+    found = {
+        (path.name, func, arg)
+        for path in PACKAGE
+        for func, arg, _ in unread_parameters(ast.parse(path.read_text(), str(path)))
+    }
+    assert sorted(found - set(UNREAD_ALLOWED)) == []
+    assert sorted(set(UNREAD_ALLOWED) - found) == []  # no stale allowance
+
+
+def test_the_scan_sees_an_unread_parameter():
+    tree = ast.parse(
+        "def f(self, a, b, *rest, c=1, **kw):\n"
+        "    b = 2\n"
+        "    def g():\n"
+        "        return a + kw['x']\n"
+        "    return g\n"
+    )
+    assert unread_parameters(tree) == [("f", "b", 1), ("f", "c", 1), ("f", "rest", 1)]

@@ -140,9 +140,9 @@ def test_duration_covers_the_convention_section(monkeypatch):
 
     real = galois.convention_report
 
-    def slow(name="corrected", exp_range=2):
+    def slow(name="corrected"):
         time.sleep(0.4)
-        return real(name, exp_range)
+        return real(name)
 
     monkeypatch.setattr(galois, "convention_report", slow)
     report = run_suite("haar", SuiteParams())
@@ -204,6 +204,25 @@ def test_warm_caches_do_not_hide_the_sigma_mutation(monkeypatch):
     assert failed and all(c.witness for c in failed)
 
 
+def test_a_sigma_defect_beyond_the_cross_check_range_fails_the_identity(monkeypatch):
+    """The cross-check and the normalization read sigma on [-3, 3]^4; the
+    identity scan reaches hg = u^-6v^-6, so only it sees a defect at |k| >= 4."""
+    original = galois.sigma_q_exponent
+
+    def mutated(k, l, m, n):
+        return original(k, l, m, n) + (2 if abs(k) >= 4 else 0)
+
+    monkeypatch.setattr(galois, "sigma_q_exponent", mutated)
+    report = run_suite("cocycle")
+    statuses = {c.name: (c.passed, c.witness) for c in report.checks}
+    assert statuses["cocycle_identity"] == (False, "(u^-3v^-3, u^-3v^-3, u^-3v^-3)")
+    assert statuses["sigma_table_equals_convolution"] == (True, None)
+    assert statuses["sigma_normalized"] == (True, None)
+    section = report.cleaving_convention
+    assert section.pop("active") == "corrected"
+    assert section == dict.fromkeys(section, True) and len(section) == 3
+
+
 def test_convention_section_is_recomputed_after_a_warm_run(monkeypatch):
     warm = run_suite("haar")
     assert warm.cleaving_convention["sigma_table_matches_convolution"] is True
@@ -234,11 +253,12 @@ _PLANTED_DEFECTS = {
         "base.delta(1) * (-sign * QScalar.q_power(view.d * view.d))",
         {"cocleaving_table_equals_derived": "fail", "coaction_formula_equals_derived": "fail"},
     ),
-    # the build crashes, and every check still reports under its own name
+    # exponents of q stay unreduced, so the build crashes, and every check
+    # still reports under its own name
     "fdquot": (
         "scalars.py",
-        "        return s.reduce_mod_poly(cyclotomic_polynomial(self.order))\n",
-        "        return s\n",
+        "        s = s.reduce_exponents(self.order)\n",
+        "",
         {
             "fdquot_dimension": "fail",
             "fdquot_confluent": "fail",
@@ -310,24 +330,20 @@ _PLANTED_DEFECTS = {
 }
 
 
-@pytest.mark.parametrize("suite", sorted(_PLANTED_DEFECTS))
-def test_a_planted_defect_fails_its_suite(suite, tmp_path):
+def _verify_with_a_planted_defect(tmp_path, name, original, planted, *argv):
+    """The checks of ``qdtorus verify *argv`` run on a copy of the package in
+    which ``original`` in module ``name`` reads ``planted``; the run must
+    exit 1 and give every failed check a witness."""
     import json
-    import os
-    import pathlib
     import shutil
-    import subprocess
-    import sys
 
-    src = pathlib.Path(__file__).parent.parent / "src"
-    shutil.copytree(src / "qdtorus", tmp_path / "qdtorus", ignore=shutil.ignore_patterns("__pycache__"))
-    name, original, planted, expected = _PLANTED_DEFECTS[suite]
+    shutil.copytree(_ROOT / "src" / "qdtorus", tmp_path / "qdtorus", ignore=shutil.ignore_patterns("__pycache__"))
     target = tmp_path / "qdtorus" / name
     text = target.read_text()
     assert text.count(original) == 1, f"the defect site moved in {name}"
     target.write_text(text.replace(original, planted))
     proc = subprocess.run(
-        [sys.executable, "-m", "qdtorus", "verify", suite, "--report", "json"],
+        [sys.executable, "-m", "qdtorus", "verify", *argv, "--report", "json"],
         env={**os.environ, "PYTHONPATH": str(tmp_path)},
         capture_output=True,
         text=True,
@@ -335,9 +351,42 @@ def test_a_planted_defect_fails_its_suite(suite, tmp_path):
     )
     assert proc.returncode == 1, proc.stderr[-2000:]
     checks = json.loads(proc.stdout)["checks"]
-    assert expected.items() <= {c["name"]: c["status"] for c in checks}.items(), checks
     failed = [c for c in checks if c["status"] == "fail"]
     assert failed and all(c.get("witness") for c in failed), failed
+    return checks
+
+
+@pytest.mark.parametrize("suite", sorted(_PLANTED_DEFECTS))
+def test_a_planted_defect_fails_its_suite(suite, tmp_path):
+    name, original, planted, expected = _PLANTED_DEFECTS[suite]
+    checks = _verify_with_a_planted_defect(tmp_path, name, original, planted, suite)
+    assert expected.items() <= {c["name"]: c["status"] for c in checks}.items(), checks
+
+
+@pytest.mark.parametrize(
+    "n, order, witness",
+    [
+        (4, 16, "ValueError: not a constant"),
+        (1, 2, "(-q)^1 != 1 for a primitive root of order 2"),
+        (3, 6, "(-q)^9 != 1 for a primitive root of order 6"),
+    ],
+)
+def test_fdquot_needs_the_reduction_modulo_the_cyclotomic_polynomial(n, order, witness, tmp_path):
+    """Without the reduction modulo Phi_M the scalars live in Q[q]/(q^M - 1),
+    which is no field.  At order 4 every inverted coefficient is a unit
+    +-q^k, whose norm inverse holds there too, so the default run passes;
+    at these orders the build fails, and each check says why."""
+    checks = _verify_with_a_planted_defect(
+        tmp_path,
+        "scalars.py",
+        "        return s.reduce_mod_poly(cyclotomic_polynomial(self.order))\n",
+        "        return s\n",
+        "fdquot", "--quotient-n", str(n), "--q-root", str(order),
+    )
+    statuses = {c["name"]: (c["status"], c.get("witness") or "") for c in checks}
+    assert statuses.pop("fdquot_symbolic_refused")[0] == "pass"
+    assert sorted(statuses) == ["fdquot_confluent", "fdquot_dimension", "fdquot_hopf_ideal"]
+    assert all(status == "fail" and got.startswith(witness) for status, got in statuses.values())
 
 
 def test_gns_relations_run_once_per_report(monkeypatch):
