@@ -8,6 +8,9 @@ patterns (powers of the quantum determinant, the central idempotent
 witness z, then a single run of a / d and a single run of b / c).  The
 classical torus, the base Z2 function algebra, the q-torus comodule algebra
 and the finite root-of-unity quotients are presented on their own alphabets.
+The double-torus quotient multiplies monomials in closed form on its two
+lattice corners (:class:`DoubleTorusAlgebra`); every other algebra
+multiplies by rewriting.
 
 Elements are finite linear combinations of irreducible words with exact
 Laurent-polynomial coefficients.  Each structure map of a word algebra is
@@ -505,9 +508,13 @@ class WordAlgebra(Algebra):
         key = (m1, m2)
         hit = self._mul_cache.get(key)
         if hit is None:
-            hit = self.element_from_combo(self.system.normalize(m1 + m2))
+            hit = self._multiply(m1, m2)
             self._mul_cache[key] = hit
         return hit
+
+    def _multiply(self, m1: Word, m2: Word) -> Element:
+        """The product of two normal monomials, computed on a cache miss."""
+        return self.element_from_combo(self.system.normalize(m1 + m2))
 
     # -- Hopf structure, extended from letter tables ---------------------------
 
@@ -682,6 +689,70 @@ class QGroupAlgebra(WordAlgebra):
             table["z"] = extend(_Z_DEFINING)
 
 
+# The lattice step of each generator run and its corner: 0 is the classical
+# corner z, 1 the quantum corner 1 - z.  Each corner's run for k < l and k > l.
+_RUN_STEP = {"a": (0, 1, 0), "d": (0, 0, 1), "c": (1, 1, 0), "b": (1, 0, 1)}
+_CORNER_RUNS = (("d", "a"), ("b", "c"))
+
+
+@lru_cache(maxsize=None)
+def corner_triples(mon: Word) -> tuple[tuple[int, int, int], ...]:
+    """The lattice triples (corner, k, l) of a normal ADTq monomial.
+
+    D^m a^n, D^m z and D^m d^n lie in the classical corner at (m + n, m),
+    (m, m) and (m, m + n); D^m c^n and D^m b^n in the quantum corner at
+    (m + n, m) and (m, m + n); D^m = D^m z + D^m (1 - z) lies in both.
+    """
+    view = quotient_mon_view(mon)
+    m = view.d
+    if view.gen is None:
+        return ((0, m, m),) if view.z else ((0, m, m), (1, m, m))
+    corner, dk, dl = _RUN_STEP[view.gen]
+    return ((corner, m + dk * view.n, m + dl * view.n),)
+
+
+def corner_word(corner: int, k: int, l: int) -> Word:
+    """The normal word of the triple (corner, k, l); on the diagonal it is
+    D^k z in the classical corner and D^k, read as D^k (1 - z), in the
+    quantum one."""
+    if k == l:
+        return quotient_mon_word(k, z=not corner)
+    return quotient_mon_word(min(k, l), gen=_CORNER_RUNS[corner][k > l], n=abs(k - l))
+
+
+class DoubleTorusAlgebra(QGroupAlgebra):
+    """ADTq = C[T²] ⊕ C[T²_{q²}], multiplied in closed form on its corners.
+
+    The central idempotent z cuts ADTq into two lattice corners.  On the
+    classical one, u^k v^l times u^m v^n is u^(k+m) v^(l+n).  The quantum
+    one is the quantum torus of D(1 - z) and b(1 - z), where
+    D^α b^β · D^γ b^δ = q^(2βγ) D^(α+γ) b^(β+δ); its triple (k, l) is
+    γ(k, l) D^k b^(l-k) with γ = (-1)^t q^(-t²), t = max(k - l, 0).  The
+    rewrite system still gives every normal form but the product's; the
+    hopf certificate checks this product against the rewrite rules and the
+    normal words (``hopf.PRODUCT_WINDOW``).
+    """
+
+    def _multiply(self, m1: Word, m2: Word) -> Element:
+        acc: dict = {}
+        for corner, k1, l1 in corner_triples(m1):
+            for corner2, k2, l2 in corner_triples(m2):
+                if corner != corner2:
+                    continue
+                k, l = k1 + k2, l1 + l2
+                coeff = ONE
+                if corner:
+                    t1, t2, t = max(k1 - l1, 0), max(k2 - l2, 0), max(k - l, 0)
+                    twist = 2 * (l1 - k1) * k2
+                    sign = (-1) ** (t1 + t2 + t)
+                    coeff = QScalar.q_power(twist + t * t - t1 * t1 - t2 * t2, sign)
+                word = corner_word(corner, k, l)
+                add_term(acc, word, coeff)
+                if corner and k == l:
+                    add_term(acc, word + ("z",), -coeff)
+        return Element._canonical(self, settle(acc, self.canon_scalar))
+
+
 _FACTORY_LOCK = threading.RLock()
 
 
@@ -723,8 +794,10 @@ def auq2() -> QGroupAlgebra:
 
 @algebra_factory
 def adtq(mutation: str | None = None) -> QGroupAlgebra:
-    tag = "ADTq" if mutation is None else f"ADTq!{mutation}"
-    return QGroupAlgebra(tag, _qg_base_rules() + _quotient_extra_rules(), mutation=mutation)
+    rules = _qg_base_rules() + _quotient_extra_rules()
+    if mutation is None:
+        return DoubleTorusAlgebra("ADTq", rules)
+    return QGroupAlgebra(f"ADTq!{mutation}", rules, mutation=mutation)
 
 
 # -- the classical torus ------------------------------------------------------

@@ -21,6 +21,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .algebras import (
     Algebra,
     BasisWindow,
@@ -31,6 +33,8 @@ from .algebras import (
     at2,
     at2q,
     az2,
+    corner_triples,
+    corner_word,
     enumerate_basis,
     extend_letters,
     quotient_mon_view,
@@ -72,15 +76,6 @@ def _sign_power(k: int) -> QScalar:
     return QScalar.of(1 if k % 2 == 0 else -1)
 
 
-def _section_word(k: int, l: int):
-    """The classical preimage of u^k v^l: D^l a^(k-l), D^k z or D^k d^(l-k)."""
-    if k > l:
-        return quotient_mon_word(l, gen="a", n=k - l)
-    if k < l:
-        return quotient_mon_word(k, gen="d", n=l - k)
-    return quotient_mon_word(k, z=True)
-
-
 @lru_cache(maxsize=None)
 def cleaving_j_mon(k: int, l: int, conv: CleavingConvention = CORRECTED) -> Element:
     """The section in the classical corner plus a twist in the quantum one."""
@@ -100,7 +95,7 @@ def cleaving_j_mon(k: int, l: int, conv: CleavingConvention = CORRECTED) -> Elem
         twist = (
             alg.monomial(quotient_mon_word(e)) - alg.monomial(quotient_mon_word(e, z=True))
         ) * _sign_power(e)
-    return alg.monomial(_section_word(k, l)) + twist
+    return alg.monomial(corner_word(0, k, l)) + twist
 
 
 def cleaving_j(h: Element, conv: CleavingConvention = CORRECTED) -> Element:
@@ -147,19 +142,12 @@ def inj(x: Element) -> Element:
     return adtq().combine((inj_mon(mon), c) for mon, c in x.terms.items())
 
 
-def _lattice_exponents(view) -> tuple[int, int]:
-    """The lattice pair (k, l) of a normal monomial: a and c raise k, b and d raise l."""
-    k = view.d + (view.n if view.gen in ("a", "c") else 0)
-    l = view.d + (view.n if view.gen in ("b", "d") else 0)
-    return k, l
-
-
 def prj_mon(mon) -> Element:
     """Projection to the diagonal torus: kill the off-diagonal corner, z -> 1."""
     view = quotient_mon_view(mon)
     if view.gen in ("b", "c"):
         return at2().zero()
-    return at2().monomial(at2().lattice_mon(*_lattice_exponents(view)))
+    return at2().monomial(at2().lattice_mon(*corner_triples(mon)[0][1:]))
 
 
 def prj(e: Element) -> Element:
@@ -227,13 +215,32 @@ def verify_cocycle_condition(exp_range: int) -> list[Check]:
 
     sigma(h, g) = d0 + d1 q^e(h, g) and AZ2 multiplies pointwise, so the
     identity sigma(h, g) sigma(hg, k) = sigma(g, k) sigma(h, gk) is the sum
-    identity e(h, g) + e(hg, k) = e(g, k) + e(h, gk) of the exponents.
+    identity e(h, g) + e(hg, k) = e(g, k) + e(h, gk) of the exponents.  The
+    exponents are tabulated once on [-2r, 2r]^4 and the identity is checked
+    on arrays of triples; the witness is the first failing triple in
+    ``itertools.product`` order.
     """
     e = sigma_q_exponent  # looked up per call, so a patched table is seen
-    span = range(-exp_range, exp_range + 1)
-    for k, l, m, n, p, r in itertools.product(span, repeat=6):
-        if e(k, l, m, n) + e(k + m, l + n, p, r) != e(m, n, p, r) + e(k, l, m + p, n + r):
-            witness = f"(u^{k}v^{l}, u^{m}v^{n}, u^{p}v^{r})"
+    r = exp_range
+    wide = range(-2 * r, 2 * r + 1)
+    table = np.array([e(*a) for a in itertools.product(wide, repeat=4)])
+    table = table.reshape((len(wide),) * 4)
+
+    def exponent(*args):
+        return table[tuple(x + 2 * r for x in args)]
+
+    # the last four coordinates of a triple (u^k v^l, u^m v^n, u^p v^s), each
+    # on its own axis; one slab of them per (k, l) keeps the memory small
+    m, n, p, s = (
+        np.arange(-r, r + 1).reshape([-1 if j == i else 1 for j in range(4)]) for i in range(4)
+    )
+    right = exponent(m, n, p, s)
+    for k, l in itertools.product(range(-r, r + 1), repeat=2):
+        lhs = exponent(k, l, m, n) + exponent(k + m, l + n, p, s)
+        bad = lhs != right + exponent(k, l, m + p, n + s)
+        if bad.any():
+            m0, n0, p0, s0 = (int(i) - r for i in np.unravel_index(np.argmax(bad), bad.shape))
+            witness = f"(u^{k}v^{l}, u^{m0}v^{n0}, u^{p0}v^{s0})"
             return [Check("cocycle_identity", False, witness)]
     return [Check("cocycle_identity", True, None)]
 
@@ -311,7 +318,7 @@ def coaction_lambda_from_ell(
     """
     alg, torus, base = adtq(), at2(), az2()
     acc: dict = {}
-    for (m1, m2, m3), c in alg.coproduct_mon(_section_word(k, l)).coproduct_leg(0).terms.items():
+    for (m1, m2, m3), c in alg.coproduct_mon(corner_word(0, k, l)).coproduct_leg(0).terms.items():
         middle = prj_mon(m2)
         if middle.is_zero():
             continue
@@ -432,7 +439,7 @@ def phi_inverse(e: Element, conv: CleavingConvention = CORRECTED) -> Element:
                 k = conv.diag_sign_exponent * view.d
                 key = (1, k, k)
             else:
-                key = (i, *_lattice_exponents(view))
+                key = corner_triples(mon)[0]
             acc[key] = c * phi_mon(key, conv).coefficient(mon).inverse()
     return Element(build_bicross_product(conv.name), acc)
 
@@ -494,7 +501,7 @@ def verify_exact_sequence(exp_range: int = 3) -> list[Check]:
     # surjectivity via explicit preimages: u^k v^l is the image of its section
     bad = None
     for k, l in itertools.product(range(-exp_range, exp_range + 1), repeat=2):
-        if prj_mon(_section_word(k, l)) != torus.monomial(torus.lattice_mon(k, l)):
+        if prj_mon(corner_word(0, k, l)) != torus.monomial(torus.lattice_mon(k, l)):
             bad = bad or f"u^{k}v^{l}"
     checks.append(Check("exactseq_prj_surjective", bad is None, witness=bad))
 

@@ -16,7 +16,16 @@ from typing import Callable
 
 import numpy as np
 
-from .algebras import Algebra, Element, TensorElement, quotient_mon_view
+from .algebras import (
+    Algebra,
+    BasisWindow,
+    DoubleTorusAlgebra,
+    Element,
+    TensorElement,
+    enumerate_basis,
+    quotient_mon_view,
+    quotient_mon_word,
+)
 from .errors import NotAHopfAlgebra, WindowExceeded
 from .report import Check
 from .scalars import QScalar, add_term
@@ -41,11 +50,17 @@ def verify_hopf_axioms(algebra: Algebra, max_degree: int) -> list[Check]:
     (anti)homomorphism; (G) the six laws hold on the unit and the normal
     generators.  Both sides of every law are then (anti)homomorphisms of one
     kind, or (the antipode law) closed under products, so they agree
-    everywhere.  When the certificate fails, the basis monomials up to
-    ``max_degree`` are scanned for witnesses, and every law that uses a map
-    which broke a relation fails, naming the relation where the scan finds
-    nothing.  An algebra without a presentation (the bicrossed product) is
-    scanned up to ``max_degree``.
+    everywhere.  ADTq multiplies in closed form on its two lattice corners,
+    not by rewriting, so its certificate has a fifth map, the product: it
+    respects every rewrite rule, and on ``PRODUCT_WINDOW`` every normal word
+    is its prefix times its last letter, and D^(±1) times it is the word
+    with its D-power moved by one.  The corner model is associative and has
+    one basis element per normal monomial, so that makes it the presented
+    product on the window.  When the certificate fails, the basis monomials
+    up to ``max_degree`` are scanned for witnesses, and every law that uses
+    a map which broke a relation fails, naming the relation where the scan
+    finds nothing.  An algebra without a presentation (the bicrossed
+    product) is scanned up to ``max_degree``.
     """
     if not algebra.is_hopf:
         raise NotAHopfAlgebra(f"{algebra.tag} carries no coproduct")
@@ -61,13 +76,16 @@ def verify_hopf_axioms(algebra: Algebra, max_degree: int) -> list[Check]:
 
 # each law, with the structure maps it uses
 _LAW_MAPS = {
-    "coassociativity": ("coproduct",),
-    "counit_law": ("coproduct", "counit"),
-    "antipode_law": ("coproduct", "counit", "antipode"),
-    "coproduct_star": ("coproduct", "star"),
-    "star_involutive": ("star",),
-    "antipode_star_square": ("antipode", "star"),
+    "coassociativity": ("product", "coproduct"),
+    "counit_law": ("product", "coproduct", "counit"),
+    "antipode_law": ("product", "coproduct", "counit", "antipode"),
+    "coproduct_star": ("product", "coproduct", "star"),
+    "star_involutive": ("product", "star"),
+    "antipode_star_square": ("product", "antipode", "star"),
 }
+
+# where a closed-form product is checked against the normal words
+PRODUCT_WINDOW = BasisWindow(d_max=8, gen_max=8)
 
 
 def _law_failures(algebra: Algebra, mons) -> dict:
@@ -97,7 +115,11 @@ def _law_failures(algebra: Algebra, mons) -> dict:
 
 
 def _certified_failures(algebra, max_degree: int) -> dict:
-    broken = broken_relations(algebra)
+    broken = {m: f"relation {r}: {m} differs" for m, r in broken_relations(algebra).items()}
+    if isinstance(algebra, DoubleTorusAlgebra) and "product" not in broken:
+        off = product_off_normal_words(algebra)
+        if off:
+            broken["product"] = off
     # the unit and the normal letters; AZ2's unit d0 + d1 is no word, and
     # its basis d0, d1 already consists of generators
     on_generators = _law_failures(algebra, algebra.basis_by_degree(1))
@@ -107,9 +129,7 @@ def _certified_failures(algebra, max_degree: int) -> dict:
     return {
         law: scanned[law]
         or on_generators[law]
-        or next(
-            (f"relation {broken[m]}: {m} differs" for m in maps if m in broken), None
-        )
+        or next((broken[m] for m in maps if m in broken), None)
         for law, maps in _LAW_MAPS.items()
     }
 
@@ -119,7 +139,9 @@ def broken_relations(algebra) -> dict[str, str]:
 
     Each map is evaluated letter by letter on the rule's pattern and on the
     words of its result; equal normal forms mean the map respects the
-    relation, whether or not the rewrite system is confluent.
+    relation, whether or not the rewrite system is confluent.  A product in
+    closed form is a fifth map: the product of the pattern's letters must be
+    the normalized result.
     """
     pair = (algebra, algebra)
     broken: dict[str, str] = {}
@@ -143,10 +165,36 @@ def broken_relations(algebra) -> dict[str, str]:
                 algebra.combine((algebra.star_mon(w), c.star()) for c, w in rhs),
             ),
         }
+        if isinstance(algebra, DoubleTorusAlgebra):
+            x, y = lhs  # every rule of ADTq relates two letters
+            sides["product"] = (
+                algebra.mul_mon((x,), (y,)),
+                algebra.combine((algebra.normalize_word(w), c) for c, w in rhs),
+            )
         for name, (left, right) in sides.items():
             if left != right and name not in broken:
                 broken[name] = "*".join(lhs)
     return broken
+
+
+def product_off_normal_words(algebra) -> str | None:
+    """The first product on ``PRODUCT_WINDOW`` that is not a normal word.
+
+    Each normal monomial w of the window must be its prefix times its last
+    letter, and D^(±1) times w must be w with its D-power moved by one.
+    """
+    fmt = algebra.format_mon
+    for w in enumerate_basis(algebra, PRODUCT_WINDOW):
+        view = quotient_mon_view(w)
+        cases = [(w[:-1], w[-1:], w)] if w else []
+        cases += [
+            (d, w, quotient_mon_word(view.d + step, view.z, view.gen, view.n))
+            for step, d in ((1, ("D",)), (-1, ("Dinv",)))
+        ]
+        for left, right, word in cases:
+            if algebra.mul_mon(left, right).terms != {word: QScalar.one()}:
+                return f"product {fmt(left)} · {fmt(right)} is not {fmt(word) or '1'}"
+    return None
 
 
 def proof_summary(algebra, max_degree: int, checks: list[Check]) -> str:

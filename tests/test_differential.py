@@ -3,8 +3,9 @@
 The references are the straightforward implementations the package used
 before its fast paths: scalars as dicts of Fraction coefficients combined by
 nested loops, element sums folded as ``out = out + piece * c`` with the
-coefficients canonicalised after every step, memoized maps recomputed
-without their caches, leftmost reduction that rescans every word from
+coefficients canonicalised after every step, products of monomials read off
+the rewriting normal form (ADTq multiplies in closed form), memoized maps
+recomputed without their caches, leftmost reduction that rescans every word from
 position 0 without a cache, and Knuth-Bendix completion that orients one
 critical pair per pass.  The package must agree with them exactly, and
 must store every coefficient as an ``int`` or as a ``Fraction`` with
@@ -33,6 +34,7 @@ from qdtorus.algebras import (
     auq2,
     az2,
     build_finite_quotient,
+    quotient_mon_word,
 )
 from qdtorus.errors import CompletionFailure
 from qdtorus.linalg import exact_div, nullspace, solve_unique
@@ -460,12 +462,17 @@ def ref_tensor_add(x: TensorElement, y: TensorElement) -> TensorElement:
     return TensorElement(x.legs, out)
 
 
+def ref_mul_mon(alg, m1, m2) -> Element:
+    """The rewriting normal form of the word m1 m2, without ``mul_mon``."""
+    return alg.element_from_combo(alg.system.normalize(m1 + m2))
+
+
 def ref_mul_el(x: Element, y: Element) -> Element:
     alg = x.algebra
     return ref_fold(
         alg,
         (
-            (alg.mul_mon(m1, m2), c1 * c2)
+            (ref_mul_mon(alg, m1, m2), c1 * c2)
             for m1, c1 in x.terms.items()
             for m2, c2 in y.terms.items()
         ),
@@ -543,6 +550,82 @@ def test_sum_cancelling_only_after_cyclotomic_canon():
     assert x * x == ref_mul_el(x, x) == D * (2 * q)
     assert alg.combine([(unit, q * q), (unit, None)]).is_zero()
     assert ref_fold(alg, [(unit, q * q), (unit, QScalar.one())]).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# ADTq's closed-form product against rewriting
+# ---------------------------------------------------------------------------
+
+
+def adtq_monomials(bound: int):
+    """Normal ADTq monomials D^m, D^m z and D^m x^n with |m| <= bound and
+    1 <= n <= bound."""
+    span = st.integers(-bound, bound)
+    return st.one_of(
+        st.builds(lambda m, z: quotient_mon_word(m, z=z), span, st.booleans()),
+        st.builds(
+            lambda m, x, n: quotient_mon_word(m, gen=x, n=n),
+            span,
+            st.sampled_from("adbc"),
+            st.integers(1, bound),
+        ),
+    )
+
+
+@given(adtq_monomials(12), adtq_monomials(12))
+@settings(max_examples=200, deadline=None)
+def test_adtq_product_matches_rewriting(m1, m2):
+    alg = adtq()
+    assert alg.mul_mon(m1, m2) == ref_mul_mon(alg, m1, m2)
+
+
+adtq_coefficients = st.one_of(
+    st.integers(-3, 3).map(QScalar.q_power),
+    st.builds(Fraction, st.integers(-20, 20).filter(bool), st.integers(1, 12)).map(QScalar.of),
+)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_adtq_element_products_match_rewriting(data):
+    alg = adtq()
+    terms = st.lists(st.tuples(adtq_monomials(4), adtq_coefficients), min_size=1, max_size=3)
+    x, y = (alg.combine((alg.monomial(m), c) for m, c in data.draw(terms)) for _ in range(2))
+    assert x * y == ref_mul_el(x, y)
+    assert (x * y) * x == x * (y * x)
+
+
+def test_a_cold_adtq_product_never_rewrites(monkeypatch):
+    alg = algebras.adtq.__wrapped__()  # a second instance, with cold caches
+    x = alg.monomial(("D", "D", "c", "c")) + alg.monomial(("Dinv", "b"), QScalar.q_power(2))
+    y = alg.monomial(("Dinv", "z")) - alg.monomial(("D", "b", "b", "b")) + alg.monomial(())
+
+    def refuse(self, word):
+        raise AssertionError(f"rewrote {word}")
+
+    pairs = {(m1, m2) for m1 in x.terms for m2 in y.terms}
+    assert len(pairs) == 6 and pairs.isdisjoint(alg._mul_cache)
+    monkeypatch.setattr(RewriteSystem, "normalize", refuse)
+    product = x * y
+    assert pairs <= alg._mul_cache.keys()
+    monkeypatch.undo()
+    assert product == ref_mul_el(x, y)
+
+
+def test_the_weakened_quotient_still_rewrites(monkeypatch):
+    weak = algebras.adtq.__wrapped__("bc_weak")
+    rewritten = []
+    real = RewriteSystem.normalize
+
+    def recording(self, word):
+        rewritten.append(word)
+        return real(self, word)
+
+    monkeypatch.setattr(RewriteSystem, "normalize", recording)
+    weak_bc = weak.monomial(("b",)) * weak.monomial(("c",))
+    assert ("b", "c") in rewritten
+    assert str(weak_bc) == "-D + D*z"
+    assert str(adtq().monomial(("b",)) * adtq().monomial(("c",))) == "-q*D + q*D*z"
 
 
 # ---------------------------------------------------------------------------

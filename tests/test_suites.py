@@ -363,6 +363,28 @@ def test_a_planted_defect_fails_its_suite(suite, tmp_path):
     assert expected.items() <= {c["name"]: c["status"] for c in checks}.items(), checks
 
 
+# Defects in ADTq's closed-form product that the 33 relations cannot see:
+# each fires only beyond the lattice points of two letters.
+_PLANTED_PRODUCT_DEFECTS = {
+    "twist_sign_from_k_5": (
+        "twist = 2 * (l1 - k1) * k2",
+        "twist = (-2 if abs(k) >= 5 else 2) * (l1 - k1) * k2",
+    ),
+    "classical_coefficient_2_from_n_6": (
+        "coeff = ONE\n",
+        "coeff = QScalar.of(2 if abs(k - l) >= 6 else 1)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_PLANTED_PRODUCT_DEFECTS))
+def test_a_planted_product_defect_fails_every_adtq_law(defect, tmp_path):
+    original, planted = _PLANTED_PRODUCT_DEFECTS[defect]
+    checks = _verify_with_a_planted_defect(tmp_path, "algebras.py", original, planted, "all")
+    laws = [c for c in checks if c["name"].startswith("hopf_ADTq_")]
+    assert len(laws) == 6 and all(c["status"] == "fail" for c in laws), laws
+
+
 @pytest.mark.parametrize(
     "n, order, witness",
     [
