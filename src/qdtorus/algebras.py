@@ -720,36 +720,62 @@ def corner_word(corner: int, k: int, l: int) -> Word:
     return quotient_mon_word(min(k, l), gen=_CORNER_RUNS[corner][k > l], n=abs(k - l))
 
 
-class DoubleTorusAlgebra(QGroupAlgebra):
-    """ADTq = C[T²] ⊕ C[T²_{q²}], multiplied in closed form on its corners.
+def _corner_terms(corner: int, k: int, l: int) -> dict:
+    """The word of one lattice triple; D^k (1 - z) on the quantum diagonal.
+    ``_multiply`` runs while ``adtq()`` is built, so it reads these terms
+    rather than :func:`corner_element`."""
+    word = corner_word(corner, k, l)
+    if corner and k == l:
+        return {word: ONE, word + ("z",): -ONE}
+    return {word: ONE}
 
-    The central idempotent z cuts ADTq into two lattice corners.  On the
-    classical one, u^k v^l times u^m v^n is u^(k+m) v^(l+n).  The quantum
-    one is the quantum torus of D(1 - z) and b(1 - z), where
+
+@lru_cache(maxsize=None)
+def corner_element(corner: int, k: int, l: int) -> Element:
+    """The ADTq element of one lattice triple, inverse to :func:`corner_coordinates`."""
+    return Element(adtq(), _corner_terms(corner, k, l))
+
+
+def corner_coordinates(e: Element) -> dict:
+    """The linear extension of :func:`corner_triples`: triple -> coefficient."""
+    acc: dict = {}
+    for mon, c in e.terms.items():
+        for triple in corner_triples(mon):
+            add_term(acc, triple, c)
+    return settle(acc, keep_scalar)
+
+
+def corner_product(t1: tuple[int, int, int], t2: tuple[int, int, int]) -> QScalar:
+    """The coefficient of the triple t1 + t2 in the product of two triples of
+    one corner.  The classical corner is C[T²]: u^k v^l u^m v^n = u^(k+m) v^(l+n).
+    The quantum one is the quantum torus of D(1 - z) and b(1 - z), where
     D^α b^β · D^γ b^δ = q^(2βγ) D^(α+γ) b^(β+δ); its triple (k, l) is
-    γ(k, l) D^k b^(l-k) with γ = (-1)^t q^(-t²), t = max(k - l, 0).  The
-    rewrite system still gives every normal form but the product's; the
-    hopf certificate checks this product against the rewrite rules and the
-    normal words (``hopf.PRODUCT_WINDOW``).
-    """
+    γ(k, l) D^k b^(l-k) with γ = (-1)^s q^(-s²), s = max(k - l, 0)."""
+    (corner, k1, l1), (_, k2, l2) = t1, t2
+    k, l = k1 + k2, l1 + l2
+    coeff = ONE
+    if corner:
+        s1, s2, s = max(k1 - l1, 0), max(k2 - l2, 0), max(k - l, 0)
+        twist = 2 * (l1 - k1) * k2
+        sign = (-1) ** (s1 + s2 + s)
+        coeff = QScalar.q_power(twist + s * s - s1 * s1 - s2 * s2, sign)
+    return coeff
+
+
+class DoubleTorusAlgebra(QGroupAlgebra):
+    """ADTq = C[T²] ⊕ C[T²_{q²}], multiplied in closed form on the lattice
+    triples of its two corners (:func:`corner_product`).  The rewrite system
+    still gives every normal form but the product's; the hopf certificate
+    checks this product against the rewrite rules and the normal words
+    (``hopf.PRODUCT_WINDOW``)."""
 
     def _multiply(self, m1: Word, m2: Word) -> Element:
         acc: dict = {}
-        for corner, k1, l1 in corner_triples(m1):
-            for corner2, k2, l2 in corner_triples(m2):
-                if corner != corner2:
-                    continue
-                k, l = k1 + k2, l1 + l2
-                coeff = ONE
-                if corner:
-                    t1, t2, t = max(k1 - l1, 0), max(k2 - l2, 0), max(k - l, 0)
-                    twist = 2 * (l1 - k1) * k2
-                    sign = (-1) ** (t1 + t2 + t)
-                    coeff = QScalar.q_power(twist + t * t - t1 * t1 - t2 * t2, sign)
-                word = corner_word(corner, k, l)
-                add_term(acc, word, coeff)
-                if corner and k == l:
-                    add_term(acc, word + ("z",), -coeff)
+        for t1 in corner_triples(m1):
+            for t2 in corner_triples(m2):
+                if t1[0] == t2[0]:
+                    t = (t1[0], t1[1] + t2[1], t1[2] + t2[2])
+                    add_scaled(acc, _corner_terms(*t), corner_product(t1, t2))
         return Element._canonical(self, settle(acc, self.canon_scalar))
 
 

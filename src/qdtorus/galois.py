@@ -8,9 +8,11 @@ formula) and for the base coaction (``coaction_lambda_mon``, the closed swap
 formula, vs ``coaction_lambda_from_ell``, the three-leg cocleaving formula);
 the suites check they agree exactly.
 
-The diagonal branch of the cleaving map carries a convention toggle: the
-``corrected`` convention uses the positive exponent on the alternating
-determinant factor and is the unique choice consistent with the cocycle
+The cleft maps j, Phi, Phi^-1, prj, inj and the convolution cocycle read
+ADTq only through its lattice triples (``algebras.corner_coordinates`` and
+``corner_element``); j's quantum corner is stated once, in
+:func:`cleaving_twist`.  Its diagonal carries a convention toggle: the
+``corrected`` convention is the unique choice consistent with the cocycle
 table, the cocleaving table and right-colinearity; the ``printed`` variant
 is kept behind the toggle to reproduce the documented discrepancy.
 """
@@ -33,12 +35,13 @@ from .algebras import (
     at2,
     at2q,
     az2,
+    corner_coordinates,
+    corner_element,
+    corner_product,
     corner_triples,
-    corner_word,
     enumerate_basis,
     extend_letters,
     quotient_mon_view,
-    quotient_mon_word,
     tensor_of,
 )
 from .errors import NotInBaseImage
@@ -72,30 +75,23 @@ def convention(name: str) -> CleavingConvention:
 # ---------------------------------------------------------------------------
 
 
-def _sign_power(k: int) -> QScalar:
-    return QScalar.of(1 if k % 2 == 0 else -1)
+@lru_cache(maxsize=None)
+def cleaving_twist(k: int, l: int, conv: CleavingConvention = CORRECTED) -> tuple:
+    """j's quantum corner at u^k v^l as (triple, coefficient): (-1)^m q^(±m²)
+    times (1, k, l), m = min(k, l), with the sign of k - l on m².  On the
+    diagonal the printed convention moves the triple to (1, -k, -k)."""
+    m = min(k, l)
+    exponent = m * m if k > l else -m * m if k < l else 0
+    if k == l:
+        k = l = conv.diag_sign_exponent * k
+    return (1, k, l), QScalar.q_power(exponent, -1 if m % 2 else 1)
 
 
 @lru_cache(maxsize=None)
 def cleaving_j_mon(k: int, l: int, conv: CleavingConvention = CORRECTED) -> Element:
-    """The section in the classical corner plus a twist in the quantum one."""
-    alg = adtq()
-    if k > l:
-        twist = alg.monomial(
-            quotient_mon_word(l, gen="c", n=k - l),
-            _sign_power(l) * QScalar.q_power(l * l),
-        )
-    elif k < l:
-        twist = alg.monomial(
-            quotient_mon_word(k, gen="b", n=l - k),
-            _sign_power(k) * QScalar.q_power(-k * k),
-        )
-    else:
-        e = conv.diag_sign_exponent * k
-        twist = (
-            alg.monomial(quotient_mon_word(e)) - alg.monomial(quotient_mon_word(e, z=True))
-        ) * _sign_power(e)
-    return alg.monomial(corner_word(0, k, l)) + twist
+    """The section in the classical corner plus a twist in the quantum one:
+    j(h) = Phi(1 ⊗ h)."""
+    return phi_mon((0, k, l), conv) + phi_mon((1, k, l), conv)
 
 
 def cleaving_j(h: Element, conv: CleavingConvention = CORRECTED) -> Element:
@@ -117,37 +113,25 @@ def cleaving_j_inverse_mon(k: int, l: int, conv: CleavingConvention = CORRECTED)
 
 
 def to_az2(e: Element) -> Element:
-    """Read an element of span{1, z} as a function on the two-point group."""
+    """Read an element of span{z, 1 - z} as a function on the two-point group."""
+    coords = corner_coordinates(e)
+    if not coords.keys() <= {(0, 0, 0), (1, 0, 0)}:
+        raise NotInBaseImage(f"not in the idempotent span: {e}")
     base = az2()
-    c_unit = QScalar.zero()
-    c_z = QScalar.zero()
-    for mon, c in e.terms.items():
-        if mon == ():
-            c_unit = c
-        elif mon == ("z",):
-            c_z = c
-        else:
-            raise NotInBaseImage(f"not in the idempotent span: {e}")
-    return base.delta(0) * (c_unit + c_z) + base.delta(1) * c_unit
+    return base.combine((base.delta(i), c) for (i, _, _), c in coords.items())
 
 
 def inj_mon(mon) -> Element:
-    """Inclusion of the base: d0 -> z and d1 -> 1 - z."""
-    alg = adtq()
-    z = alg.gen("z")
-    return {("d0",): z, ("d1",): alg.unit() - z}[mon]
-
-
-def inj(x: Element) -> Element:
-    return adtq().combine((inj_mon(mon), c) for mon, c in x.terms.items())
+    """Inclusion of the base: d_i -> the unit of corner i (z and 1 - z)."""
+    return corner_element({("d0",): 0, ("d1",): 1}[mon], 0, 0)
 
 
 def prj_mon(mon) -> Element:
-    """Projection to the diagonal torus: kill the off-diagonal corner, z -> 1."""
-    view = quotient_mon_view(mon)
-    if view.gen in ("b", "c"):
-        return at2().zero()
-    return at2().monomial(at2().lattice_mon(*corner_triples(mon)[0][1:]))
+    """Projection to the diagonal torus: keep the classical corner, z -> 1."""
+    torus = at2()
+    return torus.combine(
+        (torus.monomial(torus.lattice_mon(k, l)), None) for i, k, l in corner_triples(mon) if i == 0
+    )
 
 
 def prj(e: Element) -> Element:
@@ -203,11 +187,18 @@ def sigma_convolution(
 ) -> Element:
     """sigma(h, g) = j(h) j(g) j^{-1}(hg) for group-like arguments.
 
-    Raises :class:`NotInBaseImage` when the product does not land in the
-    idempotent span (which is how the printed diagonal branch fails).
+    The classical corner gives d0.  In the quantum one j(h) is c(h) times the
+    triple t_h, so sigma is c(h) c(g) corner_product(t_h, t_g) / c(hg) on d1.
+    Raises :class:`NotInBaseImage` when t_h + t_g is not t_hg (which is how
+    the printed diagonal branch fails).
     """
-    product = cleaving_j_mon(k, l, conv) * cleaving_j_mon(m, n, conv)
-    return to_az2(product * cleaving_j_inverse_mon(k + m, l + n, conv))
+    (th, ch), (tg, cg), (thg, chg) = (
+        cleaving_twist(*h, conv) for h in ((k, l), (m, n), (k + m, l + n))
+    )
+    if (1, th[1] + tg[1], th[2] + tg[2]) != thg:
+        raise NotInBaseImage(f"j(h) j(g) j*(hg) leaves the idempotent span: t_hg = {thg}")
+    base = az2()
+    return base.delta(0) + base.delta(1) * (ch * cg * corner_product(th, tg) * chg.inverse())
 
 
 def verify_cocycle_condition(exp_range: int) -> list[Check]:
@@ -253,7 +244,7 @@ def verify_cocycle_condition(exp_range: int) -> list[Check]:
 def ell_table_mon(mon) -> Element:
     base = az2()
     view = quotient_mon_view(mon)
-    sign = _sign_power(view.d)
+    sign = QScalar.of(-1 if view.d % 2 else 1)
     if view.gen in ("a", "d") or view.z:
         return base.delta(0)
     if view.gen == "b":
@@ -273,12 +264,10 @@ def ell_from_j_mon(mon, conv: CleavingConvention = CORRECTED) -> Element:
     alg = adtq()
     return to_az2(
         alg.combine(
-            (
-                alg.monomial(m1) * cleaving_j_inverse_mon(*at2().lattice_exponents(t), conv),
-                c * c2,
-            )
+            (alg.monomial(m1) * cleaving_j_inverse_mon(k, l, conv), c)
             for (m1, m2), c in alg.coproduct_mon(mon).terms.items()
-            for t, c2 in prj_mon(m2).terms.items()
+            for i, k, l in corner_triples(m2)
+            if i == 0
         )
     )
 
@@ -318,7 +307,7 @@ def coaction_lambda_from_ell(
     """
     alg, torus, base = adtq(), at2(), az2()
     acc: dict = {}
-    for (m1, m2, m3), c in alg.coproduct_mon(corner_word(0, k, l)).coproduct_leg(0).terms.items():
+    for (m1, m2, m3), c in corner_element(0, k, l).coproduct().coproduct_leg(0).terms.items():
         middle = prj_mon(m2)
         if middle.is_zero():
             continue
@@ -348,8 +337,6 @@ class BicrossAlgebra(Algebra):
     def __init__(self, conv: CleavingConvention):
         self.conv = conv
         self.tag = f"BICROSS[{conv.name}]"
-        self._antipode_cache: dict = {}
-        self._star_cache: dict = {}
 
     def unit(self) -> Element:
         return Element(self, {(0, 0, 0): ONE, (1, 0, 0): ONE})
@@ -373,19 +360,13 @@ class BicrossAlgebra(Algebra):
     def counit_mon(self, mon) -> QScalar:
         return ONE if mon[0] == 0 else QScalar.zero()
 
+    @lru_cache(maxsize=None)
     def antipode_mon(self, mon) -> Element:
-        hit = self._antipode_cache.get(mon)
-        if hit is None:
-            hit = phi_inverse(phi_mon(mon, self.conv).antipode(), self.conv)
-            self._antipode_cache[mon] = hit
-        return hit
+        return phi_inverse(phi_mon(mon, self.conv).antipode(), self.conv)
 
+    @lru_cache(maxsize=None)
     def star_mon(self, mon) -> Element:
-        hit = self._star_cache.get(mon)
-        if hit is None:
-            hit = phi_inverse(phi_mon(mon, self.conv).star(), self.conv)
-            self._star_cache[mon] = hit
-        return hit
+        return phi_inverse(phi_mon(mon, self.conv).star(), self.conv)
 
     def format_mon(self, mon) -> str:
         i, k, l = mon
@@ -415,9 +396,12 @@ def build_bicross_product(convention_name: str = "corrected") -> BicrossAlgebra:
 
 
 def phi_mon(mon, conv: CleavingConvention = CORRECTED) -> Element:
+    """Phi(d_i ⊗ u^k v^l): the corner-i part of j(u^k v^l)."""
     i, k, l = mon
-    corner = adtq().gen("z") if i == 0 else adtq().unit() - adtq().gen("z")
-    return corner * cleaving_j_mon(k, l, conv)
+    if i == 0:
+        return corner_element(0, k, l)
+    triple, c = cleaving_twist(k, l, conv)
+    return corner_element(*triple) * c
 
 
 def phi(e: Element, conv: CleavingConvention = CORRECTED) -> Element:
@@ -425,22 +409,15 @@ def phi(e: Element, conv: CleavingConvention = CORRECTED) -> Element:
 
 
 def phi_inverse(e: Element, conv: CleavingConvention = CORRECTED) -> Element:
-    """Inverse of Phi: each monomial of a corner of e is a multiple of the image
-    of one basis triple, except D^m z in the quantum corner, whose coefficient
-    is always minus that of D^m (its partner in the image of the diagonal)."""
-    classical = adtq().gen("z") * e
+    """Inverse of Phi: the corner coordinates of e divided by the twist.
+    The twist moves quantum triples by an involution, so each is the image
+    of its own twist triple."""
     acc: dict = {}
-    for i, part in ((0, classical), (1, e - classical)):
-        for mon, c in part.terms.items():
-            view = quotient_mon_view(mon)
-            if i == 1 and view.gen is None:
-                if view.z:
-                    continue
-                k = conv.diag_sign_exponent * view.d
-                key = (1, k, k)
-            else:
-                key = corner_triples(mon)[0]
-            acc[key] = c * phi_mon(key, conv).coefficient(mon).inverse()
+    for (i, k, l), c in corner_coordinates(e).items():
+        if i:
+            (_, k, l), _ = cleaving_twist(k, l, conv)
+            c = c * cleaving_twist(k, l, conv)[1].inverse()
+        acc[(i, k, l)] = c
     return Element(build_bicross_product(conv.name), acc)
 
 
@@ -449,43 +426,43 @@ def phi_inverse(e: Element, conv: CleavingConvention = CORRECTED) -> Element:
 # ---------------------------------------------------------------------------
 
 
+def _hopf_star_map_failure(f_mon, source, target, mons) -> str | None:
+    """The first structure map that f, given on monomials, does not respect,
+    at the first of ``mons`` where it fails."""
+
+    def f(e: Element) -> Element:
+        return target.combine((f_mon(m), c) for m, c in e.terms.items())
+
+    for mon in mons:
+        x = source.monomial(mon)
+        fx = f(x)
+        cop = x.coproduct().apply_leg(0, f_mon, target).apply_leg(1, f_mon, target)
+        laws = (
+            ("coproduct", fx.coproduct(), cop),
+            ("counit", fx.counit(), x.counit()),
+            ("antipode", fx.antipode(), f(x.antipode())),
+            ("star", fx.star(), f(x.star())),
+        )
+        bad = next((law for law, got, want in laws if got != want), None)
+        if bad:
+            return f"{bad} at {source.format_mon(mon)}"
+    return None
+
+
 def verify_exact_sequence(exp_range: int = 3) -> list[Check]:
     alg, torus, base = adtq(), at2(), az2()
     checks: list[Check] = []
-    z = alg.gen("z")
 
     images = [inj_mon(("d0",)), inj_mon(("d1",))]
     injective = images[0] != images[1] and not images[0].is_zero()
     witness = None if injective else f"i(d0) = {images[0]}, i(d1) = {images[1]}"
     checks.append(Check("exactseq_i_injective", injective, witness=witness))
 
-    bad = None
-    for mon in (("d0",), ("d1",)):
-        x = base.monomial(mon)
-        ix = inj(x)
-        if ix.coproduct() != x.coproduct().apply_leg(0, inj_mon, alg).apply_leg(1, inj_mon, alg):
-            bad = f"coproduct at {base.format_mon(mon)}"
-        if ix.counit() != x.counit():
-            bad = bad or f"counit at {base.format_mon(mon)}"
-        if ix.antipode() != inj(x.antipode()):
-            bad = bad or f"antipode at {base.format_mon(mon)}"
-        if ix.star() != inj(x.star()):
-            bad = bad or f"star at {base.format_mon(mon)}"
+    bad = _hopf_star_map_failure(inj_mon, base, alg, (("d0",), ("d1",)))
     checks.append(Check("exactseq_i_hopf_star_map", bad is None, witness=bad))
 
     window = enumerate_basis(alg, BasisWindow(d_max=exp_range, gen_max=exp_range))
-    bad = None
-    for mon in window:
-        p = alg.monomial(mon)
-        pp = prj(p)
-        if pp.coproduct() != p.coproduct().apply_leg(0, prj_mon, torus).apply_leg(1, prj_mon, torus):
-            bad = bad or f"coproduct at {alg.format_mon(mon)}"
-        if pp.counit() != p.counit():
-            bad = bad or f"counit at {alg.format_mon(mon)}"
-        if pp.antipode() != prj(p.antipode()):
-            bad = bad or f"antipode at {alg.format_mon(mon)}"
-        if pp.star() != prj(p.star()):
-            bad = bad or f"star at {alg.format_mon(mon)}"
+    bad = _hopf_star_map_failure(prj_mon, alg, torus, window)
     checks.append(Check("exactseq_prj_hopf_star_map", bad is None, witness=bad))
 
     bad = next(
@@ -501,13 +478,13 @@ def verify_exact_sequence(exp_range: int = 3) -> list[Check]:
     # surjectivity via explicit preimages: u^k v^l is the image of its section
     bad = None
     for k, l in itertools.product(range(-exp_range, exp_range + 1), repeat=2):
-        if prj_mon(corner_word(0, k, l)) != torus.monomial(torus.lattice_mon(k, l)):
+        if prj(corner_element(0, k, l)) != torus.monomial(torus.lattice_mon(k, l)):
             bad = bad or f"u^{k}v^{l}"
     checks.append(Check("exactseq_prj_surjective", bad is None, witness=bad))
 
     # kernel on the window: exactly the off-diagonal corner, i.e. the ideal
     # generated by z - 1; every killed vector satisfies e = (1-z) e
-    one_minus_z = alg.unit() - z
+    one_minus_z = alg.unit() - alg.gen("z")
     kernel_gens = []
     collisions = 0
     image_index: dict = {}
@@ -522,18 +499,9 @@ def verify_exact_sequence(exp_range: int = 3) -> list[Check]:
             collisions += 1
         else:
             image_index[key] = mon
-    bad = None
-    for e in kernel_gens:
-        if one_minus_z * e != e:
-            bad = str(e)
-            break
-    expected_killed = sum(
-        1 for mon in window if quotient_mon_view(mon).gen in ("b", "c")
-    )
-    counts_ok = (
-        len(kernel_gens) == expected_killed + collisions
-        and collisions == 2 * exp_range + 1
-    )
+    bad = next((str(e) for e in kernel_gens if one_minus_z * e != e), None)
+    expected_killed = sum(1 for mon in window if quotient_mon_view(mon).gen in ("b", "c"))
+    counts_ok = len(kernel_gens) == expected_killed + collisions and collisions == 2 * exp_range + 1
     checks.append(
         Check("exactseq_kernel_is_offdiagonal_ideal", bad is None and counts_ok, witness=bad)
     )

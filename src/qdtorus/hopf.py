@@ -22,6 +22,7 @@ from .algebras import (
     DoubleTorusAlgebra,
     Element,
     TensorElement,
+    corner_coordinates,
     enumerate_basis,
     quotient_mon_view,
     quotient_mon_word,
@@ -232,23 +233,22 @@ def convolve(
 # ---------------------------------------------------------------------------
 
 
-def haar(e: Element) -> QScalar:
-    """The invariant state: supported on the two central idempotents only.
+# the weights w and 1 - w of the classical and the quantum corner state
+_W = QScalar.of(Fraction(1, 2))
+_CORNER_WEIGHTS = (((0, 0, 0), _W), ((1, 0, 0), 1 - _W))
 
-    On the normal basis, powers of the determinant alone or together with a
-    generator run are annihilated; the idempotent components each carry
-    weight one half (forced by invariance applied to the group-like 2z-1).
+
+def haar(e: Element) -> QScalar:
+    """The invariant state ½(τ_cl + τ_q), where τ reads the coordinate of e
+    at the lattice origin of its corner; every other triple is annihilated.
+
+    The state w τ_cl + (1 - w) τ_q is normalised for every weight w;
+    invariance applied to the group-like 2z - 1 forces w = ½.
     """
     if not e.algebra.tag.startswith("ADTq"):
         raise WindowExceeded("the invariant functional lives on the quotient algebra")
-    half = QScalar.of(Fraction(1, 2))
-    total = QScalar.zero()
-    for mon, c in e.terms.items():
-        view = quotient_mon_view(mon)
-        if view.gen is not None or view.d != 0:
-            continue
-        total = total + (c * half if view.z else c)
-    return total
+    coords = corner_coordinates(e)
+    return sum((coords[t] * w for t, w in _CORNER_WEIGHTS if t in coords), QScalar.zero())
 
 
 def haar_biinvariance_checks(algebra, max_degree: int) -> list[Check]:

@@ -23,6 +23,8 @@ from .algebras import (
     auq2,
     az2,
     build_finite_quotient,
+    corner_coordinates,
+    corner_triples,
     enumerate_basis,
 )
 from .errors import NotInBaseImage, QdtError, RootConditionViolated
@@ -319,25 +321,25 @@ def _thunks_bicross(p: SuiteParams):
     mons = bic.basis_by_degree(fixed["phi_max_deg"])
 
     def phi_bijective():
-        window = enumerate_basis(alg, BasisWindow(**fixed["phi_inverse_window"]))
-        images = [galois.phi_mon(m, conv) for m in mons]
-        bad = next(
-            (
-                f"phi_inverse(phi({bic.format_mon(m)}))"
-                for m in mons
-                if galois.phi_inverse(galois.phi_mon(m, conv), conv) != bic.monomial(m)
-            ),
-            None,
-        ) or next(
-            (
-                f"phi(phi_inverse({alg.format_mon(m)}))"
-                for m in window
-                if galois.phi(galois.phi_inverse(alg.monomial(m), conv), conv) != alg.monomial(m)
-            ),
-            None,
-        )
-        if bad is None and len({frozenset(e.terms.items()) for e in images}) < len(images):
-            bad = "two basis monomials share an image"
+        # Phi sends each triple to a unit times one triple, injectively on
+        # both windows and onto the triples of the inverse window
+        window = {
+            t
+            for m in enumerate_basis(alg, BasisWindow(**fixed["phi_inverse_window"]))
+            for t in corner_triples(m)
+        }
+        hit: set = set()
+        bad = None
+        for mon in sorted(set(mons) | window, key=bic.mon_sort_key):
+            coords = corner_coordinates(galois.phi_mon(mon, conv))
+            t, c = next(iter(coords.items()), (None, QScalar.zero()))
+            if len(coords) != 1 or c * c.star() != QScalar.one() or t in hit:
+                bad = f"phi({bic.format_mon(mon)}) is not a unit times a triple of its own"
+                break
+            hit.add(t)
+        missed = sorted(window - hit)
+        if bad is None and missed:
+            bad = f"the window triple {missed[0]} is not an image"
         return [Check("bicross_phi_bijective", bad is None, witness=bad)]
 
     def phi_algebra_hom():

@@ -5,7 +5,8 @@ before its fast paths: scalars as dicts of Fraction coefficients combined by
 nested loops, element sums folded as ``out = out + piece * c`` with the
 coefficients canonicalised after every step, products of monomials read off
 the rewriting normal form (ADTq multiplies in closed form), memoized maps
-recomputed without their caches, leftmost reduction that rescans every word from
+recomputed without their caches, the cleft-extension maps built from
+words and ADTq products (they read lattice triples), leftmost reduction that rescans every word from
 position 0 without a cache, and Knuth-Bendix completion that orients one
 critical pair per pass.  The package must agree with them exactly, and
 must store every coefficient as an ``int`` or as a ``Fraction`` with
@@ -34,9 +35,14 @@ from qdtorus.algebras import (
     auq2,
     az2,
     build_finite_quotient,
+    corner_coordinates,
+    corner_element,
+    corner_triples,
+    quotient_mon_view,
     quotient_mon_word,
 )
-from qdtorus.errors import CompletionFailure
+from qdtorus.errors import CompletionFailure, NotInBaseImage
+from qdtorus.hopf import haar
 from qdtorus.linalg import exact_div, nullspace, solve_unique
 from qdtorus.report import Check
 from qdtorus.scalars import (
@@ -686,6 +692,121 @@ def test_exponent_scan_matches_the_element_scan(table, monkeypatch):
     got = galois.verify_cocycle_condition(2)
     assert got == ref_cocycle_scan(2)
     assert got[0].passed == (table is None)
+
+
+# ---------------------------------------------------------------------------
+# The cleft maps on lattice triples against their word-built constructions
+# ---------------------------------------------------------------------------
+
+CONVENTIONS = [galois.CORRECTED, galois.PRINTED]
+
+
+def _sign(k: int) -> QScalar:
+    return QScalar.of(1 if k % 2 == 0 else -1)
+
+
+def ref_cleaving_j_mon(k, l, conv) -> Element:
+    """j from three word branches: the section D^l a^(k-l), D^k d^(l-k) or
+    D^k z, plus a c run, a b run or a diagonal twist."""
+    alg = adtq()
+    if k > l:
+        section = quotient_mon_word(l, gen="a", n=k - l)
+        twist = alg.monomial(quotient_mon_word(l, gen="c", n=k - l), _sign(l) * QScalar.q_power(l * l))
+    elif k < l:
+        section = quotient_mon_word(k, gen="d", n=l - k)
+        twist = alg.monomial(quotient_mon_word(k, gen="b", n=l - k), _sign(k) * QScalar.q_power(-k * k))
+    else:
+        section = quotient_mon_word(k, z=True)
+        e = conv.diag_sign_exponent * k
+        twist = (alg.monomial(quotient_mon_word(e)) - alg.monomial(quotient_mon_word(e, z=True))) * _sign(e)
+    return alg.monomial(section) + twist
+
+
+def ref_to_az2(e: Element) -> Element:
+    """Read an element of span{1, z} off its monomials 1 and z."""
+    if set(e.terms) - {(), ("z",)}:
+        raise NotInBaseImage(f"not in the idempotent span: {e}")
+    base = az2()
+    c_unit, c_z = e.coefficient(()), e.coefficient(("z",))
+    return base.delta(0) * (c_unit + c_z) + base.delta(1) * c_unit
+
+
+def ref_sigma_convolution(k, l, m, n, conv) -> Element:
+    j = ref_cleaving_j_mon
+    return ref_to_az2(j(k, l, conv) * j(m, n, conv) * j(k + m, l + n, conv).star())
+
+
+def ref_phi_mon(mon, conv) -> Element:
+    i, k, l = mon
+    z = adtq().gen("z")
+    return (z if i == 0 else adtq().unit() - z) * ref_cleaving_j_mon(k, l, conv)
+
+
+def ref_phi_inverse(e: Element, conv) -> Element:
+    """Phi^-1 with the corners cut by z: every monomial of a corner is a
+    multiple of the image of one triple, except D^m z in the quantum corner,
+    whose coefficient is always minus that of D^m."""
+    classical = adtq().gen("z") * e
+    acc: dict = {}
+    for i, part in ((0, classical), (1, e - classical)):
+        for mon, c in part.terms.items():
+            view = quotient_mon_view(mon)
+            if i == 1 and view.gen is None:
+                if view.z:
+                    continue
+                k = conv.diag_sign_exponent * view.d
+                key = (1, k, k)
+            else:
+                key = corner_triples(mon)[0]
+            acc[key] = c * ref_phi_mon(key, conv).coefficient(mon).inverse()
+    return Element(galois.build_bicross_product(conv.name), acc)
+
+
+def ref_haar(e: Element) -> QScalar:
+    """The state on the normal words: 1 -> 1, z -> 1/2, every other word -> 0."""
+    total = QScalar.zero()
+    for mon, c in e.terms.items():
+        view = quotient_mon_view(mon)
+        if view.gen is None and view.d == 0:
+            total = total + (c * QScalar.of(Fraction(1, 2)) if view.z else c)
+    return total
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotInBaseImage:
+        return NotInBaseImage
+
+
+@pytest.mark.parametrize("conv", CONVENTIONS, ids=lambda c: c.name)
+def test_cleaving_twist_matches_the_word_branches(conv):
+    for k, l in itertools.product(range(-5, 6), repeat=2):
+        assert galois.cleaving_j_mon(k, l, conv) == ref_cleaving_j_mon(k, l, conv), (k, l)
+
+
+@pytest.mark.parametrize("conv", CONVENTIONS, ids=lambda c: c.name)
+def test_sigma_on_triples_matches_the_element_product(conv):
+    outcomes = set()
+    for args in itertools.product(range(-3, 4), repeat=4):
+        got = _outcome(galois.sigma_convolution, *args, conv)
+        assert got == _outcome(ref_sigma_convolution, *args, conv), args
+        outcomes.add(got is NotInBaseImage)
+    assert outcomes == ({False, True} if conv is galois.PRINTED else {False})
+
+
+@given(data=st.data(), conv=st.sampled_from(CONVENTIONS))
+@settings(max_examples=150, deadline=None)
+def test_corner_coordinates_match_the_word_readings(data, conv):
+    alg = adtq()
+    mons = st.one_of(st.sampled_from([(), ("z",)]), adtq_monomials(4))
+    terms = data.draw(st.lists(st.tuples(mons, adtq_coefficients), min_size=1, max_size=3))
+    e = alg.combine((alg.monomial(m), c) for m, c in terms)
+    coords = corner_coordinates(e)
+    assert alg.combine((corner_element(*t), c) for t, c in coords.items()) == e
+    assert galois.phi_inverse(e, conv) == ref_phi_inverse(e, conv)
+    assert haar(e) == ref_haar(e)
+    assert _outcome(galois.to_az2, e) == _outcome(ref_to_az2, e)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ under ``src/qdtorus/`` names it (called or bare, plain or as an attribute).
 A parameter of a ``def`` under ``src/qdtorus/`` counts as read when its name
 is loaded anywhere in the body, nested functions included; ``self`` and
 ``cls`` are exempt, and so are the few listed in ``UNREAD_ALLOWED``.
+Only ``algebras.py`` knows the normal words of ADTq's lattice triples:
+``galois.py`` neither imports nor reads its word builders.
 """
 
 import ast
@@ -131,3 +133,31 @@ def test_the_scan_sees_an_unread_parameter():
         "    return g\n"
     )
     assert unread_parameters(tree) == [("f", "b", 1), ("f", "c", 1), ("f", "rest", 1)]
+
+
+CORNER_WORD_BUILDERS = ("quotient_mon_word", "corner_word")
+
+
+def corner_word_uses(tree: ast.Module) -> list[str]:
+    """The word builders a module imports by name or reads as an attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names if a.name in CORNER_WORD_BUILDERS]
+        elif isinstance(node, ast.Attribute) and node.attr in CORNER_WORD_BUILDERS:
+            found.append(node.attr)
+    return found
+
+
+def test_galois_reads_adtq_through_its_corner_coordinates():
+    path = ROOT / "src" / "qdtorus" / "galois.py"
+    assert corner_word_uses(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_the_scan_sees_a_corner_word_import():
+    tree = ast.parse(
+        "from .algebras import adtq, corner_word as cw\n"
+        "from . import algebras\n"
+        "algebras.quotient_mon_word(1)\n"
+    )
+    assert corner_word_uses(tree) == ["corner_word", "quotient_mon_word"]
