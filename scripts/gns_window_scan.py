@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Finite-window evidence: truncated operator norms as the window grows.
 
-Prints the power-iteration estimate of the largest singular value for a few
-elements across increasing window sizes; the values are non-decreasing and
-stabilise at the true norms of the infinite-lattice operators.
+Prints the largest singular value of the truncated matrix, exact over its
+connected blocks, for a few elements across increasing window sizes; the
+values are non-decreasing and stabilise at the true norms of the
+infinite-lattice operators.
 """
 
 import argparse

@@ -46,10 +46,6 @@ class WindowOverflow(QdtError):
     """Operator application pushed amplitude outside the truncation window."""
 
 
-class NonConvergence(QdtError):
-    """Power iteration failed to stabilise within the iteration budget."""
-
-
 class CompletionFailure(QdtError):
     """Critical-pair completion of a quotient rewrite system did not terminate."""
 

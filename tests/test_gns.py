@@ -6,6 +6,8 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdtorus import gns
 from qdtorus.algebras import adtq
@@ -149,6 +151,11 @@ class TestNorms:
     def test_block_diagonal_sum(self):
         assert estimate_operator_norm(el("a + b"), 6, THETA) == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("text, size", [("a^3", 0), ("b*c", 0), ("a^5", 1)])
+    def test_a_matrix_with_no_entries_has_norm_zero(self, text, size):
+        # every column of the word leaves the window
+        assert estimate_operator_norm(el(text), size, THETA) == 0.0
+
     def test_monotone_in_window(self):
         values = [
             estimate_operator_norm(el("a + d"), size, THETA) for size in (3, 5, 7)
@@ -248,7 +255,7 @@ def test_operators_and_norms_match_a_dense_oracle(size):
         words = [("a", "d"), ("c", "b"), ("D", "Dinv"), ("z", "b", "a")]
         for word in [(gen,) for gen in padded] + words:
             agree(word)
-        for text in ("a + d", "D + Dinv", "b*c + q*a - z"):
+        for text in ("a + d", "D + Dinv", "a + D", "b*c + q*a - z"):
             element = el(text)
             matrix = sum(
                 coeff.eval_unit(theta) * functools.reduce(np.matmul, [clipped[g] for g in mon])
@@ -257,6 +264,58 @@ def test_operators_and_norms_match_a_dense_oracle(size):
             dense = np.linalg.norm(matrix, 2)
             estimate = estimate_operator_norm(element, size, theta)
             assert dense - 1e-5 <= estimate <= dense + 1e-9, (text, theta)
+
+
+def _dense_element(element, size, theta):
+    """The element's truncated matrix: its words as products of the clipped
+    oracle matrices, summed with their evaluated coefficients."""
+    padded, inner = _dense_oracle(size, theta)
+    clipped = {gen: m[np.ix_(inner, inner)] for gen, m in padded.items()}
+    return sum(
+        (
+            coeff.eval_unit(theta)
+            * functools.reduce(np.matmul, [clipped[g] for g in mon], np.eye(len(inner)))
+            for mon, coeff in element.terms.items()
+        ),
+        np.zeros((len(inner), len(inner)), complex),
+    )
+
+
+def test_the_norm_of_a_plus_determinant_is_exact():
+    element = el("a + D")
+    dense = np.linalg.norm(_dense_element(element, 10, THETA), 2)
+    assert abs(estimate_operator_norm(element, 10, THETA) - dense) <= 1e-12
+
+
+LETTERS = ("a", "b", "c", "d", "D", "Dinv", "z")
+weighted_words = st.tuples(
+    st.lists(st.sampled_from(LETTERS), max_size=3),
+    st.integers(-3, 3).filter(bool),
+    st.integers(-4, 4),
+)
+
+
+@given(
+    st.lists(weighted_words, min_size=1, max_size=3),
+    st.integers(2, 5),
+    st.sampled_from([0.0, 0.13, 0.31, 0.77]),
+)
+@settings(max_examples=120, deadline=None)
+def test_block_norms_match_the_dense_norm(words, size, theta):
+    """The norm over connected blocks equals the 2-norm of the whole dense
+    matrix, for random sums of words with coefficients n*q^k."""
+    alg = adtq()
+    element = sum(
+        (
+            functools.reduce(lambda x, g: x * alg.gen(g), word, alg.unit())
+            * QScalar.q_power(k)
+            * n
+            for word, n, k in words
+        ),
+        alg.zero(),
+    )
+    dense = np.linalg.norm(_dense_element(element, size, theta), 2)
+    assert abs(estimate_operator_norm(element, size, theta) - dense) <= 1e-12
 
 
 def test_norms_and_relations_share_one_operator_set():
