@@ -8,6 +8,7 @@ in the printed rows (their transpose breaks the corepresentation law).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from .algebras import Element, TensorElement, adtq, quotient_mon_word, tensor_of
 from .errors import CyclotomicModeUnsupported, IncompleteWindow
 from .hopf import haar
 from .linalg import nullspace
-from .report import Check
+from .report import Check, checks_from
 from .scalars import QScalar
 
 
@@ -82,37 +83,32 @@ def standard_families(m_max: int, n_max: int) -> list[CorepMatrix]:
 
 
 def verify_corep(w: CorepMatrix) -> list[Check]:
-    alg = w.algebra
+    alg, e, dim = w.algebra, w.entries, range(w.dim)
 
-    cop_bad = eps_bad = uni_bad = None
-    for i in range(w.dim):
-        for j in range(w.dim):
-            expected = TensorElement.combine(
-                (alg, alg),
-                ((tensor_of([w.entries[i][k], w.entries[k][j]]), None) for k in range(w.dim)),
-            )
-            if w.entries[i][j].coproduct() != expected:
-                cop_bad = cop_bad or f"{w.label}[{i}][{j}]"
-            eps = w.entries[i][j].counit()
-            if eps != (QScalar.one() if i == j else QScalar.zero()):
-                eps_bad = eps_bad or f"{w.label}[{i}][{j}]"
-    unit = alg.unit()
-    for i in range(w.dim):
-        for j in range(w.dim):
-            target = unit if i == j else alg.zero()
-            rowsum = alg.combine(
-                (w.entries[i][k] * w.entries[j][k].star(), None) for k in range(w.dim)
-            )
-            colsum = alg.combine(
-                (w.entries[k][i].star() * w.entries[k][j], None) for k in range(w.dim)
-            )
-            if rowsum != target or colsum != target:
-                uni_bad = uni_bad or f"{w.label}[{i}][{j}]"
-    return [
-        Check(f"corep_{w.label}_coproduct_law", cop_bad is None, witness=cop_bad),
-        Check(f"corep_{w.label}_counit_law", eps_bad is None, witness=eps_bad),
-        Check(f"corep_{w.label}_unitary", uni_bad is None, witness=uni_bad),
-    ]
+    def coproduct_law(i, j) -> bool:
+        expected = TensorElement.combine(
+            (alg, alg), ((tensor_of([e[i][k], e[k][j]]), None) for k in dim)
+        )
+        return e[i][j].coproduct() == expected
+
+    def counit_law(i, j) -> bool:
+        return e[i][j].counit() == (QScalar.one() if i == j else QScalar.zero())
+
+    def unitary(i, j) -> bool:
+        target = alg.unit() if i == j else alg.zero()
+        return (
+            alg.combine((e[i][k] * e[j][k].star(), None) for k in dim) == target
+            and alg.combine((e[k][i].star() * e[k][j], None) for k in dim) == target
+        )
+
+    def failing(law):
+        return (f"{w.label}[{i}][{j}]" for i, j in itertools.product(dim, dim) if not law(i, j))
+
+    return checks_from({
+        f"corep_{w.label}_coproduct_law": failing(coproduct_law),
+        f"corep_{w.label}_counit_law": failing(counit_law),
+        f"corep_{w.label}_unitary": failing(unitary),
+    })
 
 
 def character_of(w: CorepMatrix) -> Element:
@@ -127,16 +123,13 @@ def character_gram(coreps: list[CorepMatrix]) -> list[list[QScalar]]:
 
 def character_gram_is_identity(coreps: list[CorepMatrix]) -> Check:
     gram = character_gram(coreps)
-    witness = None
-    for i, row in enumerate(gram):
-        for j, value in enumerate(row):
-            expected = QScalar.one() if i == j else QScalar.zero()
-            if value != expected:
-                witness = f"h(chi[{coreps[i].label}]* chi[{coreps[j].label}]) = {value}"
-                break
-        if witness:
-            break
-    return Check("character_gram_identity", witness is None, witness=witness)
+    off_identity = (
+        f"h(chi[{coreps[i].label}]* chi[{coreps[j].label}]) = {value}"
+        for i, row in enumerate(gram)
+        for j, value in enumerate(row)
+        if value != (QScalar.one() if i == j else QScalar.zero())
+    )
+    return checks_from({"character_gram_identity": off_identity})[0]
 
 
 def decompose_character(chi_el: Element, candidates: list[CorepMatrix]) -> dict[str, int]:
@@ -219,7 +212,6 @@ def peter_weyl_checks(m_max: int, n_max: int) -> list[Check]:
     half = QScalar.of(Fraction(1, 2))
     produced: set = set()
     expected: set = set()
-    witness = None
     for m in range(-m_max, m_max + 1):
         for n in range(1, n_max + 1):
             w = w_rep(m, n)
@@ -235,8 +227,11 @@ def peter_weyl_checks(m_max: int, n_max: int) -> list[Check]:
         expected.add(_el(m, z=True))
         expected.add(_el(m) - _el(m, z=True))
     total = (2 * m_max + 1) * (4 * n_max + 2)
-    if len(produced) != total:
-        witness = f"expected {total} distinct coefficients, got {len(produced)}"
-    elif produced != expected:
-        witness = "coefficient set differs from the basis window"
-    return [Check("peter_weyl_coverage", witness is None, witness=witness)]
+
+    def witnesses():
+        if len(produced) != total:
+            yield f"expected {total} distinct coefficients, got {len(produced)}"
+        if produced != expected:
+            yield "coefficient set differs from the basis window"
+
+    return checks_from({"peter_weyl_coverage": witnesses()})

@@ -45,7 +45,7 @@ from .algebras import (
     tensor_of,
 )
 from .errors import NotInBaseImage
-from .report import Check
+from .report import Check, checks_from
 from .scalars import QScalar, add_term
 
 ONE = QScalar.one()
@@ -226,14 +226,17 @@ def verify_cocycle_condition(exp_range: int) -> list[Check]:
         np.arange(-r, r + 1).reshape([-1 if j == i else 1 for j in range(4)]) for i in range(4)
     )
     right = exponent(m, n, p, s)
-    for k, l in itertools.product(range(-r, r + 1), repeat=2):
+
+    def failures(k, l):
         lhs = exponent(k, l, m, n) + exponent(k + m, l + n, p, s)
-        bad = lhs != right + exponent(k, l, m + p, n + s)
-        if bad.any():
-            m0, n0, p0, s0 = (int(i) - r for i in np.unravel_index(np.argmax(bad), bad.shape))
-            witness = f"(u^{k}v^{l}, u^{m0}v^{n0}, u^{p0}v^{s0})"
-            return [Check("cocycle_identity", False, witness)]
-    return [Check("cocycle_identity", True, None)]
+        return (np.argwhere(lhs != right + exponent(k, l, m + p, n + s)) - r).tolist()
+
+    failing = (
+        f"(u^{k}v^{l}, u^{m0}v^{n0}, u^{p0}v^{s0})"
+        for k, l in itertools.product(range(-r, r + 1), repeat=2)
+        for m0, n0, p0, s0 in failures(k, l)
+    )
+    return checks_from({"cocycle_identity": failing})
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +429,9 @@ def phi_inverse(e: Element, conv: CleavingConvention = CORRECTED) -> Element:
 # ---------------------------------------------------------------------------
 
 
-def _hopf_star_map_failure(f_mon, source, target, mons) -> str | None:
-    """The first structure map that f, given on monomials, does not respect,
-    at the first of ``mons`` where it fails."""
+def _hopf_star_map_failures(f_mon, source, target, mons):
+    """A scan of ``mons`` for the structure maps that f, given on monomials,
+    does not respect."""
 
     def f(e: Element) -> Element:
         return target.combine((f_mon(m), c) for m, c in e.terms.items())
@@ -443,44 +446,15 @@ def _hopf_star_map_failure(f_mon, source, target, mons) -> str | None:
             ("antipode", fx.antipode(), f(x.antipode())),
             ("star", fx.star(), f(x.star())),
         )
-        bad = next((law for law, got, want in laws if got != want), None)
-        if bad:
-            return f"{bad} at {source.format_mon(mon)}"
-    return None
+        yield from (f"{law} at {source.format_mon(mon)}" for law, got, want in laws if got != want)
 
 
 def verify_exact_sequence(exp_range: int = 3) -> list[Check]:
     alg, torus, base = adtq(), at2(), az2()
-    checks: list[Check] = []
-
-    images = [inj_mon(("d0",)), inj_mon(("d1",))]
-    injective = images[0] != images[1] and not images[0].is_zero()
-    witness = None if injective else f"i(d0) = {images[0]}, i(d1) = {images[1]}"
-    checks.append(Check("exactseq_i_injective", injective, witness=witness))
-
-    bad = _hopf_star_map_failure(inj_mon, base, alg, (("d0",), ("d1",)))
-    checks.append(Check("exactseq_i_hopf_star_map", bad is None, witness=bad))
-
+    base_mons = (("d0",), ("d1",))
+    images = [inj_mon(mon) for mon in base_mons]
     window = enumerate_basis(alg, BasisWindow(d_max=exp_range, gen_max=exp_range))
-    bad = _hopf_star_map_failure(prj_mon, alg, torus, window)
-    checks.append(Check("exactseq_prj_hopf_star_map", bad is None, witness=bad))
-
-    bad = next(
-        (
-            base.format_mon(mon)
-            for mon in (("d0",), ("d1",))
-            if prj(inj_mon(mon)) != torus.unit() * base.counit_mon(mon)
-        ),
-        None,
-    )
-    checks.append(Check("exactseq_prj_after_i_is_unit_counit", bad is None, witness=bad))
-
-    # surjectivity via explicit preimages: u^k v^l is the image of its section
-    bad = None
-    for k, l in itertools.product(range(-exp_range, exp_range + 1), repeat=2):
-        if prj(corner_element(0, k, l)) != torus.monomial(torus.lattice_mon(k, l)):
-            bad = bad or f"u^{k}v^{l}"
-    checks.append(Check("exactseq_prj_surjective", bad is None, witness=bad))
+    lattice = itertools.product(range(-exp_range, exp_range + 1), repeat=2)
 
     # kernel on the window: exactly the off-diagonal corner, i.e. the ideal
     # generated by z - 1; every killed vector satisfies e = (1-z) e
@@ -499,13 +473,32 @@ def verify_exact_sequence(exp_range: int = 3) -> list[Check]:
             collisions += 1
         else:
             image_index[key] = mon
-    bad = next((str(e) for e in kernel_gens if one_minus_z * e != e), None)
-    expected_killed = sum(1 for mon in window if quotient_mon_view(mon).gen in ("b", "c"))
-    counts_ok = len(kernel_gens) == expected_killed + collisions and collisions == 2 * exp_range + 1
-    checks.append(
-        Check("exactseq_kernel_is_offdiagonal_ideal", bad is None and counts_ok, witness=bad)
+    counts = (len(kernel_gens) - collisions, collisions)
+    expected = (
+        sum(1 for mon in window if quotient_mon_view(mon).gen in ("b", "c")),
+        2 * exp_range + 1,
     )
-    return checks
+    miscounted = [] if counts == expected else [f"(killed, collisions) = {counts}, not {expected}"]
+    injective = images[0] != images[1] and not images[0].is_zero()
+    return checks_from({
+        "exactseq_i_injective": [] if injective else [f"i(d0) = {images[0]}, i(d1) = {images[1]}"],
+        "exactseq_i_hopf_star_map": _hopf_star_map_failures(inj_mon, base, alg, base_mons),
+        "exactseq_prj_hopf_star_map": _hopf_star_map_failures(prj_mon, alg, torus, window),
+        "exactseq_prj_after_i_is_unit_counit": (
+            base.format_mon(mon)
+            for mon in base_mons
+            if prj(inj_mon(mon)) != torus.unit() * base.counit_mon(mon)
+        ),
+        # surjectivity via explicit preimages: u^k v^l is the image of its section
+        "exactseq_prj_surjective": (
+            f"u^{k}v^{l}"
+            for k, l in lattice
+            if prj(corner_element(0, k, l)) != torus.monomial(torus.lattice_mon(k, l))
+        ),
+        "exactseq_kernel_is_offdiagonal_ideal": itertools.chain(
+            (str(e) for e in kernel_gens if one_minus_z * e != e), miscounted
+        ),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -549,62 +542,47 @@ def torus_relation_defect(mutation: str | None = None) -> TensorElement:
 
 
 def verify_prop14_diagram(max_exp: int = 4, mutation: str | None = None) -> list[Check]:
-    checks: list[Check] = []
     rho = TorusCoaction(mutation)
     torus = rho.torus
-
     defect = torus_relation_defect(mutation)
-    if mutation is None:
-        witness = None if defect.is_zero() else str(defect)
-        checks.append(Check("diagram_relation_transported", defect.is_zero(), witness=witness))
-    else:
-        checks.append(
-            Check(
-                "diagram_mutation_detected",
-                not defect.is_zero(),
-                witness=None if defect.is_zero() else str(defect),
-            )
-        )
-        return checks
+    if mutation is not None:
+        found = None if defect.is_zero() else str(defect)
+        return [Check("diagram_mutation_detected", found is not None, witness=found)]
 
-    bad = next(
-        (
+    window = enumerate_basis(torus, BasisWindow(lattice_max=max_exp))
+    unit = tensor_of([rho.alg.unit(), torus.unit()])
+
+    def classical(mon) -> TensorElement:
+        """What the quotient leg of rho(mon) must project to."""
+        return TensorElement(
+            (at2(), torus), {(at2().lattice_mon(*torus.lattice_exponents(mon)), mon): ONE}
+        )
+
+    fmt, of_mon = torus.format_mon, rho.of_mon
+    return checks_from({
+        "diagram_relation_transported": [] if defect.is_zero() else [str(defect)],
+        "diagram_generator_images_unitary": (
             f"rho({g}) * rho({g}inv)"
             for g in ("x", "y")
-            if rho._images[g] * rho._images[f"{g}inv"] != tensor_of([rho.alg.unit(), torus.unit()])
+            if rho._images[g] * rho._images[f"{g}inv"] != unit
         ),
-        None,
-    )
-    checks.append(Check("diagram_generator_images_unitary", bad is None, witness=bad))
-
-    window = [
-        torus.lattice_mon(i, j)
-        for i in range(-max_exp, max_exp + 1)
-        for j in range(-max_exp, max_exp + 1)
-    ]
-    coassoc_bad = counit_bad = proj_bad = star_bad = None
-    for mon in window:
-        image = rho.of_mon(mon)
-        left = image.coproduct_leg(0)
-        right = _apply_rho_right(image, rho)
-        if left != right:
-            coassoc_bad = coassoc_bad or torus.format_mon(mon)
-        if image.counit_leg(0) != torus.monomial(mon):
-            counit_bad = counit_bad or torus.format_mon(mon)
-        classical = image.apply_leg(0, prj_mon, at2())
-        i, j = torus.lattice_exponents(mon)
-        expected = TensorElement(
-            (at2(), torus), {(at2().lattice_mon(i, j), mon): ONE}
-        )
-        if classical != expected:
-            proj_bad = proj_bad or torus.format_mon(mon)
-        if rho.of(torus.monomial(mon).star()) != image.star_legs():
-            star_bad = star_bad or torus.format_mon(mon)
-    checks.append(Check("diagram_coaction_coassociative", coassoc_bad is None, witness=coassoc_bad))
-    checks.append(Check("diagram_coaction_counit", counit_bad is None, witness=counit_bad))
-    checks.append(Check("diagram_commutes_with_projection", proj_bad is None, witness=proj_bad))
-    checks.append(Check("diagram_star_map", star_bad is None, witness=star_bad))
-    return checks
+        "diagram_coaction_coassociative": (
+            fmt(mon)
+            for mon in window
+            if of_mon(mon).coproduct_leg(0) != _apply_rho_right(of_mon(mon), rho)
+        ),
+        "diagram_coaction_counit": (
+            fmt(mon) for mon in window if of_mon(mon).counit_leg(0) != torus.monomial(mon)
+        ),
+        "diagram_commutes_with_projection": (
+            fmt(mon) for mon in window if of_mon(mon).apply_leg(0, prj_mon, at2()) != classical(mon)
+        ),
+        "diagram_star_map": (
+            fmt(mon)
+            for mon in window
+            if rho.of(torus.monomial(mon).star()) != of_mon(mon).star_legs()
+        ),
+    })
 
 
 def _apply_rho_right(t: TensorElement, rho: TorusCoaction) -> TensorElement:

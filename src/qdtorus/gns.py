@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebras import Element, adtq
 from .errors import WindowOverflow
-from .report import Check
+from .report import Check, checks_from
 
 Site = tuple[str, int, int]
 Vec = dict[Site, complex]
@@ -301,34 +301,36 @@ def verify_gns_relations(
     window = opset.window
     alg = adtq()
     interior = np.array([window.is_interior(site) for site in window.sites()])
-    defects: dict[str, float] = {}
-    relation_bad = None
+    # every relation's defect is computed, since the report lists them all
+    relation_defects = []
     for rule in alg.system.rules:
         lhs = operator_for_word(rule.pattern, opset)
         rhs = operator_for_terms(((word, coeff) for coeff, word in rule.result), opset)
-        name = "*".join(rule.pattern)
-        defects[name] = lhs.column_defect(rhs, interior)
-        if defects[name] > tol:
-            relation_bad = relation_bad or f"{rule} (defect {defects[name]:.2e})"
-    checks = [Check("gns_defining_relations", relation_bad is None, witness=relation_bad)]
+        relation_defects.append((rule, lhs.column_defect(rhs, interior)))
 
-    adjoint_bad = None
-    for gen in ("a", "b", "c", "d", "D", "z"):
+    def adjoint_gaps(gen):
+        """The interior columns where gen* is not the adjoint of gen."""
         (targets, weights), = opset[gen].shifts
         star_op = operator_for_element(alg.gen(gen).star(), opset)
         cols = np.flatnonzero(interior & (targets >= 0) & interior[targets])
-        gap = np.abs(star_op.entries(targets[cols], cols) - weights[cols].conj())
-        if adjoint_bad is None and (gap > tol).any():
-            adjoint_bad = f"{gen} at {window.site(cols[(gap > tol).argmax()])}"
-    checks.append(Check("gns_adjoint_consistency", adjoint_bad is None, witness=adjoint_bad))
+        return cols[np.abs(star_op.entries(targets[cols], cols) - weights[cols].conj()) > tol]
 
     (targets, weights), = opset["D"].shifts
     cols = np.flatnonzero(interior)
     first_hit = np.isin(np.arange(cols.size), np.unique(targets[cols], return_index=True)[1])
     bad = (targets[cols] < 0) | ~first_hit | (np.abs(np.abs(weights[cols]) - 1.0) > tol)
-    iso_bad = f"determinant at {window.site(cols[bad.argmax()])}" if bad.any() else None
-    checks.append(Check("gns_determinant_isometric", iso_bad is None, witness=iso_bad))
-    return checks, defects
+    defects = {"*".join(rule.pattern): defect for rule, defect in relation_defects}
+    return checks_from({
+        "gns_defining_relations": (
+            f"{rule} (defect {defect:.2e})" for rule, defect in relation_defects if defect > tol
+        ),
+        "gns_adjoint_consistency": (
+            f"{gen} at {window.site(col)}"
+            for gen in ("a", "b", "c", "d", "D", "z")
+            for col in adjoint_gaps(gen)
+        ),
+        "gns_determinant_isometric": (f"determinant at {window.site(col)}" for col in cols[bad]),
+    }), defects
 
 
 def gns_expectation(e: Element, window_size: int, theta: float) -> complex:

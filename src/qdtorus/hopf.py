@@ -11,6 +11,7 @@ the double-torus quotient with its positivity and invariance checks.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Callable
 
@@ -28,7 +29,7 @@ from .algebras import (
     quotient_mon_word,
 )
 from .errors import NotAHopfAlgebra, WindowExceeded
-from .report import Check
+from .report import Check, checks_from
 from .scalars import QScalar, add_term
 
 
@@ -69,10 +70,7 @@ def verify_hopf_axioms(algebra: Algebra, max_degree: int) -> list[Check]:
         failures = _certified_failures(algebra, max_degree)
     else:
         failures = _law_failures(algebra, algebra.basis_by_degree(max_degree))
-    return [
-        Check(f"hopf_{algebra.tag}_{name}", failures[name] is None, witness=failures[name])
-        for name in _LAW_MAPS
-    ]
+    return checks_from({f"hopf_{algebra.tag}_{law}": scan for law, scan in failures.items()})
 
 
 # each law, with the structure maps it uses
@@ -90,29 +88,29 @@ PRODUCT_WINDOW = BasisWindow(d_max=8, gen_max=8)
 
 
 def _law_failures(algebra: Algebra, mons) -> dict:
-    """The first monomial of ``mons`` on which each law fails, or None."""
-    failures = dict.fromkeys(_LAW_MAPS)
-    for mon in mons:
-        el = algebra.monomial(mon)
-        cop = el.coproduct()
-        eps = el.counit()
-        if cop.coproduct_leg(0) != cop.coproduct_leg(1):
-            failures["coassociativity"] = failures["coassociativity"] or str(el)
-        if cop.counit_leg(0) != el or cop.counit_leg(1) != el:
-            failures["counit_law"] = failures["counit_law"] or str(el)
-        eps_unit = algebra.unit() * eps
-        left = cop.apply_leg(0, algebra.antipode_mon, algebra).multiply_legs()
-        right = cop.apply_leg(1, algebra.antipode_mon, algebra).multiply_legs()
-        if left != eps_unit or right != eps_unit:
-            failures["antipode_law"] = failures["antipode_law"] or str(el)
-        starred = el.star()
-        if starred.coproduct() != cop.star_legs():
-            failures["coproduct_star"] = failures["coproduct_star"] or str(el)
-        if starred.star() != el:
-            failures["star_involutive"] = failures["star_involutive"] or str(el)
-        if starred.antipode().star().antipode() != el:
-            failures["antipode_star_square"] = failures["antipode_star_square"] or str(el)
-    return failures
+    """For each law, a scan of the monomials of ``mons`` on which it fails.
+    Each monomial's coproduct and involution are computed once, for all six."""
+    rows = [(el, el.coproduct(), el.star()) for el in map(algebra.monomial, mons)]
+
+    def antipode_holds(el, cop) -> bool:
+        eps_unit = algebra.unit() * el.counit()
+        sides = (cop.apply_leg(leg, algebra.antipode_mon, algebra) for leg in (0, 1))
+        return all(side.multiply_legs() == eps_unit for side in sides)
+
+    return {
+        "coassociativity": (
+            str(el) for el, cop, _ in rows if cop.coproduct_leg(0) != cop.coproduct_leg(1)
+        ),
+        "counit_law": (
+            str(el) for el, cop, _ in rows if cop.counit_leg(0) != el or cop.counit_leg(1) != el
+        ),
+        "antipode_law": (str(el) for el, cop, _ in rows if not antipode_holds(el, cop)),
+        "coproduct_star": (str(el) for el, cop, st in rows if st.coproduct() != cop.star_legs()),
+        "star_involutive": (str(el) for el, _, st in rows if st.star() != el),
+        "antipode_star_square": (
+            str(el) for el, _, st in rows if st.antipode().star().antipode() != el
+        ),
+    }
 
 
 def _certified_failures(algebra, max_degree: int) -> dict:
@@ -123,14 +121,14 @@ def _certified_failures(algebra, max_degree: int) -> dict:
             broken["product"] = off
     # the unit and the normal letters; AZ2's unit d0 + d1 is no word, and
     # its basis d0, d1 already consists of generators
-    on_generators = _law_failures(algebra, algebra.basis_by_degree(1))
-    if not broken and not any(on_generators.values()):
-        return on_generators
-    scanned = _law_failures(algebra, algebra.basis_by_degree(max_degree))
+    generators = algebra.basis_by_degree(1)
+    if not broken and all(c.passed for c in checks_from(_law_failures(algebra, generators))):
+        return dict.fromkeys(_LAW_MAPS, ())
+    # the generators close the scan, since a window of degree 0 misses them
+    window = dict.fromkeys(algebra.basis_by_degree(max_degree) + generators)
+    scanned = _law_failures(algebra, window)
     return {
-        law: scanned[law]
-        or on_generators[law]
-        or next((broken[m] for m in maps if m in broken), None)
+        law: itertools.chain(scanned[law], (broken[m] for m in maps if m in broken))
         for law, maps in _LAW_MAPS.items()
     }
 
@@ -252,21 +250,18 @@ def haar(e: Element) -> QScalar:
 
 
 def haar_biinvariance_checks(algebra, max_degree: int) -> list[Check]:
-    bad_left = bad_right = None
-    for mon in algebra.basis_by_degree(max_degree):
-        el = algebra.monomial(mon)
-        cop = el.coproduct()
-        value = algebra.unit() * haar(el)
-        left = _contract_haar(cop, leg=1, algebra=algebra)
-        right = _contract_haar(cop, leg=0, algebra=algebra)
-        if left != value:
-            bad_left = bad_left or str(el)
-        if right != value:
-            bad_right = bad_right or str(el)
-    return [
-        Check("haar_right_invariance", bad_left is None, witness=bad_left),
-        Check("haar_left_invariance", bad_right is None, witness=bad_right),
+    rows = [
+        (el, el.coproduct(), algebra.unit() * haar(el))
+        for el in map(algebra.monomial, algebra.basis_by_degree(max_degree))
     ]
+    return checks_from({
+        "haar_right_invariance": (
+            str(el) for el, cop, value in rows if _contract_haar(cop, 1, algebra) != value
+        ),
+        "haar_left_invariance": (
+            str(el) for el, cop, value in rows if _contract_haar(cop, 0, algebra) != value
+        ),
+    })
 
 
 def _contract_haar(t: TensorElement, leg: int, algebra) -> Element:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 
@@ -15,6 +16,13 @@ class Check:
     @property
     def status(self) -> str:
         return "pass" if self.passed else "fail"
+
+
+def checks_from(scans: dict[str, Iterable[str]]) -> list[Check]:
+    """One check per named scan of witnesses: it fails with the first witness
+    of its scan, computing nothing after it, and passes on an empty scan."""
+    witnesses = {name: next(iter(scan), None) for name, scan in scans.items()}
+    return [Check(name, w is None, witness=w) for name, w in witnesses.items()]
 
 
 @dataclass

@@ -36,7 +36,7 @@ from .hopf import (
     proof_summary,
     verify_hopf_axioms,
 )
-from .report import Check, Report
+from .report import Check, Report, checks_from
 from .scalars import CyclotomicMode, QScalar, add_term
 
 SUITE_NAMES = (
@@ -142,9 +142,8 @@ def _thunks_hopf(p: SuiteParams):
         thunks.append(lambda a=alg: verify_hopf_axioms(a, p.max_deg))
         if hasattr(alg, "system"):
             def confluence(a=alg):
-                bad = a.system.unresolved_pairs(FIXED_WINDOWS["hopf"]["confluence_max_len"])
-                witness = None if not bad else "*".join(bad[0].word)
-                return [Check(f"confluence_{a.tag}", not bad, witness=witness)]
+                pairs = a.system.unresolved_pairs(FIXED_WINDOWS["hopf"]["confluence_max_len"])
+                return checks_from({f"confluence_{a.tag}": ("*".join(pr.word) for pr in pairs)})
 
             thunks.append(confluence)
     return thunks
@@ -159,16 +158,13 @@ def _thunks_cocycle(p: SuiteParams):
         return [Check("sigma_table_equals_convolution", witness is None, witness=witness)]
 
     def normalization():
-        bad = next(
-            (
-                f"sigma{args} = {galois.sigma_table(*args)}"
-                for m, n in itertools.product(range(-r, r + 1), repeat=2)
-                for args in ((0, 0, m, n), (m, n, 0, 0))
-                if galois.sigma_q_exponent(*args) != 0
-            ),
-            None,
+        nonzero = (
+            f"sigma{args} = {galois.sigma_table(*args)}"
+            for m, n in itertools.product(range(-r, r + 1), repeat=2)
+            for args in ((0, 0, m, n), (m, n, 0, 0))
+            if galois.sigma_q_exponent(*args) != 0
         )
-        return [Check("sigma_normalized", bad is None, witness=bad)]
+        return checks_from({"sigma_normalized": nonzero})
 
     def printed_discrepancy():
         # the printed diagonal branch must fail to land in the base image
@@ -201,105 +197,106 @@ def _thunks_cleaving(p: SuiteParams):
     alg = adtq()
     lattice = list(itertools.product(range(-r, r + 1), repeat=2))
 
+    def group_like(k, l):
+        return torus.monomial(torus.lattice_mon(k, l))
+
     def j_star_map():
-        bad = None
-        for k, l in lattice:
-            h = torus.monomial(torus.lattice_mon(k, l))
-            if galois.cleaving_j(h.star(), conv) != galois.cleaving_j(h, conv).star():
-                bad = f"u^{k}v^{l}"
-        return [Check("cleaving_j_star_map", bad is None, witness=bad)]
+        j = galois.cleaving_j
+        failing = (
+            f"u^{k}v^{l}"
+            for k, l in lattice
+            if j(group_like(k, l).star(), conv) != j(group_like(k, l), conv).star()
+        )
+        return checks_from({"cleaving_j_star_map": failing})
 
     def j_colinear():
-        bad = galois.colinearity_failure(conv, r)
-        expected_fail = conv.name == "printed"
-        if expected_fail:
-            return [
-                Check(
-                    "cleaving_printed_colinearity_fails_on_diagonal",
-                    bad is not None,
-                    witness=bad,
-                )
-            ]
-        return [Check("cleaving_j_right_colinear", bad is None, witness=bad)]
+        found = galois.colinearity_failure(conv, r)
+        if conv.name == "printed":
+            name = "cleaving_printed_colinearity_fails_on_diagonal"
+            return [Check(name, found is not None, witness=found)]
+        return [Check("cleaving_j_right_colinear", found is None, witness=found)]
 
     def j_convolution_inverse():
-        bad = None
-        for k, l in lattice:
+        def inverts(k, l):
             j_el = galois.cleaving_j_mon(k, l, conv)
             j_inv = galois.cleaving_j_inverse_mon(k, l, conv)
-            if j_el * j_inv != alg.unit() or j_inv * j_el != alg.unit():
-                bad = bad or f"u^{k}v^{l}"
-        return [Check("cleaving_j_convolution_inverse", bad is None, witness=bad)]
+            return j_el * j_inv == alg.unit() and j_inv * j_el == alg.unit()
+
+        failing = (f"u^{k}v^{l}" for k, l in lattice if not inverts(k, l))
+        return checks_from({"cleaving_j_convolution_inverse": failing})
 
     def j_algebra_map_only_classically():
-        witness_pair = None
-        classical_bad = None
-        for (k, l, m, n) in ((1, 0, 0, 1), (1, 1, 1, 0), (2, 1, 1, 2)):
-            lhs = galois.cleaving_j_mon(k, l, conv) * galois.cleaving_j_mon(m, n, conv)
-            rhs = galois.cleaving_j_mon(k + m, l + n, conv)
-            diff = lhs - rhs
-            if not diff.is_zero():
-                witness_pair = witness_pair or f"(u^{k}v^{l})(u^{m}v^{n})"
-            worst = max(
-                (abs(c.eval_unit(0.0)) for c in diff.terms.values()), default=0.0
-            )
-            if worst > 1e-12:
-                classical_bad = f"defect {worst:.2e} at q=1"
+        j = galois.cleaving_j_mon
+        defects = [
+            (f"(u^{k}v^{l})(u^{m}v^{n})", j(k, l, conv) * j(m, n, conv) - j(k + m, l + n, conv))
+            for k, l, m, n in ((1, 0, 0, 1), (1, 1, 1, 0), (2, 1, 1, 2))
+        ]
+        found = next((pair for pair, diff in defects if not diff.is_zero()), None)
+        at_q1 = (
+            max((abs(c.eval_unit(0.0)) for c in diff.terms.values()), default=0.0)
+            for _, diff in defects
+        )
+        classical = (f"defect {worst:.2e} at q=1" for worst in at_q1 if worst > 1e-12)
         return [
-            Check(
-                "cleaving_j_not_algebra_map_symbolically",
-                witness_pair is not None,
-                witness=witness_pair,
-            ),
-            Check("cleaving_j_multiplicative_at_q1", classical_bad is None, witness=classical_bad),
+            Check("cleaving_j_not_algebra_map_symbolically", found is not None, witness=found),
+            *checks_from({"cleaving_j_multiplicative_at_q1": classical}),
         ]
 
     def ell_checks():
-        out = []
         bad_pair = galois.cocleaving_table_mismatch(conv, r)
-        bad_star = bad_conv = None
         base = az2()
-        for mon in enumerate_basis(alg, BasisWindow(d_max=r, gen_max=r)):
-            el = alg.monomial(mon)
-            if galois.ell_table(el.star()) != galois.ell_table(el).star():
-                bad_star = bad_star or alg.format_mon(mon)
+        ell = galois.ell_table
+        window = [
+            (alg.format_mon(mon), alg.monomial(mon))
+            for mon in enumerate_basis(alg, BasisWindow(d_max=r, gen_max=r))
+        ]
+
+        def self_inverse(el):
             # convolution square: ell coincides with its convolution inverse
             square = convolve(galois.ell_table_mon, galois.ell_table_mon, el, base)
-            if square != base.unit() * el.counit():
-                bad_conv = bad_conv or alg.format_mon(mon)
-        out.append(Check("cocleaving_table_equals_derived", bad_pair is None, witness=bad_pair))
-        out.append(Check("cocleaving_star_map", bad_star is None, witness=bad_star))
-        out.append(Check("cocleaving_self_convolution_inverse", bad_conv is None, witness=bad_conv))
-        return out
+            return square == base.unit() * el.counit()
+
+        return [
+            Check("cocleaving_table_equals_derived", bad_pair is None, witness=bad_pair),
+            *checks_from({
+                "cocleaving_star_map": (f for f, el in window if ell(el.star()) != ell(el).star()),
+                "cocleaving_self_convolution_inverse": (
+                    f for f, el in window if not self_inverse(el)
+                ),
+            }),
+        ]
 
     def lambda_checks():
-        bad_pair = bad_hom = bad_coaction = bad_star = None
         hom_range = FIXED_WINDOWS["cleaving"]["coaction_hom_range"]
-        base = az2()
-        for k, l in lattice:
-            formula = galois.coaction_lambda_mon(k, l)
-            if galois.coaction_lambda_from_ell(k, l, conv) != formula:
-                bad_pair = bad_pair or f"u^{k}v^{l}"
-            # coaction laws
-            if formula.coproduct_leg(1) != _lambda_then_lambda(k, l):
-                bad_coaction = bad_coaction or f"u^{k}v^{l}"
-            if formula.counit_leg(1) != torus.monomial(torus.lattice_mon(k, l)):
-                bad_coaction = bad_coaction or f"u^{k}v^{l}"
-            mon_el = torus.monomial(torus.lattice_mon(k, l))
-            if galois.coaction_lambda(mon_el.star()) != formula.star_legs():
-                bad_star = bad_star or f"u^{k}v^{l}"
-            for m, n in itertools.product(range(-hom_range, hom_range + 1), repeat=2):
-                other = galois.coaction_lambda_mon(m, n)
-                prod = formula * other
-                if prod != galois.coaction_lambda(
-                    mon_el * torus.monomial(torus.lattice_mon(m, n))
-                ):
-                    bad_hom = bad_hom or f"u^{k}v^{l} * u^{m}v^{n}"
-        return [
-            Check("coaction_formula_equals_derived", bad_pair is None, witness=bad_pair),
-            Check("coaction_star_algebra_hom", bad_hom is None and bad_star is None, witness=bad_hom or bad_star),
-            Check("coaction_laws", bad_coaction is None, witness=bad_coaction),
-        ]
+        hom_lattice = list(itertools.product(range(-hom_range, hom_range + 1), repeat=2))
+        formula, coaction = galois.coaction_lambda_mon, galois.coaction_lambda
+        return checks_from({
+            "coaction_formula_equals_derived": (
+                f"u^{k}v^{l}"
+                for k, l in lattice
+                if galois.coaction_lambda_from_ell(k, l, conv) != formula(k, l)
+            ),
+            "coaction_star_algebra_hom": itertools.chain(
+                (
+                    f"u^{k}v^{l} * u^{m}v^{n}"
+                    for k, l in lattice
+                    for m, n in hom_lattice
+                    if formula(k, l) * formula(m, n)
+                    != coaction(group_like(k, l) * group_like(m, n))
+                ),
+                (
+                    f"u^{k}v^{l}"
+                    for k, l in lattice
+                    if coaction(group_like(k, l).star()) != formula(k, l).star_legs()
+                ),
+            ),
+            "coaction_laws": (
+                f"u^{k}v^{l}"
+                for k, l in lattice
+                if formula(k, l).coproduct_leg(1) != _lambda_then_lambda(k, l)
+                or formula(k, l).counit_leg(1) != group_like(k, l)
+            ),
+        })
 
     def _lambda_then_lambda(k, l):
         # (lambda tensor id) after lambda, with the torus leg re-expanded
@@ -328,57 +325,55 @@ def _thunks_bicross(p: SuiteParams):
             for m in enumerate_basis(alg, BasisWindow(**fixed["phi_inverse_window"]))
             for t in corner_triples(m)
         }
-        hit: set = set()
-        bad = None
-        for mon in sorted(set(mons) | window, key=bic.mon_sort_key):
-            coords = corner_coordinates(galois.phi_mon(mon, conv))
-            t, c = next(iter(coords.items()), (None, QScalar.zero()))
-            if len(coords) != 1 or c * c.star() != QScalar.one() or t in hit:
-                bad = f"phi({bic.format_mon(mon)}) is not a unit times a triple of its own"
-                break
-            hit.add(t)
-        missed = sorted(window - hit)
-        if bad is None and missed:
-            bad = f"the window triple {missed[0]} is not an image"
-        return [Check("bicross_phi_bijective", bad is None, witness=bad)]
+
+        def witnesses():
+            hit: set = set()
+            for mon in sorted(set(mons) | window, key=bic.mon_sort_key):
+                coords = corner_coordinates(galois.phi_mon(mon, conv))
+                t, c = next(iter(coords.items()), (None, QScalar.zero()))
+                if len(coords) != 1 or c * c.star() != QScalar.one() or t in hit:
+                    yield f"phi({bic.format_mon(mon)}) is not a unit times a triple of its own"
+                hit.add(t)
+            yield from (f"the window triple {t} is not an image" for t in sorted(window - hit))
+
+        return checks_from({"bicross_phi_bijective": witnesses()})
 
     def phi_algebra_hom():
         rng = random.Random(20260810)
-        bad = None
-        for _ in range(200):
-            m1, m2 = rng.choice(mons), rng.choice(mons)
-            x = bic.monomial(m1)
-            y = bic.monomial(m2)
-            if galois.phi(x * y, conv) != galois.phi(x, conv) * galois.phi(y, conv):
-                bad = f"{bic.format_mon(m1)} * {bic.format_mon(m2)}"
-                break
-        return [Check("bicross_phi_algebra_hom", bad is None, witness=bad)]
+        phi = galois.phi
+        failing = (
+            f"{bic.format_mon(m1)} * {bic.format_mon(m2)}"
+            for m1, m2 in ((rng.choice(mons), rng.choice(mons)) for _ in range(200))
+            for x, y in [(bic.monomial(m1), bic.monomial(m2))]
+            if phi(x * y, conv) != phi(x, conv) * phi(y, conv)
+        )
+        return checks_from({"bicross_phi_algebra_hom": failing})
 
     def phi_coalgebra_hom():
-        bad = None
-        for mon in mons:
-            lhs = galois.phi(bic.monomial(mon), conv).coproduct()
-            rhs = (
-                bic.coproduct_mon(mon)
-                .apply_leg(0, lambda m: galois.phi_mon(m, conv), alg)
-                .apply_leg(1, lambda m: galois.phi_mon(m, conv), alg)
-            )
-            if lhs != rhs:
-                bad = bic.format_mon(mon)
-                break
-        return [Check("bicross_phi_coalgebra_hom", bad is None, witness=bad)]
+        def phi_legs(mon):
+            legs = bic.coproduct_mon(mon).apply_leg(0, lambda m: galois.phi_mon(m, conv), alg)
+            return legs.apply_leg(1, lambda m: galois.phi_mon(m, conv), alg)
+
+        failing = (
+            bic.format_mon(mon)
+            for mon in mons
+            if galois.phi(bic.monomial(mon), conv).coproduct() != phi_legs(mon)
+        )
+        return checks_from({"bicross_phi_coalgebra_hom": failing})
 
     def product_examples():
         u1 = bic.monomial((0, 1, 0)) + bic.monomial((1, 1, 0))
         v1 = bic.monomial((0, 0, 1)) + bic.monomial((1, 0, 1))
         expected = bic.monomial((0, 1, 1)) + bic.monomial((1, 1, 1), QScalar.q_power(-1))
         idem = bic.monomial((0, 0, 0))
-        bad = None
-        if u1 * v1 != expected:
-            bad = f"u1*v1 = {u1 * v1}, expected {expected}"
-        elif idem * idem != idem:
-            bad = f"the idempotent squares to {idem * idem}"
-        return [Check("bicross_product_examples", bad is None, witness=bad)]
+
+        def witnesses():
+            if u1 * v1 != expected:
+                yield f"u1*v1 = {u1 * v1}, expected {expected}"
+            if idem * idem != idem:
+                yield f"the idempotent squares to {idem * idem}"
+
+        return checks_from({"bicross_product_examples": witnesses()})
 
     return [
         phi_bijective,
@@ -399,15 +394,12 @@ def _thunks_haar(p: SuiteParams):
             ("z", alg.gen("z"), "1/2"),
             ("D^3*a^2", alg.gen("D", 3) * alg.gen("a", 2), "0"),
         )
-        bad = next(
-            (
-                f"haar({name}) = {haar(x)}, expected {want}"
-                for name, x, want in cases
-                if str(haar(x)) != want
-            ),
-            None,
+        wrong = (
+            f"haar({name}) = {haar(x)}, expected {want}"
+            for name, x, want in cases
+            if str(haar(x)) != want
         )
-        return [Check("haar_weights", bad is None, witness=bad)]
+        return checks_from({"haar_weights": wrong})
 
     def weight_derivation():
         # invariance applied to the central unitary group-like annihilates it,
@@ -417,17 +409,19 @@ def _thunks_haar(p: SuiteParams):
             (alg.monomial(m1), c * haar(alg.monomial(m2)))
             for (m1, m2), c in g.coproduct().terms.items()
         )
-        bad = None
-        if contracted != alg.unit() * haar(g):
-            bad = f"(id x haar)(coproduct(2z - 1)) = {contracted}, not haar(2z - 1) = {haar(g)}"
-        elif not haar(g).is_zero():
-            bad = f"haar(2z - 1) = {haar(g)}, not 0"
-        return [Check("haar_weight_half_forced_by_invariance", bad is None, witness=bad)]
+
+        def witnesses():
+            if contracted != alg.unit() * haar(g):
+                yield f"(id x haar)(coproduct(2z - 1)) = {contracted}, not haar(2z - 1) = {haar(g)}"
+            if not haar(g).is_zero():
+                yield f"haar(2z - 1) = {haar(g)}, not 0"
+
+        return checks_from({"haar_weight_half_forced_by_invariance": witnesses()})
 
     def gram():
         value = haar_gram_min_eigenvalue(alg, fixed["gram_max_deg"], p.theta)
-        ok = value >= -1e-9
-        return [Check("haar_gram_positive", ok, witness=None if ok else f"min eig {value:.2e}")]
+        negative = [] if value >= -1e-9 else [f"min eig {value:.2e}"]
+        return checks_from({"haar_gram_positive": negative})
 
     return [
         weights,
@@ -446,9 +440,8 @@ def _thunks_characters(p: SuiteParams):
             out.extend(corep.verify_corep(w))
         # the printed entry layout is the one whose w(0, 1) obeys the corep
         # and counit laws, the first two checks above
-        bad = next((c.witness for c in out[:2] if not c.passed), None)
-        out.append(Check("corep_two_dim_layout_printed", bad is None, witness=bad))
-        return out
+        layout = (c.witness for c in out[:2] if not c.passed)
+        return out + checks_from({"corep_two_dim_layout_printed": layout})
 
     def gram_identity():
         return [corep.character_gram_is_identity(corep.standard_families(2, 3))]
@@ -457,23 +450,14 @@ def _thunks_characters(p: SuiteParams):
         dim_self = len(corep.intertwiner_space(corep.w_rep(0, 1), corep.w_rep(0, 1)))
         dim_cross = len(corep.intertwiner_space(corep.chi(1), corep.chiz(1)))
         two = corep.direct_sum(corep.chi(1), corep.chi(1))
-        dim_block = len(corep.intertwiner_space(two, two))
-        ok = (dim_self, dim_cross, dim_block) == (1, 0, 4)
-        return [
-            Check(
-                "intertwiner_dimensions",
-                ok,
-                witness=None if ok else f"got {(dim_self, dim_cross, dim_block)}",
-            )
-        ]
+        dims = (dim_self, dim_cross, len(corep.intertwiner_space(two, two)))
+        return checks_from({"intertwiner_dimensions": [] if dims == (1, 0, 4) else [f"got {dims}"]})
 
     def decomposition():
         square = (alg.gen("a") + alg.gen("d")) ** 2
         mults = corep.decompose_character(square, corep.standard_families(2, 3))
         ok = mults == {"w(0,2)": 1, "chiz(1)": 1, "chi(1)": 1}
-        return [
-            Check("character_decomposition", ok, witness=None if ok else str(mults))
-        ]
+        return checks_from({"character_decomposition": [] if ok else [str(mults)]})
 
     return [
         corep_family_checks,
@@ -492,40 +476,28 @@ def _thunks_gns(p: SuiteParams):
 
     def sector_preservation():
         opset = gns.operator_set(p.window, p.theta)
-        bad = next(
-            (
-                f"{gen} acts on {site}"
-                for gen, dead in (("a", "q"), ("d", "q"), ("b", "c"), ("c", "c"))
-                for site in opset[gen].cols
-                if site[0] == dead
-            ),
-            None,
+        crossing = (
+            f"{gen} acts on {site}"
+            for gen, dead in (("a", "q"), ("d", "q"), ("b", "c"), ("c", "c"))
+            for site in opset[gen].cols
+            if site[0] == dead
         )
-        return [Check("gns_sector_preservation", bad is None, witness=bad)]
+        return checks_from({"gns_sector_preservation": crossing})
 
     def expectation_bridge():
-        worst = 0.0
-        bad = None
-        for mon in alg.basis_by_degree(FIXED_WINDOWS["gns"]["expectation_max_deg"]):
-            el = alg.monomial(mon)
-            numeric = gns.gns_expectation(el, p.window, p.theta)
-            exact = haar(el).eval_unit(p.theta)
-            defect = abs(numeric - exact)
-            if defect > worst:
-                worst = defect
+        def witnesses():
+            for mon in alg.basis_by_degree(FIXED_WINDOWS["gns"]["expectation_max_deg"]):
+                el = alg.monomial(mon)
+                numeric = gns.gns_expectation(el, p.window, p.theta)
+                defect = abs(numeric - haar(el).eval_unit(p.theta))
                 if defect > 1e-10:
-                    bad = f"{alg.format_mon(mon) or '1'} (defect {defect:.2e})"
-        return [Check("gns_expectation_matches_haar", bad is None, witness=bad)]
+                    yield f"{alg.format_mon(mon) or '1'} (defect {defect:.2e})"
+
+        return checks_from({"gns_expectation_matches_haar": witnesses()})
 
     def continuity():
         defect = gns.theta_continuity_defect(p.window, p.theta)
-        return [
-            Check(
-                "gns_theta_continuity",
-                defect <= 1e-4,
-                witness=None if defect <= 1e-4 else f"{defect:.2e}",
-            )
-        ]
+        return checks_from({"gns_theta_continuity": [] if defect <= 1e-4 else [f"{defect:.2e}"]})
 
     def norms():
         targets = [
@@ -533,12 +505,14 @@ def _thunks_gns(p: SuiteParams):
             (alg.gen("z"), 1.0),
             (alg.gen("a") + alg.gen("b"), 1.0),
         ]
-        bad = None
-        for el, expected in targets:
-            got = gns.estimate_operator_norm(el, p.window, p.theta)
-            if abs(got - expected) > 1e-6:
-                bad = f"norm({el}) = {got}"
-        return [Check("gns_norm_examples", bad is None, witness=bad)]
+
+        def witnesses():
+            for el, expected in targets:
+                got = gns.estimate_operator_norm(el, p.window, p.theta)
+                if abs(got - expected) > 1e-6:
+                    yield f"norm({el}) = {got}"
+
+        return checks_from({"gns_norm_examples": witnesses()})
 
     return [relations, sector_preservation, expectation_bridge, continuity, norms]
 
@@ -553,12 +527,10 @@ def _thunks_fdquot(p: SuiteParams):
         # which leaves the n^2 words D^i a^j.
         expected = 2 * n * n if (2 * n) % p.q_root == 0 else n * n
         if alg.dimension != expected:
-            return f"dimension {alg.dimension}, expected {expected}"
-        return None
+            yield f"dimension {alg.dimension}, expected {expected}"
 
     def confluent(alg):
-        bad = alg.system.unresolved_pairs(2 * n + 4)
-        return "*".join(bad[0].word) if bad else None
+        return ("*".join(pair.word) for pair in alg.system.unresolved_pairs(2 * n + 4))
 
     def hopf_ideal(alg):
         parent = adtq()
@@ -571,28 +543,25 @@ def _thunks_fdquot(p: SuiteParams):
             "c^n-(1-z)": parent.gen("c", n) - (one - z),
             "D^n-1": parent.gen("D", n) - one,
         }
-        bad = None
         for name, gen_el in ideal_gens.items():
             if not alg.from_parent(gen_el).is_zero():
-                bad = f"{name} not killed"
+                yield f"{name} not killed"
             if not gen_el.counit().is_zero():
-                bad = bad or f"counit({name}) != 0"
+                yield f"counit({name}) != 0"
             cop = gen_el.coproduct()
             reduced = cop.apply_leg(0, lambda m: alg.from_parent(parent.monomial(m)), alg)
             reduced = reduced.apply_leg(1, lambda m: alg.from_parent(parent.monomial(m)), alg)
             if not reduced.is_zero():
-                bad = bad or f"coproduct of {name} escapes the ideal"
+                yield f"coproduct of {name} escapes the ideal"
             if not alg.from_parent(gen_el.antipode()).is_zero():
-                bad = bad or f"antipode of {name} escapes the ideal"
-        return bad
+                yield f"antipode of {name} escapes the ideal"
 
-    def on_quotient(name, check):
-        """A thunk for a check that returns its witness, or None on a pass."""
+    def on_quotient(name, witnesses):
+        """A thunk for a check that scans the quotient for witnesses."""
 
         def thunk():
             alg, why = p.finite_quotient
-            bad = why if alg is None else check(alg)
-            return [Check(name, bad is None, witness=bad)]
+            return checks_from({name: [why] if alg is None else witnesses(alg)})
 
         return thunk
 

@@ -40,7 +40,7 @@ from qdtorus.hopf import (
     proof_summary,
     verify_hopf_axioms,
 )
-from qdtorus.report import Check
+from qdtorus.report import checks_from
 from qdtorus.scalars import QScalar
 
 
@@ -142,7 +142,7 @@ def _wrong_star_of_b():
 def _scan(alg, degree):
     """The six law checks from a scan of the basis up to ``degree``."""
     failures = _law_failures(alg, alg.basis_by_degree(degree))
-    return [Check(f"hopf_{alg.tag}_{law}", w is None, witness=w) for law, w in failures.items()]
+    return checks_from({f"hopf_{alg.tag}_{law}": scan for law, scan in failures.items()})
 
 
 class TestAxiomCertificate:

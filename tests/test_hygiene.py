@@ -10,6 +10,8 @@ is loaded anywhere in the body, nested functions included; ``self`` and
 ``cls`` are exempt, and so are the few listed in ``UNREAD_ALLOWED``.
 Only ``algebras.py`` knows the normal words of ADTq's lattice triples:
 ``galois.py`` neither imports nor reads its word builders.
+No module keeps a witness by hand with ``x = x or ...``: a check takes the
+first witness of its scan through ``report.checks_from``.
 """
 
 import ast
@@ -161,3 +163,37 @@ def test_the_scan_sees_a_corner_word_import():
         "algebras.quotient_mon_word(1)\n"
     )
     assert corner_word_uses(tree) == ["corner_word", "quotient_mon_word"]
+
+
+def or_accumulators(tree: ast.Module) -> list[str]:
+    """Each ``x = x or ...`` whose target is a name or a subscript."""
+    return [
+        f"{ast.unparse(node.targets[0])} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], (ast.Name, ast.Subscript))
+        and isinstance(node.value, ast.BoolOp)
+        and isinstance(node.value.op, ast.Or)
+        and ast.unparse(node.value.values[0]) == ast.unparse(node.targets[0])
+    ]
+
+
+def test_no_module_accumulates_a_witness_by_hand():
+    found = [
+        f"{path.name}: {site}"
+        for path in PACKAGE
+        for site in or_accumulators(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+def test_the_scan_sees_an_or_accumulator():
+    tree = ast.parse(
+        "bad = bad or f'x'\n"
+        "failures['law'] = failures['law'] or str(el)\n"
+        "bad = other or 'x'\n"
+        "bad = bad and 'x'\n"
+        "self.bad = self.bad or 'x'\n"
+    )
+    assert or_accumulators(tree) == ["bad (line 1)", "failures['law'] (line 2)"]

@@ -496,3 +496,81 @@ def test_package_errors_in_a_check_stay_usage_errors(monkeypatch, capsys):
     monkeypatch.setitem(suites._SUITE_BUILDERS, "haar", lambda p: [planted])
     assert cli.main(["verify", "haar"]) == 2
     assert "error: planted" in capsys.readouterr().err
+
+
+def _wrong_on_the_diagonal(monkeypatch):
+    """j(u^k v^k) picks up a factor q, so j fails to be a *-map at every
+    diagonal point of the lattice."""
+    real = galois.cleaving_j
+
+    def planted(h, conv=galois.CORRECTED):
+        (mon,) = h.terms
+        k, l = at2().lattice_exponents(mon)
+        return real(h, conv) * QScalar.q_power(1) if k == l else real(h, conv)
+
+    monkeypatch.setattr(galois, "cleaving_j", planted)
+
+
+def _norms_all_two(monkeypatch):
+    from qdtorus import gns
+
+    monkeypatch.setattr(gns, "estimate_operator_norm", lambda e, window, theta: 2.0)
+
+
+def _expectations_drifting(monkeypatch):
+    """Each GNS expectation is off by 1e-3 times the number of calls so far,
+    so the worst defect is the last monomial's and the first is the unit's."""
+    from qdtorus import gns
+
+    real = gns.gns_expectation
+    calls = []
+
+    def planted(e, window, theta):
+        calls.append(e)
+        return real(e, window, theta) + 1e-3 * len(calls)
+
+    monkeypatch.setattr(gns, "gns_expectation", planted)
+
+
+def _nothing_killed(monkeypatch):
+    from qdtorus.algebras import build_finite_quotient
+    from qdtorus.scalars import CyclotomicMode
+
+    alg = build_finite_quotient(2, CyclotomicMode(4))
+    monkeypatch.setattr(alg, "from_parent", lambda e: alg.unit())
+
+
+@pytest.mark.parametrize(
+    "plant, suite, check, witness",
+    [
+        (_wrong_on_the_diagonal, "cleaving", "cleaving_j_star_map", "u^-3v^-3"),
+        (_norms_all_two, "gns", "gns_norm_examples", "norm(a) = 2.0"),
+        (_expectations_drifting, "gns", "gns_expectation_matches_haar", "1 (defect 1.00e-03)"),
+        (_nothing_killed, "fdquot", "fdquot_hopf_ideal", "a^n-z not killed"),
+    ],
+    ids=["j_star_map", "norm_examples", "expectation", "hopf_ideal"],
+)
+def test_a_failed_check_names_its_first_failure(plant, suite, check, witness, monkeypatch):
+    """Each planted defect fails the check at several points; the witness is
+    the first of them in the check's scan order, not the last or the worst."""
+    plant(monkeypatch)
+    found = {c.name: c for c in run_suite(suite).checks}
+    assert (found[check].passed, found[check].witness) == (False, witness)
+
+
+def test_a_scan_stops_at_its_first_witness(monkeypatch):
+    """A defect at the first lattice point (-3, -3) fails the *-map check
+    there; the two images of that point are all the scan computes."""
+    real = galois.cleaving_j
+    calls = []
+
+    def planted(h, conv=galois.CORRECTED):
+        calls.append(h)
+        (mon,) = h.terms
+        wrong = at2().lattice_exponents(mon) == (-3, -3)
+        return real(h, conv) * QScalar.q_power(1) if wrong else real(h, conv)
+
+    monkeypatch.setattr(galois, "cleaving_j", planted)
+    found = {c.name: c for c in run_suite("cleaving").checks}
+    assert not found["cleaving_j_star_map"].passed
+    assert len(calls) <= 2, f"{len(calls)} calls"
