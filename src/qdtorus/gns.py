@@ -46,8 +46,13 @@ class LatticeWindow:
 
     def index(self, site: Site) -> int:
         """Position of a contained site in ``sites()``."""
+        return self.number(site[0] == "q", site[1], site[2])
+
+    def number(self, sector, m, n):
+        """``index`` of coordinates, also elementwise on arrays; sector 0 is
+        "c" and 1 is "q"."""
         side = 2 * self.size + 1
-        return ((site[0] == "q") * side + site[1] + self.size) * side + site[2] + self.size
+        return (sector * side + m + self.size) * side + n + self.size
 
     def site(self, i) -> Site:
         side = 2 * self.size + 1
@@ -55,31 +60,32 @@ class LatticeWindow:
         m, k = divmod(rest, side)
         return ("cq"[sector], m - self.size, k - self.size)
 
+    def coordinates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``site`` of every site number at once: the sector (0 for "c", 1
+        for "q"), m and n arrays in ``sites()`` order."""
+        side = 2 * self.size + 1
+        sector, rest = np.divmod(np.arange(len(self)), side * side)
+        m, k = np.divmod(rest, side)
+        return sector, m - self.size, k - self.size
 
-def lattice_action(gen: str, site: Site, qval: complex):
-    """Exact infinite-lattice action of one generator; None is a structural zero."""
-    sector, m, n = site
-    if gen == "a":
-        if sector != "c":
-            return None
-        return ("c", m, n + 1) if n >= 0 else ("c", m + 1, n + 1), 1.0 + 0j
-    if gen == "d":
-        if sector != "c":
-            return None
-        return ("c", m + 1, n - 1) if n > 0 else ("c", m, n - 1), 1.0 + 0j
-    if gen == "b":
-        if sector != "q":
-            return None
-        if n > 0:
-            return ("q", m + 1, n - 1), -(qval ** (2 * n - 1))
-        return ("q", m, n - 1), qval ** (2 * m)
-    if gen == "c":
-        if sector != "q":
-            return None
-        if n >= 0:
-            return ("q", m, n + 1), 1.0 + 0j
-        return ("q", m + 1, n + 1), -(qval ** (-2 * m - 1))
-    raise ValueError(f"no lattice rule for generator {gen!r}")
+    def interior_mask(self) -> np.ndarray:
+        _, m, n = self.coordinates()
+        return (np.abs(m) < self.size) & (np.abs(n) < self.size)
+
+
+def lattice_shifts(m, n, power):
+    """The generators in closed form at the sites of coordinate arrays.
+
+    Each maps to the sector it acts on (0 for "c", 1 for "q"; it is zero on
+    the other) and, per site, to the image (m', n') and the weight on the
+    infinite lattice; ``power(e)`` is q**e elementwise.
+    """
+    return {
+        "a": (0, m + (n < 0), n + 1, 1),
+        "d": (0, m + (n > 0), n - 1, 1),
+        "b": (1, m + (n > 0), n - 1, np.where(n > 0, -power(2 * n - 1), power(2 * m))),
+        "c": (1, m + (n < 0), n + 1, np.where(n >= 0, 1, -power(-2 * m - 1))),
+    }
 
 
 def _mul(x, y):
@@ -212,7 +218,7 @@ def build_generator_operators(window: LatticeWindow, theta: float) -> OperatorSe
         raise ValueError("theta parametrises the unit circle: need 0 <= theta < 1")
     padded = LatticeWindow(window.size + 3)
     qval = cmath.exp(2j * cmath.pi * theta)
-    ops = {gen: _generator(padded, gen, qval) for gen in ("a", "b", "c", "d")}
+    ops = _generators(padded, qval)
     ad = ops["a"].compose(ops["d"])
     bc = ops["b"].compose(ops["c"]).scaled(-(qval ** -1))
     # a and d act on sector "c" only, b and c on sector "q": one shift holds both
@@ -221,21 +227,31 @@ def build_generator_operators(window: LatticeWindow, theta: float) -> OperatorSe
     ops["D"] = SparseOperator(padded, both, ad.truncated | bc.truncated)
     ops["Dinv"] = ops["D"].adjoint(mark_missing_rows=True)
     ops["z"] = ops["Dinv"].compose(ad)
-    inner = np.array([padded.index(site) for site in window.sites()])
+    inner = padded.number(*window.coordinates())
     return OperatorSet(window, theta, {g: _clip(op, window, inner) for g, op in ops.items()})
 
 
-def _generator(window: LatticeWindow, gen: str, qval: complex):
-    targets = np.full(len(window), -1)
-    weights = np.zeros(len(window), complex)
-    truncated = np.zeros(len(window), bool)
-    for i, site in enumerate(window.sites()):
-        hit = lattice_action(gen, site, qval)
-        if hit is not None and window.contains(hit[0]):
-            targets[i], weights[i] = window.index(hit[0]), hit[1]
-        elif hit is not None:
-            truncated[i] = True
-    return SparseOperator(window, [(targets, weights)], truncated)
+def _generators(window: LatticeWindow, qval: complex) -> dict[str, SparseOperator]:
+    """a, b, c and d on the window; a column whose image leaves it is truncated.
+
+    Each q**e is read from a table of Python's complex ``**`` over the
+    distinct exponents: the weights must round as ``qval ** e`` does, since
+    the reported relation defects are rounding residues.
+    """
+
+    def power(e):
+        exps, at = np.unique(e, return_inverse=True)
+        return np.array([qval ** int(x) for x in exps], complex)[at]
+
+    sector, m, n = window.coordinates()
+    ops = {}
+    for gen, (home, m2, n2, weight) in lattice_shifts(m, n, power).items():
+        acts = sector == home
+        inside = (np.abs(m2) <= window.size) & (np.abs(n2) <= window.size)
+        hit = acts & inside
+        targets = np.where(hit, window.number(sector, m2, n2), -1)
+        ops[gen] = SparseOperator(window, [(targets, np.where(hit, weight, 0j))], acts & ~inside)
+    return ops
 
 
 def _clip(op: SparseOperator, window: LatticeWindow, inner: np.ndarray) -> SparseOperator:
@@ -300,7 +316,7 @@ def verify_gns_relations(
     opset = operator_set(window_size, theta)
     window = opset.window
     alg = adtq()
-    interior = np.array([window.is_interior(site) for site in window.sites()])
+    interior = window.interior_mask()
     # every relation's defect is computed, since the report lists them all
     relation_defects = []
     for rule in alg.system.rules:

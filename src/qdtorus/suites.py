@@ -634,6 +634,13 @@ def run_suite(name: str, params: SuiteParams | None = None) -> Report:
     for key, value in windows.items():
         if value < 0:
             raise QdtError(f"{key} must not be negative, got {value}")
+    # the expectation check applies words of this degree to the vacuum
+    least = FIXED_WINDOWS["gns"]["expectation_max_deg"]
+    if name in ("gns", "all") and params.window < least:
+        raise QdtError(
+            f"window must be at least {least} for the gns suite, whose expectation "
+            f"check walks words of degree {least} from the vacuum, got {params.window}"
+        )
     at_least_one = {"jobs": params.jobs, "quotient_n": params.quotient_n, "q_root": params.q_root}
     for key, value in at_least_one.items():
         if value < 1:

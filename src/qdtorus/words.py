@@ -146,16 +146,17 @@ class RewriteSystem:
 
     # -- ambiguities -------------------------------------------------------
 
-    def critical_words(self, max_len: int | None = None):
+    def critical_words(self, max_len: int | None = None, since: int = 0):
         """All overlap and inclusion ambiguities among rule patterns.
 
         Yields (word, (pos1, rule1), (pos2, rule2)) where the two rules apply
-        at the stated positions of the shared word.
+        at the stated positions of the shared word.  With ``since`` only the
+        ambiguities that involve a rule numbered ``since`` or later.
         """
         n = len(self.rules)
         for i in range(n):
             p1 = self.rules[i].pattern
-            for j in range(n):
+            for j in range(0 if i >= since else since, n):
                 p2 = self.rules[j].pattern
                 # proper overlap: a suffix of p1 is a prefix of p2
                 for k in range(1, min(len(p1), len(p2))):
@@ -179,9 +180,9 @@ class RewriteSystem:
             add_term(combo, word[:pos] + rw + word[tail:], rc)
         return self.normalize_combo(combo)
 
-    def unresolved_pairs(self, max_len: int | None = None) -> list[CriticalPair]:
+    def unresolved_pairs(self, max_len: int | None = None, since: int = 0) -> list[CriticalPair]:
         bad = []
-        for word, at1, at2 in self.critical_words(max_len):
+        for word, at1, at2 in self.critical_words(max_len, since):
             left = self.resolve(word, at1)
             right = self.resolve(word, at2)
             if left != right:
@@ -198,16 +199,20 @@ class RewriteSystem:
 
         Each pass orients every unresolved pair it finds, in order: the
         pair's difference is first normalized, so the rules added earlier in
-        the same pass apply, and it is skipped if that leaves zero.  The loop
-        ends only on a full pass that finds no unresolved pair.
+        the same pass apply, and it is skipped if that leaves zero.  After
+        the first pass, a pass checks only the pairs that involve a rule the
+        previous pass added.  The loop ends only on a full pass that finds no
+        unresolved pair.
 
         ``invert_scalar`` must invert any nonzero coefficient (so the scalar
         ring must be a field, e.g. a cyclotomic mode).
         """
+        since = 0
         for _ in range(max_rounds):
-            pairs = self.unresolved_pairs(max_len)
-            if not pairs:
+            pairs = self.unresolved_pairs(max_len, since)
+            if not pairs and not since:
                 return
+            since = len(self.rules)
             for pair in pairs:
                 diff: Combo = dict(pair.left)
                 add_scaled(diff, pair.right, QScalar.of(-1))
@@ -220,6 +225,8 @@ class RewriteSystem:
                     (self.scalar_canon(-inv * c), w) for w, c in diff.items() if w != lm
                 )
                 self.add_rule(RewriteRule(lm, result))
+            if since == len(self.rules):
+                since = 0  # nothing new: the next pass is the full one
         else:
             raise CompletionFailure(
                 f"completion did not stabilise after {max_rounds} rounds"

@@ -113,6 +113,24 @@ class TestVerify:
         code, out, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error: ") and not out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "gns", "--window", "3"),
+            ("verify", "all", "--window", "3"),
+            ("gns", "--window", "0", "--norm", "a"),
+        ],
+    )
+    def test_a_window_too_small_for_the_gns_suite_is_usage_error(self, capsys, argv):
+        # the expectation check walks words of degree 4 from the vacuum
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err.startswith("error: window must be at least 4 for the gns suite"), err
+
+    def test_the_smallest_gns_window_passes(self, capsys):
+        code, out, _ = run(capsys, "verify", "gns", "--window", "4")
+        assert code == 0 and out
+
     def test_bad_expression_is_usage_error(self, capsys):
         code, _, err = run(capsys, "normalize", "a^^2")
         assert code == 2 and "error" in err

@@ -352,6 +352,15 @@ def test_project_between_presentations():
     assert projected == el("q*a*b + z", B)
 
 
+def test_critical_words_since_keeps_the_pairs_of_later_rules():
+    system = adtq().system
+    full = list(system.critical_words(6))
+    for since in (0, 5, len(system.rules) - 1, len(system.rules)):
+        want = [c for c in full if max(c[1][1], c[2][1]) >= since]
+        assert list(system.critical_words(6, since)) == want
+    assert list(system.critical_words(6, len(system.rules))) == []
+
+
 def test_unresolved_pairs_entry_point():
     assert auq2().system.unresolved_pairs(6) == []
     assert adtq().system.unresolved_pairs(6) == []

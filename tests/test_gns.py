@@ -18,7 +18,6 @@ from qdtorus.gns import (
     apply_element,
     estimate_operator_norm,
     gns_expectation,
-    lattice_action,
     operator_for_word,
     operator_set,
     theta_continuity_defect,
@@ -34,22 +33,49 @@ def el(text):
     return parse_element(text, adtq())
 
 
+def lattice_action(gen: str, site, qval: complex):
+    """The exact infinite-lattice action of one generator on one site, the
+    per-site oracle of ``gns.lattice_shifts``; None is a structural zero."""
+    sector, m, n = site
+    if gen == "a":
+        if sector != "c":
+            return None
+        return ("c", m, n + 1) if n >= 0 else ("c", m + 1, n + 1), 1.0 + 0j
+    if gen == "d":
+        if sector != "c":
+            return None
+        return ("c", m + 1, n - 1) if n > 0 else ("c", m, n - 1), 1.0 + 0j
+    if gen == "b":
+        if sector != "q":
+            return None
+        if n > 0:
+            return ("q", m + 1, n - 1), -(qval ** (2 * n - 1))
+        return ("q", m, n - 1), qval ** (2 * m)
+    if gen == "c":
+        if sector != "q":
+            return None
+        if n >= 0:
+            return ("q", m, n + 1), 1.0 + 0j
+        return ("q", m + 1, n + 1), -(qval ** (-2 * m - 1))
+    raise ValueError(f"no lattice rule for generator {gen!r}")
+
+
 @contextlib.contextmanager
 def planted_b_weight(monkeypatch):
     """The b lattice weight with exponent 2n in place of 2n - 1, on operators
     built fresh and dropped again, so that no other test sees them."""
-    real = gns.lattice_action
+    real = gns.lattice_shifts
 
-    def wrong(gen, site, qval):
-        sector, _, n = site
-        if gen == "b" and sector == "q" and n > 0:
-            return real(gen, site, qval)[0], -(qval ** (2 * n))
-        return real(gen, site, qval)
+    def wrong(m, n, power):
+        shifts = real(m, n, power)
+        sector, m2, n2, weight = shifts["b"]
+        shifts["b"] = (sector, m2, n2, np.where(n > 0, -power(2 * n), weight))
+        return shifts
 
     gns.operator_set.cache_clear()
     try:
         with monkeypatch.context() as patch:
-            patch.setattr(gns, "lattice_action", wrong)
+            patch.setattr(gns, "lattice_shifts", wrong)
             yield
     finally:
         gns.operator_set.cache_clear()
@@ -196,6 +222,49 @@ class TestVacuum:
             image = apply_element(element, vac, ops)
             direct = sum(vac[s].conjugate() * image.get(s, 0j) for s in vac)
             assert abs(direct - gns_expectation(element, 6, THETA)) < 1e-12
+
+
+def _per_site_generator(window, gen, qval):
+    """One generator's targets, weights and truncation mask, built site by
+    site from ``lattice_action``."""
+    targets = np.full(len(window), -1)
+    weights = np.zeros(len(window), complex)
+    truncated = np.zeros(len(window), bool)
+    for i, site in enumerate(window.sites()):
+        hit = lattice_action(gen, site, qval)
+        if hit is not None and window.contains(hit[0]):
+            targets[i], weights[i] = window.index(hit[0]), hit[1]
+        elif hit is not None:
+            truncated[i] = True
+    return targets, weights, truncated
+
+
+@pytest.mark.parametrize("size", range(11))
+def test_generators_match_the_per_site_oracle(size):
+    """Index arithmetic on coordinate arrays gives the per-site shifts, with
+    every weight equal bit for bit."""
+    window = LatticeWindow(size)
+    for theta in (0.0, 0.31, 0.5, 0.77):
+        qval = cmath.exp(2j * cmath.pi * theta)
+        ops = gns._generators(window, qval)
+        for gen in "abcd":
+            targets, weights, truncated = _per_site_generator(window, gen, qval)
+            (got_targets, got_weights), = ops[gen].shifts
+            assert np.array_equal(got_targets, targets), (gen, theta)
+            assert np.array_equal(ops[gen].truncated, truncated), (gen, theta)
+            assert (got_weights == weights).all(), (gen, theta)
+            assert got_weights.tobytes() == weights.tobytes(), (gen, theta)
+
+
+@pytest.mark.parametrize("size", range(9))
+def test_window_positions_and_interior_by_arithmetic(size):
+    window, padded = LatticeWindow(size), LatticeWindow(size + 3)
+    coordinates = [array.tolist() for array in window.coordinates()]
+    assert [("cq"[s], m, n) for s, m, n in zip(*coordinates)] == window.sites()
+    inner = [padded.index(site) for site in window.sites()]
+    assert padded.number(*window.coordinates()).tolist() == inner
+    interior = [window.is_interior(site) for site in window.sites()]
+    assert window.interior_mask().tolist() == interior
 
 
 def _dense_oracle(window_size, theta):
