@@ -12,7 +12,7 @@ from .algebras import (
     build_finite_quotient,
     enumerate_basis,
 )
-from .exprs import parse_element, parse_expression, print_expression
+from .exprs import parse_element
 from .scalars import CyclotomicMode, QScalar
 from .suites import SuiteParams, run_suite
 
@@ -31,7 +31,5 @@ __all__ = [
     "build_finite_quotient",
     "enumerate_basis",
     "parse_element",
-    "parse_expression",
-    "print_expression",
     "run_suite",
 ]

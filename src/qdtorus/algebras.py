@@ -54,10 +54,6 @@ Q = QScalar.q_power(1)
 QI = QScalar.q_power(-1)
 
 
-def _sc(value) -> QScalar:
-    return QScalar.of(value)
-
-
 # ---------------------------------------------------------------------------
 # Elements
 # ---------------------------------------------------------------------------
@@ -71,7 +67,7 @@ class Element:
     def __init__(self, algebra: "Algebra", terms: dict):
         canon = {}
         for m, c in terms.items():
-            c = algebra.canon_scalar(_sc(c))
+            c = algebra.canon_scalar(QScalar.of(c))
             if c:
                 canon[m] = c
         self.algebra = algebra
@@ -109,7 +105,7 @@ class Element:
 
     def __add__(self, other):
         if not isinstance(other, Element):
-            other = self.algebra.unit() * _sc(other)
+            other = self.algebra.unit() * QScalar.of(other)
         return self.algebra.combine(((self, None), (other, None)))
 
     __radd__ = __add__
@@ -120,7 +116,7 @@ class Element:
 
     def __sub__(self, other):
         if not isinstance(other, Element):
-            other = self.algebra.unit() * _sc(other)
+            other = self.algebra.unit() * QScalar.of(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -128,7 +124,7 @@ class Element:
 
     def __mul__(self, other):
         if not isinstance(other, Element):  # scalars commute with everything
-            other = _sc(other)
+            other = QScalar.of(other)
             return self.map_scalars(lambda c: c * other)
         self._check_peer(other)
         mul_mon = self.algebra.mul_mon
@@ -176,7 +172,7 @@ class Element:
         if not isinstance(other, Element):
             if not isinstance(other, (int, Fraction, QScalar)):
                 return NotImplemented
-            other = self.algebra.unit() * _sc(other)
+            other = self.algebra.unit() * QScalar.of(other)
         if self.algebra is not other.algebra:
             raise CrossAlgebraMix(
                 f"comparing {self.algebra.tag} with {other.algebra.tag}"
@@ -233,7 +229,7 @@ class TensorElement:
         canon = {}
         canon_scalar = legs[0].canon_scalar
         for key, c in terms.items():
-            c = canon_scalar(_sc(c))
+            c = canon_scalar(QScalar.of(c))
             if c:
                 canon[key] = c
         self.legs = tuple(legs)
@@ -272,11 +268,11 @@ class TensorElement:
         return TensorElement.combine(self.legs, ((self, None), (other, None)))
 
     def __sub__(self, other):
-        return self + other * _sc(-1)
+        return self + other * QScalar.of(-1)
 
     def __mul__(self, other):
         if not isinstance(other, TensorElement):
-            return TensorElement.combine(self.legs, ((self, _sc(other)),))
+            return TensorElement.combine(self.legs, ((self, QScalar.of(other)),))
         self._check_peer(other)
         acc: dict = {}
         for k1, c1 in self.terms.items():
@@ -423,7 +419,7 @@ class Algebra:
         return Element(self, {})
 
     def monomial(self, mon, coeff=1) -> Element:
-        return Element(self, {mon: _sc(coeff)})
+        return Element(self, {mon: QScalar.of(coeff)})
 
     def combine(self, pairs) -> Element:
         """sum(coeff * element) over (element, coeff) pairs of this algebra.
@@ -523,13 +519,13 @@ class WordAlgebra(Algebra):
         self._cop_letter[letter] = TensorElement.combine(
             (self, self),
             (
-                (tensor_of([self.normalize_word(w1), self.normalize_word(w2)]), _sc(c))
+                (tensor_of([self.normalize_word(w1), self.normalize_word(w2)]), QScalar.of(c))
                 for c, w1, w2 in cop
             ),
         )
-        self._counit_letter[letter] = self.canon_scalar(_sc(counit))
+        self._counit_letter[letter] = self.canon_scalar(QScalar.of(counit))
         for table, image in ((self._antipode_letter, antipode), (self._star_letter, star)):
-            table[letter] = self.combine((self.normalize_word(w), _sc(c)) for c, w in image)
+            table[letter] = self.combine((self.normalize_word(w), QScalar.of(c)) for c, w in image)
 
     def coproduct_mon(self, mon: Word) -> TensorElement:
         if not self.is_hopf:
@@ -1006,9 +1002,7 @@ class BasisWindow:
 def enumerate_basis(algebra: Algebra, window: BasisWindow) -> list:
     """The published basis pattern of the algebra, restricted to the window."""
     tag = algebra.tag
-    if tag.startswith("ADTq") or tag.startswith("FDQUOT"):
-        if tag.startswith("FDQUOT"):
-            return algebra.system.all_normal_words()
+    if tag.startswith("ADTq"):
         out = []
         for d in range(-window.d_max, window.d_max + 1):
             out.append(quotient_mon_word(d))

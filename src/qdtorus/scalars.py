@@ -83,9 +83,6 @@ class QScalar:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_one(self) -> bool:
-        return self._terms == {0: 1}
-
     def constant_value(self) -> int | Fraction:
         """The value when no q appears; raises if q-dependent."""
         if not self._terms:

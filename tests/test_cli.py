@@ -131,8 +131,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "gns", "--window", "4")
         assert code == 0 and out
 
-    def test_bad_expression_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "normalize", "a^^2")
+    @pytest.mark.parametrize(
+        "text",
+        ["a^^2", "1/0", pytest.param("(" * 2000 + "a" + ")" * 2000, id="deep-nesting")],
+    )
+    def test_bad_expression_is_usage_error(self, capsys, text):
+        code, _, err = run(capsys, "normalize", text)
         assert code == 2 and "error" in err
 
 
