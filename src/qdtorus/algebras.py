@@ -35,6 +35,7 @@ from .errors import (
     CrossAlgebraMix,
     InvalidExponent,
     NotAHopfAlgebra,
+    QdtError,
     RootConditionViolated,
     UnknownGenerator,
 )
@@ -295,15 +296,19 @@ class TensorElement:
                 add_term(acc, key[:i] + (m,) + key[i + 1 :], c * ci)
         return TensorElement._settled(tuple(legs), acc)
 
+    def expand_leg(self, i: int, fn, legs: tuple) -> "TensorElement":
+        """Replace leg i by ``legs`` through a linear map given on monomials
+        whose images are tensors on ``legs``."""
+        acc: dict = {}
+        for key, c in self.terms.items():
+            for keys, ci in fn(key[i]).terms.items():
+                add_term(acc, key[:i] + keys + key[i + 1 :], c * ci)
+        return TensorElement._settled(self.legs[:i] + legs + self.legs[i + 1 :], acc)
+
     def coproduct_leg(self, i: int) -> "TensorElement":
         """Replace leg i by its coproduct, increasing the rank by one."""
         leg = self.legs[i]
-        legs = self.legs[:i] + (leg, leg) + self.legs[i + 1 :]
-        acc: dict = {}
-        for key, c in self.terms.items():
-            for (m1, m2), ci in leg.coproduct_mon(key[i]).terms.items():
-                add_term(acc, key[:i] + (m1, m2) + key[i + 1 :], c * ci)
-        return TensorElement._settled(legs, acc)
+        return self.expand_leg(i, leg.coproduct_mon, (leg, leg))
 
     def counit_leg(self, i: int):
         """Contract leg i with the counit; returns a lower-rank tensor or Element."""
@@ -657,14 +662,7 @@ _QG_STAR = {**_QG_ANTIPODE, "b": _QG_ANTIPODE["c"], "c": _QG_ANTIPODE["b"]}
 class QGroupAlgebra(WordAlgebra):
     """Shared machinery for the parent quantum group and its quotient."""
 
-    def __init__(self, tag, rules, notes="", mutation=None):
-        if mutation == "bc_weak":
-            # replaces the q^2-commutation of the antidiagonal pair by a
-            # plain commutation; used by the sensitivity (mutation) checks
-            rules = [r for r in rules if r.pattern != ("b", "c")]
-            rules.append(
-                RewriteRule(("b", "c"), ((ONE, ("D", "z")), (-ONE, ("D",))))
-            )
+    def __init__(self, tag, rules, notes=""):
         system = RewriteSystem(_QG_LETTERS, rules)
         super().__init__(
             tag,
@@ -816,10 +814,17 @@ def auq2() -> QGroupAlgebra:
 
 @algebra_factory
 def adtq(mutation: str | None = None) -> QGroupAlgebra:
+    """The double-torus quotient.  ``adtq("bc_weak")`` replaces the
+    q^2-commutation of the antidiagonal pair by a plain commutation, for the
+    sensitivity (mutation) checks; no other mutation exists."""
     rules = _qg_base_rules() + _quotient_extra_rules()
     if mutation is None:
         return DoubleTorusAlgebra("ADTq", rules)
-    return QGroupAlgebra(f"ADTq!{mutation}", rules, mutation=mutation)
+    if mutation != "bc_weak":
+        raise QdtError(f"unknown mutation {mutation!r}")
+    rules = [r for r in rules if r.pattern != ("b", "c")]
+    rules.append(RewriteRule(("b", "c"), ((ONE, ("D", "z")), (-ONE, ("D",)))))
+    return QGroupAlgebra("ADTq!bc_weak", rules)
 
 
 # -- the classical torus ------------------------------------------------------
@@ -942,6 +947,11 @@ def az2() -> Z2Algebra:
         star=[(1, ("d1",))],
     )
     return alg
+
+
+# Every named algebra by its tag; the bicross product is built per convention
+# in ``galois``.
+ALGEBRAS = {"AUq2": auq2, "ADTq": adtq, "AT2": at2, "AT2q": at2q, "AZ2": az2}
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,22 @@ import re
 import sys
 
 from . import corep, galois, gns
-from .algebras import adtq, at2, at2q, auq2, az2, build_finite_quotient
+from .algebras import ALGEBRAS, Element, adtq, build_finite_quotient
 from .errors import QdtError
 from .exprs import parse_element
+from .hopf import haar
 from .report import Report
 from .scalars import CyclotomicMode
 from .suites import SUITE_NAMES, SuiteParams, run_suite
 
-_ALGEBRAS = {"AUq2": auq2, "ADTq": adtq, "AT2": at2, "AT2q": at2q, "AZ2": az2}
+# The commands that print one value of a parsed expression: help, then the map.
+_VALUE_COMMANDS = {
+    "normalize": ("normal form of an expression", lambda element: element),
+    "coproduct": ("coproduct of an expression", Element.coproduct),
+    "antipode": ("antipode of an expression", Element.antipode),
+    "star": ("involution of an expression", Element.star),
+    "haar": ("invariant-state value of an expression", haar),
+}
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -36,9 +44,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--window", type=int, default=6)
     parser.add_argument("--q-theta", type=float, default=0.31, dest="theta")
     parser.add_argument("--q-root", type=int, default=4, dest="q_root")
-    parser.add_argument(
-        "--convention", choices=("printed", "corrected"), default="corrected"
-    )
+    parser.add_argument("--convention", choices=galois.CONVENTIONS, default=galois.CORRECTED)
     parser.add_argument("--report", choices=("text", "json"), default="text")
     parser.add_argument("--jobs", type=int, default=1)
 
@@ -50,13 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, helptext in (
-        ("normalize", "normal form of an expression"),
-        ("coproduct", "coproduct of an expression"),
-        ("antipode", "antipode of an expression"),
-        ("star", "involution of an expression"),
-        ("haar", "invariant-state value of an expression"),
-    ):
+    for name, (helptext, _) in _VALUE_COMMANDS.items():
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("expression")
         _add_common(cmd)
@@ -136,22 +136,12 @@ def _corep_by_label(label: str) -> corep.CorepMatrix:
 
 
 def dispatch(args) -> int:
-    if args.command in ("normalize", "coproduct", "antipode", "star", "haar"):
-        algebra = _ALGEBRAS.get(args.algebra)
+    if args.command in _VALUE_COMMANDS:
+        algebra = ALGEBRAS.get(args.algebra)
         if algebra is None:
-            raise QdtError(f"unknown algebra {args.algebra!r}")
-        element = parse_element(args.expression, algebra())
-        if args.command == "normalize":
-            return _emit_value(args, "result", element)
-        if args.command == "coproduct":
-            return _emit_value(args, "result", element.coproduct())
-        if args.command == "antipode":
-            return _emit_value(args, "result", element.antipode())
-        if args.command == "star":
-            return _emit_value(args, "result", element.star())
-        from .hopf import haar
-
-        return _emit_value(args, "result", haar(element))
+            raise QdtError(f"unknown algebra {args.algebra!r}; choose from {tuple(ALGEBRAS)}")
+        _, value_of = _VALUE_COMMANDS[args.command]
+        return _emit_value(args, "result", value_of(parse_element(args.expression, algebra())))
 
     if args.command == "character":
         w = _corep_by_label(args.label)

@@ -8,14 +8,15 @@ Grammar (whitespace insensitive)::
     scalar := NUMBER ('/' NUMBER)? | 'q' ('^' int)?
     int    := ('-')? NUMBER
 
-Generator names are the fixed alphabet a b c d D Dinv z u v x y d0 d1.  Factors
-are evaluated as they are read, so an input's leftmost fault is the one raised.
+A name is ``q`` or one of the algebra's ``generator_names``, checked where it
+is read.  Factors are evaluated as they are read, so an input's leftmost fault
+is the one raised.
 """
 
 import re
 from fractions import Fraction
 
-from .algebras import Algebra, Element
+from .algebras import Element, WordAlgebra
 from .errors import ExprSyntaxError, UnknownGenerator
 from .scalars import QScalar
 
@@ -23,7 +24,6 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()]))")
 _KINDS = (None, "num", "name", "op")  # by the number of the matching group
 _SIGNS = {"+": None, "-": QScalar.of(-1)}  # combine reads None as 1
 MAX_NESTING = 200  # parentheses; keeps the recursion inside Python's stack limit
-GENERATOR_NAMES = ("a", "b", "c", "d", "D", "Dinv", "z", "u", "v", "x", "y", "d0", "d1")
 
 
 def _tokens(text: str):
@@ -37,7 +37,7 @@ def _tokens(text: str):
     yield "end", "", len(text)
 
 
-def parse_element(text: str, algebra: Algebra) -> Element:
+def parse_element(text: str, algebra: WordAlgebra) -> Element:
     """The element of ``algebra`` that ``text`` denotes."""
     tokens, ahead = _tokens(text), []  # ahead: the next token, once looked at
 
@@ -86,8 +86,8 @@ def parse_element(text: str, algebra: Algebra) -> Element:
                 value = Fraction(value, den)
             return algebra.unit() * QScalar.of(value)
         if kind == "name":
-            if word != "q" and word not in GENERATOR_NAMES:
-                raise UnknownGenerator(f"unknown generator {word!r}")
+            if word != "q" and word not in algebra.generator_names:
+                raise UnknownGenerator(f"{word!r} is not a generator of {algebra.tag}")
             power = 1
             if accept("^"):
                 power = (-1 if accept("-") else 1) * integer("exponent")[0]

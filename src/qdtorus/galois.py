@@ -20,7 +20,6 @@ is kept behind the toggle to reproduce the documented discrepancy.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -44,30 +43,23 @@ from .algebras import (
     quotient_mon_view,
     tensor_of,
 )
-from .errors import NotInBaseImage
+from .errors import NotInBaseImage, QdtError
 from .report import Check, checks_from
 from .scalars import QScalar, add_term
 
 ONE = QScalar.one()
 
 
-@dataclass(frozen=True)
-class CleavingConvention:
-    name: str  # "corrected" | "printed"
-
-    @property
-    def diag_sign_exponent(self) -> int:
-        return 1 if self.name == "corrected" else -1
+CORRECTED = "corrected"
+PRINTED = "printed"
+CONVENTIONS = (CORRECTED, PRINTED)
 
 
-CORRECTED = CleavingConvention("corrected")
-PRINTED = CleavingConvention("printed")
-
-
-def convention(name: str) -> CleavingConvention:
-    if name not in ("corrected", "printed"):
-        raise ValueError(f"unknown cleaving convention {name!r}")
-    return CORRECTED if name == "corrected" else PRINTED
+def convention(name: str) -> str:
+    """The cleaving convention ``name``, once it is known to be one of ``CONVENTIONS``."""
+    if name not in CONVENTIONS:
+        raise QdtError(f"unknown cleaving convention {name!r}; choose from {CONVENTIONS}")
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -76,25 +68,25 @@ def convention(name: str) -> CleavingConvention:
 
 
 @lru_cache(maxsize=None)
-def cleaving_twist(k: int, l: int, conv: CleavingConvention = CORRECTED) -> tuple:
+def cleaving_twist(k: int, l: int, conv: str = CORRECTED) -> tuple:
     """j's quantum corner at u^k v^l as (triple, coefficient): (-1)^m q^(±m²)
     times (1, k, l), m = min(k, l), with the sign of k - l on m².  On the
     diagonal the printed convention moves the triple to (1, -k, -k)."""
     m = min(k, l)
     exponent = m * m if k > l else -m * m if k < l else 0
     if k == l:
-        k = l = conv.diag_sign_exponent * k
+        k = l = -k if conv == PRINTED else k
     return (1, k, l), QScalar.q_power(exponent, -1 if m % 2 else 1)
 
 
 @lru_cache(maxsize=None)
-def cleaving_j_mon(k: int, l: int, conv: CleavingConvention = CORRECTED) -> Element:
+def cleaving_j_mon(k: int, l: int, conv: str = CORRECTED) -> Element:
     """The section in the classical corner plus a twist in the quantum one:
     j(h) = Phi(1 ⊗ h)."""
     return phi_mon((0, k, l), conv) + phi_mon((1, k, l), conv)
 
 
-def cleaving_j(h: Element, conv: CleavingConvention = CORRECTED) -> Element:
+def cleaving_j(h: Element, conv: str = CORRECTED) -> Element:
     return adtq().combine(
         (cleaving_j_mon(*at2().lattice_exponents(mon), conv), c)
         for mon, c in h.terms.items()
@@ -102,7 +94,7 @@ def cleaving_j(h: Element, conv: CleavingConvention = CORRECTED) -> Element:
 
 
 @lru_cache(maxsize=None)
-def cleaving_j_inverse_mon(k: int, l: int, conv: CleavingConvention = CORRECTED) -> Element:
+def cleaving_j_inverse_mon(k: int, l: int, conv: str = CORRECTED) -> Element:
     """j(h) is a unitary of its two corners, so its inverse is j(h)*."""
     return cleaving_j_mon(k, l, conv).star()
 
@@ -182,9 +174,7 @@ def _sigma_of_exponent(e: int) -> Element:
     return base.delta(0) + base.delta(1) * QScalar.q_power(e)
 
 
-def sigma_convolution(
-    k: int, l: int, m: int, n: int, conv: CleavingConvention = CORRECTED
-) -> Element:
+def sigma_convolution(k: int, l: int, m: int, n: int, conv: str = CORRECTED) -> Element:
     """sigma(h, g) = j(h) j(g) j^{-1}(hg) for group-like arguments.
 
     The classical corner gives d0.  In the quantum one j(h) is c(h) times the
@@ -262,7 +252,7 @@ def ell_table(e: Element) -> Element:
     return az2().combine((ell_table_mon(mon), c) for mon, c in e.terms.items())
 
 
-def ell_from_j_mon(mon, conv: CleavingConvention = CORRECTED) -> Element:
+def ell_from_j_mon(mon, conv: str = CORRECTED) -> Element:
     """The cocleaving map from the right coaction: p -> p_(0) j^{-1}(p_(1))."""
     alg = adtq()
     return to_az2(
@@ -299,9 +289,7 @@ def coaction_lambda(h: Element) -> TensorElement:
     )
 
 
-def coaction_lambda_from_ell(
-    k: int, l: int, conv: CleavingConvention = CORRECTED
-) -> TensorElement:
+def coaction_lambda_from_ell(k: int, l: int, conv: str = CORRECTED) -> TensorElement:
     """Derive the coaction through the three-leg cocleaving formula.
 
     Uses a section of the projection (a convenient preimage of each
@@ -337,9 +325,9 @@ class BicrossAlgebra(Algebra):
     the axioms by the suites.
     """
 
-    def __init__(self, conv: CleavingConvention):
+    def __init__(self, conv: str):
         self.conv = conv
-        self.tag = f"BICROSS[{conv.name}]"
+        self.tag = f"BICROSS[{conv}]"
 
     def unit(self) -> Element:
         return Element(self, {(0, 0, 0): ONE, (1, 0, 0): ONE})
@@ -391,14 +379,14 @@ class BicrossAlgebra(Algebra):
 
 
 @algebra_factory
-def build_bicross_product(convention_name: str = "corrected") -> BicrossAlgebra:
+def build_bicross_product(convention_name: str = CORRECTED) -> BicrossAlgebra:
     return BicrossAlgebra(convention(convention_name))
 
 
 # -- the isomorphism ---------------------------------------------------------
 
 
-def phi_mon(mon, conv: CleavingConvention = CORRECTED) -> Element:
+def phi_mon(mon, conv: str = CORRECTED) -> Element:
     """Phi(d_i ⊗ u^k v^l): the corner-i part of j(u^k v^l)."""
     i, k, l = mon
     if i == 0:
@@ -407,11 +395,11 @@ def phi_mon(mon, conv: CleavingConvention = CORRECTED) -> Element:
     return corner_element(*triple) * c
 
 
-def phi(e: Element, conv: CleavingConvention = CORRECTED) -> Element:
+def phi(e: Element, conv: str = CORRECTED) -> Element:
     return adtq().combine((phi_mon(mon, conv), c) for mon, c in e.terms.items())
 
 
-def phi_inverse(e: Element, conv: CleavingConvention = CORRECTED) -> Element:
+def phi_inverse(e: Element, conv: str = CORRECTED) -> Element:
     """Inverse of Phi: the corner coordinates of e divided by the twist.
     The twist moves quantum triples by an involution, so each is the image
     of its own twist triple."""
@@ -421,7 +409,7 @@ def phi_inverse(e: Element, conv: CleavingConvention = CORRECTED) -> Element:
             (_, k, l), _ = cleaving_twist(k, l, conv)
             c = c * cleaving_twist(k, l, conv)[1].inverse()
         acc[(i, k, l)] = c
-    return Element(build_bicross_product(conv.name), acc)
+    return Element(build_bicross_product(conv), acc)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +557,7 @@ def verify_prop14_diagram(max_exp: int = 4, mutation: str | None = None) -> list
         "diagram_coaction_coassociative": (
             fmt(mon)
             for mon in window
-            if of_mon(mon).coproduct_leg(0) != _apply_rho_right(of_mon(mon), rho)
+            if of_mon(mon).coproduct_leg(0) != of_mon(mon).expand_leg(1, of_mon, (rho.alg, torus))
         ),
         "diagram_coaction_counit": (
             fmt(mon) for mon in window if of_mon(mon).counit_leg(0) != torus.monomial(mon)
@@ -585,20 +573,12 @@ def verify_prop14_diagram(max_exp: int = 4, mutation: str | None = None) -> list
     })
 
 
-def _apply_rho_right(t: TensorElement, rho: TorusCoaction) -> TensorElement:
-    acc: dict = {}
-    for (am, vm), c in t.terms.items():
-        for (a2, v2), c2 in rho.of_mon(vm).terms.items():
-            add_term(acc, (am, a2, v2), c * c2)
-    return TensorElement((rho.alg, rho.alg, rho.torus), acc)
-
-
 # ---------------------------------------------------------------------------
 # The three consistency comparisons and the mandatory convention summary
 # ---------------------------------------------------------------------------
 
 
-def right_colinear_ok(k: int, l: int, conv: CleavingConvention) -> bool:
+def right_colinear_ok(k: int, l: int, conv: str) -> bool:
     alg, torus = adtq(), at2()
     j_el = cleaving_j_mon(k, l, conv)
     lifted = j_el.coproduct().apply_leg(1, prj_mon, torus)
@@ -609,22 +589,22 @@ def right_colinear_ok(k: int, l: int, conv: CleavingConvention) -> bool:
     return lifted == expected
 
 
-def sigma_table_mismatch(conv: CleavingConvention, exp_range: int) -> str | None:
-    """The first pair of group-likes where the cocycle table differs from
-    j(h) j(g) j^{-1}(hg), or None when they agree on the range."""
+def sigma_table_mismatches(conv: str, exp_range: int):
+    """The pairs of group-likes where the cocycle table differs from
+    j(h) j(g) j^{-1}(hg), as a scan of witnesses."""
     for k, l, m, n in itertools.product(range(-exp_range, exp_range + 1), repeat=4):
         try:
             direct = sigma_convolution(k, l, m, n, conv)
         except NotInBaseImage:
-            return f"NotInBaseImage at (u^{k}v^{l}, u^{m}v^{n})"
+            yield f"NotInBaseImage at (u^{k}v^{l}, u^{m}v^{n})"
+            continue
         if direct != sigma_table(k, l, m, n):
-            return f"value mismatch at ({k},{l},{m},{n})"
-    return None
+            yield f"value mismatch at ({k},{l},{m},{n})"
 
 
-def cocleaving_table_mismatch(conv: CleavingConvention, exp_range: int) -> str | None:
-    """The first window monomial where the cocleaving table differs from the
-    map derived from the cleaving map, or None when they agree."""
+def cocleaving_table_mismatches(conv: str, exp_range: int):
+    """The window monomials where the cocleaving table differs from the map
+    derived from the cleaving map, as a scan of witnesses."""
     alg = adtq()
     for mon in enumerate_basis(alg, BasisWindow(d_max=exp_range, gen_max=exp_range)):
         try:
@@ -632,29 +612,28 @@ def cocleaving_table_mismatch(conv: CleavingConvention, exp_range: int) -> str |
         except NotInBaseImage:
             same = False
         if not same:
-            return alg.format_mon(mon)
-    return None
+            yield alg.format_mon(mon)
 
 
-def colinearity_failure(conv: CleavingConvention, exp_range: int) -> str | None:
-    """The first group-like whose cleaving image is not right colinear."""
+def colinearity_failures(conv: str, exp_range: int):
+    """The group-likes whose cleaving image is not right colinear, as a scan
+    of witnesses."""
     for k, l in itertools.product(range(-exp_range, exp_range + 1), repeat=2):
         if not right_colinear_ok(k, l, conv):
-            return f"u^{k}v^{l}"
-    return None
+            yield f"u^{k}v^{l}"
 
 
 CONVENTION_REPORT_RANGE = 2
 
 
-def convention_report(convention_name: str = "corrected") -> dict:
+def convention_report(convention_name: str = CORRECTED) -> dict:
     """The mandatory report section naming the active diagonal convention,
     from the three comparisons on the range ``CONVENTION_REPORT_RANGE``."""
     conv = convention(convention_name)
     r = CONVENTION_REPORT_RANGE
-    return {
-        "active": conv.name,
-        "sigma_table_matches_convolution": sigma_table_mismatch(conv, r) is None,
-        "cocleaving_table_matches_derived": cocleaving_table_mismatch(conv, r) is None,
-        "right_colinearity": colinearity_failure(conv, r) is None,
+    scans = {
+        "sigma_table_matches_convolution": sigma_table_mismatches(conv, r),
+        "cocleaving_table_matches_derived": cocleaving_table_mismatches(conv, r),
+        "right_colinearity": colinearity_failures(conv, r),
     }
+    return {"active": conv} | {key: next(scan, None) is None for key, scan in scans.items()}

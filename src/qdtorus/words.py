@@ -111,14 +111,21 @@ class RewriteSystem:
 
         After a rewrite at ``pos`` the search for the next redex resumes at
         ``pos - (longest pattern - 1)``: every position further left held
-        no redex before and sees only unchanged letters after.
+        no redex before and sees only unchanged letters after.  A word below
+        ``word`` at which the rewrite tree branches is normalized on its own
+        first, so its normal form is cached and its branches are expanded
+        once; those words wait in ``frames``, not on the Python stack.
         """
         if word in self._cache:
             return dict(self._cache[word])
         back = self._max_pattern - 1
-        out: Combo = {}
-        stack: list[tuple[QScalar, Word, int]] = [(QScalar.one(), word, 0)]
-        while stack:
+        frames: list = []  # (root, out, stack) of each word whose normal form waits
+        root, out, stack = word, {}, [(QScalar.one(), word, 0)]
+        while stack or frames:
+            if not stack:
+                self._cache[root] = settle(out, self.scalar_canon)
+                root, out, stack = frames.pop()
+                continue
             c, w, start = stack.pop()
             hit = self._cache.get(w)
             if hit is not None:
@@ -130,6 +137,11 @@ class RewriteSystem:
                 continue
             pos, idx = redex
             rule = self.rules[idx]
+            if len(rule.result) > 1 and w is not root:
+                stack.append((c, w, start))  # read from the cache once w is done
+                frames.append((root, out, stack))
+                root, out, stack = w, {}, [(QScalar.one(), w, 0)]
+                continue
             tail = pos + len(rule.pattern)
             resume = max(0, pos - back)
             for rc, rw in rule.result:

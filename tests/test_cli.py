@@ -140,6 +140,53 @@ class TestVerify:
         assert code == 2 and "error" in err
 
 
+@pytest.fixture
+def suite_work(monkeypatch):
+    """The suites and the convention section, replaced by a log of their starts."""
+    from qdtorus import galois, suites
+
+    started = []
+
+    def builder(key):
+        return lambda params: started.append(key) or []
+
+    for key in suites._SUITE_BUILDERS:
+        monkeypatch.setitem(suites._SUITE_BUILDERS, key, builder(key))
+    monkeypatch.setattr(galois, "convention_report", lambda name: started.append(name) or {})
+    return started
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "haar", "--algebra", "bogus"),
+        ("verify", "all", "--algebra", "AT2q"),
+        ("gns", "--algebra", "bogus"),
+        ("verify", "cocycle", "--convention", "Corrected"),
+    ],
+)
+def test_an_unknown_name_is_a_usage_error_before_any_suite_work(capsys, suite_work, argv):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse refuses a convention outside its choices
+        code = exc.code
+    assert code == 2 and "error" in capsys.readouterr().err
+    assert suite_work == []
+
+
+@pytest.mark.parametrize(
+    "suite, params",
+    [("gns", SuiteParams(convention="Corrected")), ("haar", SuiteParams(algebra="bogus"))],
+    ids=["convention", "algebra"],
+)
+def test_run_suite_checks_the_names_before_any_suite_work(suite_work, suite, params):
+    from qdtorus.errors import QdtError
+
+    with pytest.raises(QdtError, match="unknown"):
+        run_suite(suite, params)
+    assert suite_work == []
+
+
 class TestGnsAndQuotientCommands:
     def test_gns_values(self, capsys):
         code, out, _ = run(

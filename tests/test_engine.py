@@ -21,6 +21,7 @@ from qdtorus.errors import (
     CompletionFailure,
     CrossAlgebraMix,
     InvalidExponent,
+    QdtError,
     RootConditionViolated,
     UnknownGenerator,
 )
@@ -50,6 +51,15 @@ class TestNormalize:
         # from the determinant identity and the diagonal reduction, pinned
         B = adtq()
         assert B.normalize_word(("b", "c")) == el("q*D*z - q*D", B)
+
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_antidiagonal_powers_in_closed_form(self, n):
+        # b^n c^n = (-1)^n q^(n^2) D^n (1 - z)^n in AUq2; every b*c on the
+        # way branches in two, so this stays fast only while each branch
+        # word is normalized once
+        A = auq2()
+        want = A.gen("D", n) * (A.unit() - A.gen("z")) ** n * QScalar.q_power(n * n, (-1) ** n)
+        assert A.gen("b", n) * A.gen("c", n) == want
 
     def test_central_witness_annihilates_off_corner(self):
         B = adtq()
@@ -366,6 +376,8 @@ def test_unresolved_pairs_entry_point():
     assert adtq().system.unresolved_pairs(6) == []
     # the weakened antidiagonal relation destroys confluence, returned as data
     assert adtq("bc_weak").system.unresolved_pairs(6)
+    with pytest.raises(QdtError, match="unknown mutation"):
+        adtq("bc_strong")
 
 
 _LETTER_RACE_SCRIPT = """

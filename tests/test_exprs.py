@@ -4,9 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdtorus.algebras import Element, adtq, at2, auq2, az2
+from qdtorus.algebras import ALGEBRAS, Element, adtq, at2, auq2, az2
 from qdtorus.errors import ExprSyntaxError, QdtError, UnknownGenerator
-from qdtorus.exprs import GENERATOR_NAMES, parse_element
+from qdtorus.exprs import parse_element
 from qdtorus.scalars import QScalar
 
 
@@ -121,13 +121,16 @@ def test_torus_expressions():
     assert parse_element("u^-2*v", torus) == torus.gen("u", -2) * torus.gen("v")
 
 
-# Token soup over the grammar's alphabet, a few unknown names and stray
+# Token soup over every algebra's generator names, a few unknown names and stray
 # characters: operand-like and operator-like tokens alternate, so that faults
 # also turn up after a well-formed prefix.  Tokens are joined by spaces so that
 # numbers keep at most two digits (a^99999999 would only test memory).
+_GENERATOR_NAMES = tuple(
+    dict.fromkeys(name for make in ALGEBRAS.values() for name in make().generator_names)
+)
 _operands = st.one_of(
     st.one_of(st.integers(0, 9), st.integers(10, 99)).map(str),
-    st.sampled_from(GENERATOR_NAMES + ("q", "w", "Dinv2", "uinv")),
+    st.sampled_from(_GENERATOR_NAMES + ("q", "w", "Dinv2", "uinv")),
     st.sampled_from(["(", "-", "$", "é", "."]),
 )
 _operators = st.sampled_from("+-*/^()")

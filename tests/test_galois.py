@@ -84,7 +84,7 @@ class TestCleavingMap:
             for k in range(-6, 7):
                 for l in range(-6, 7):
                     j_el, x = cleaving_j_mon(k, l, conv), cleaving_j_inverse_mon(k, l, conv)
-                    assert j_el * x == unit == x * j_el, (conv.name, k, l)
+                    assert j_el * x == unit == x * j_el, (conv, k, l)
 
     def test_not_an_algebra_map_symbolically_but_classically(self):
         diff = cleaving_j_mon(1, 0) * cleaving_j_mon(0, 1) - cleaving_j_mon(1, 1)
@@ -242,7 +242,7 @@ class TestBicross:
 
     def test_phi_bijective_on_window(self):
         for conv in (CORRECTED, PRINTED):
-            bic = build_bicross_product(conv.name)
+            bic = build_bicross_product(conv)
             for mon in bic.basis_by_degree(6):
                 assert phi_inverse(phi_mon(mon, conv), conv) == bic.monomial(mon)
 

@@ -12,12 +12,17 @@ Only ``algebras.py`` knows the normal words of ADTq's lattice triples:
 ``galois.py`` neither imports nor reads its word builders.
 No module keeps a witness by hand with ``x = x or ...``: a check takes the
 first witness of its scan through ``report.checks_from``.
+Neither ``cli.py`` nor ``suites.py`` lists algebra tags by hand: names come
+from ``algebras.ALGEBRAS`` and ``suites.HOPF_ALGEBRAS``.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from qdtorus.algebras import ALGEBRAS
+from qdtorus.suites import HOPF_ALGEBRAS
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "qdtorus").glob("*.py"))
@@ -197,3 +202,44 @@ def test_the_scan_sees_an_or_accumulator():
         "self.bad = self.bad or 'x'\n"
     )
     assert or_accumulators(tree) == ["bad (line 1)", "failures['law'] (line 2)"]
+
+
+def algebra_tag_lists(tree: ast.Module, tags: set[str]) -> list[str]:
+    """Each tuple, list, set or dict literal naming two or more of ``tags``,
+    apart from the value assigned to ``HOPF_ALGEBRAS``."""
+    exempt = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "HOPF_ALGEBRAS" for t in node.targets)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            items = node.elts
+        elif isinstance(node, ast.Dict):
+            items = node.keys
+        else:
+            continue
+        named = [n.value for n in items if isinstance(n, ast.Constant) and n.value in tags]
+        if len(named) >= 2 and id(node) not in exempt:
+            found.append((node.lineno, f"{', '.join(named)} (line {node.lineno})"))
+    return [text for _, text in sorted(found)]
+
+
+@pytest.mark.parametrize("name", ["cli.py", "suites.py"])
+def test_algebra_tags_are_listed_once(name):
+    path = ROOT / "src" / "qdtorus" / name
+    tags = {*ALGEBRAS, *HOPF_ALGEBRAS}
+    assert algebra_tag_lists(ast.parse(path.read_text(), str(path)), tags) == []
+
+
+def test_the_scan_sees_a_planted_tag_list():
+    tree = ast.parse(
+        'HOPF_ALGEBRAS = ("AUq2", "ADTq")\n'
+        'names = ["AUq2", "ADTq"] if everything else ("AZ2",)\n'
+        'table = {"AT2": at2, "AZ2": az2, "other": 1}\n'
+        'default = "AT2"\n'
+    )
+    found = algebra_tag_lists(tree, {"AUq2", "ADTq", "AT2", "AZ2"})
+    assert found == ["AUq2, ADTq (line 2)", "AT2, AZ2 (line 3)"]

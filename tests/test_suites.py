@@ -370,7 +370,7 @@ def test_a_planted_defect_fails_its_suite(suite, tmp_path):
     [
         # every diagonal triple of the quantum corner lands on its origin
         (
-            "k = l = conv.diag_sign_exponent * k",
+            "k = l = -k if conv == PRINTED else k",
             "k = l = 0",
             {"bicross_phi_bijective": "fail"},
         ),
