@@ -63,7 +63,7 @@ QI = QScalar.q_power(-1)
 class Element:
     """A finite combination of normal-form monomials of one algebra."""
 
-    __slots__ = ("algebra", "terms", "_hash")
+    __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra: "Algebra", terms: dict):
         canon = {}
@@ -73,7 +73,6 @@ class Element:
                 canon[m] = c
         self.algebra = algebra
         self.terms = canon
-        self._hash = None
 
     @classmethod
     def _canonical(cls, algebra: "Algebra", terms: dict) -> "Element":
@@ -81,7 +80,6 @@ class Element:
         e = cls.__new__(cls)
         e.algebra = algebra
         e.terms = terms
-        e._hash = None
         return e
 
     # -- basics ---------------------------------------------------------
@@ -181,11 +179,7 @@ class Element:
         return self.terms == other.terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(
-                (self.algebra.tag, frozenset(self.terms.items()))
-            )
-        return self._hash
+        return hash((self.algebra.tag, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"<{self.algebra.tag}: {self}>"
@@ -224,7 +218,7 @@ def _format_scaled_mon(algebra, mon, coeff: QScalar, first: bool) -> str:
 class TensorElement:
     """Rank-2 or rank-3 tensor with one algebra per leg."""
 
-    __slots__ = ("legs", "terms", "_hash")
+    __slots__ = ("legs", "terms")
 
     def __init__(self, legs: tuple, terms: dict):
         canon = {}
@@ -235,7 +229,6 @@ class TensorElement:
                 canon[key] = c
         self.legs = tuple(legs)
         self.terms = canon
-        self._hash = None
 
     @classmethod
     def _settled(cls, legs: tuple, acc: dict) -> "TensorElement":
@@ -243,7 +236,6 @@ class TensorElement:
         t = cls.__new__(cls)
         t.legs = tuple(legs)
         t.terms = settle(acc, legs[0].canon_scalar)
-        t._hash = None
         return t
 
     @classmethod
@@ -349,11 +341,7 @@ class TensorElement:
         return self.legs == other.legs and self.terms == other.terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(
-                (tuple(l.tag for l in self.legs), frozenset(self.terms.items()))
-            )
-        return self._hash
+        return hash((tuple(l.tag for l in self.legs), frozenset(self.terms.items())))
 
     def __str__(self):
         if not self.terms:

@@ -10,6 +10,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import asdict, fields
 
 from . import corep, galois, gns
 from .algebras import ALGEBRAS, Element, adtq, build_finite_quotient
@@ -30,23 +31,30 @@ _VALUE_COMMANDS = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--algebra", default="ADTq", help="target algebra tag")
-    parser.add_argument(
-        "--max-deg",
-        type=int,
-        default=4,
-        dest="max_deg",
-        help="basis degree scanned for witnesses where a Hopf axiom certificate "
-        "fails, and scanned outright for the bicrossed product (default 4)",
-    )
-    parser.add_argument("--range", type=int, default=3, dest="exp_range")
-    parser.add_argument("--window", type=int, default=6)
-    parser.add_argument("--q-theta", type=float, default=0.31, dest="theta")
-    parser.add_argument("--q-root", type=int, default=4, dest="q_root")
-    parser.add_argument("--convention", choices=galois.CONVENTIONS, default=galois.CORRECTED)
+# Help and choices of the suite-parameter flags that have them.
+_FLAG_EXTRAS = {
+    "algebra": {"help": "target algebra tag"},
+    "max_deg": {
+        "help": "basis degree scanned for witnesses where a Hopf axiom certificate "
+        "fails, and scanned outright for the bicrossed product",
+    },
+    "convention": {"choices": galois.CONVENTIONS},
+}
+_DEFAULTS = {f.name: f.default for f in fields(SuiteParams)}
+
+
+def _add_options(parser: argparse.ArgumentParser, *names: str):
+    """Add the flags of the SuiteParams fields ``names`` and of the convention,
+    which every command reads, then ``--report``. A flag parses to the type of
+    its field's default, and leaves that default to SuiteParams when absent."""
+    for name in dict.fromkeys((*names, "convention")):
+        parser.add_argument(
+            "--" + name.replace("_", "-"),
+            type=type(_DEFAULTS[name]),
+            default=argparse.SUPPRESS,
+            **_FLAG_EXTRAS.get(name, {}),
+        )
     parser.add_argument("--report", choices=("text", "json"), default="text")
-    parser.add_argument("--jobs", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,52 +67,43 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (helptext, _) in _VALUE_COMMANDS.items():
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("expression")
-        _add_common(cmd)
+        _add_options(cmd, "algebra")
 
     cmd = sub.add_parser("character", help="character of an irreducible label")
     cmd.add_argument("label", help="chi(m) | chiz(m) | w(m,n)")
-    _add_common(cmd)
+    _add_options(cmd)
 
     cmd = sub.add_parser("decompose", help="decompose a character into irreducibles")
     cmd.add_argument("expression")
-    _add_common(cmd)
+    _add_options(cmd, "range")
 
     cmd = sub.add_parser("verify", help="run a verification suite")
     cmd.add_argument("suite", choices=SUITE_NAMES)
-    cmd.add_argument("--quotient-n", type=int, default=2, dest="quotient_n")
-    _add_common(cmd)
+    _add_options(cmd, *_DEFAULTS)
 
     cmd = sub.add_parser("gns", help="lattice representation checks and values")
     cmd.add_argument("--norm", help="estimate the operator norm of an expression")
     cmd.add_argument("--expect", help="vacuum expectation of an expression")
-    _add_common(cmd)
+    _add_options(cmd, "window", "q_theta", "jobs")
 
     cmd = sub.add_parser("fdquot", help="build a finite root-of-unity quotient")
-    cmd.add_argument("n", type=int)
-    _add_common(cmd)
+    cmd.add_argument("quotient_n", metavar="n", type=int)
+    _add_options(cmd, "q_root", "jobs")
     return parser
 
 
 def _params(args) -> SuiteParams:
-    return SuiteParams(
-        algebra=args.algebra,
-        max_deg=args.max_deg,
-        exp_range=args.exp_range,
-        window=args.window,
-        theta=args.theta,
-        q_root=args.q_root,
-        quotient_n=getattr(args, "quotient_n", 2),
-        convention=args.convention,
-        jobs=args.jobs,
-    )
+    """The suite parameters of a command line: each flag it was given, and
+    the field's default for the rest."""
+    return SuiteParams(**{name: getattr(args, name) for name in _DEFAULTS if hasattr(args, name)})
 
 
-def _emit_value(args, label: str, value) -> int:
+def _emit_value(args, params: SuiteParams, label: str, value) -> int:
     if args.report == "json":
         payload = {
             "command": args.command,
-            "params": _params(args).as_dict(),
-            "cleaving_convention": galois.convention_report(args.convention),
+            "params": asdict(params),
+            "cleaving_convention": galois.convention_report(params.convention),
             label: str(value),
         }
         print(json.dumps(payload, indent=2))
@@ -136,38 +135,38 @@ def _corep_by_label(label: str) -> corep.CorepMatrix:
 
 
 def dispatch(args) -> int:
+    params = _params(args)
     if args.command in _VALUE_COMMANDS:
-        algebra = ALGEBRAS.get(args.algebra)
+        algebra = ALGEBRAS.get(params.algebra)
         if algebra is None:
-            raise QdtError(f"unknown algebra {args.algebra!r}; choose from {tuple(ALGEBRAS)}")
+            raise QdtError(f"unknown algebra {params.algebra!r}; choose from {tuple(ALGEBRAS)}")
         _, value_of = _VALUE_COMMANDS[args.command]
-        return _emit_value(args, "result", value_of(parse_element(args.expression, algebra())))
+        value = value_of(parse_element(args.expression, algebra()))
+        return _emit_value(args, params, "result", value)
 
     if args.command == "character":
         w = _corep_by_label(args.label)
-        return _emit_value(args, "character", corep.character_of(w))
+        return _emit_value(args, params, "character", corep.character_of(w))
 
     if args.command == "decompose":
         element = parse_element(args.expression, adtq())
-        families = corep.standard_families(args.exp_range, args.exp_range)
+        families = corep.standard_families(params.range, params.range)
         mults = corep.decompose_character(element, families)
-        return _emit_value(args, "multiplicities", mults)
+        return _emit_value(args, params, "multiplicities", mults)
 
     if args.command == "verify":
-        return _emit_report(args, run_suite(args.suite, _params(args)))
+        return _emit_report(args, run_suite(args.suite, params))
 
     if args.command == "gns":
-        report = run_suite("gns", _params(args))
+        report = run_suite("gns", params)
         extra: dict[str, str] = {}
         if args.norm:
-            value = gns.estimate_operator_norm(
-                parse_element(args.norm, adtq()), args.window, args.theta
-            )
+            element = parse_element(args.norm, adtq())
+            value = gns.estimate_operator_norm(element, params.window, params.q_theta)
             extra[f"norm({args.norm})"] = f"{value:.12g}"
         if args.expect:
-            value = gns.gns_expectation(
-                parse_element(args.expect, adtq()), args.window, args.theta
-            )
+            element = parse_element(args.expect, adtq())
+            value = gns.gns_expectation(element, params.window, params.q_theta)
             extra[f"expectation({args.expect})"] = f"{value:.12g}"
         code = _emit_report(args, report)
         for key, value in extra.items():
@@ -175,10 +174,8 @@ def dispatch(args) -> int:
         return code
 
     if args.command == "fdquot":
-        params = _params(args)
-        params.quotient_n = args.n
         report = run_suite("fdquot", params)
-        algebra = build_finite_quotient(args.n, CyclotomicMode(args.q_root))
+        algebra = build_finite_quotient(params.quotient_n, CyclotomicMode(params.q_root))
         code = _emit_report(args, report)
         print(f"dimension = {algebra.dimension}")
         return code

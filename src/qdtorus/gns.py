@@ -306,9 +306,11 @@ def operator_set(window_size: int, theta: float) -> OperatorSet:
 # ---------------------------------------------------------------------------
 
 
-def verify_gns_relations(
-    window_size: int, theta: float, tol: float = 1e-10
-) -> tuple[list[Check], dict[str, float]]:
+# The largest entrywise defect a relation, adjoint or isometry check forgives.
+RELATION_TOL = 1e-10
+
+
+def verify_gns_relations(window_size: int, theta: float) -> tuple[list[Check], dict[str, float]]:
     """Relations, adjoints and determinant isometry on the window interior.
 
     Returns the checks plus the maximal defect observed per relation.
@@ -329,16 +331,19 @@ def verify_gns_relations(
         (targets, weights), = opset[gen].shifts
         star_op = operator_for_element(alg.gen(gen).star(), opset)
         cols = np.flatnonzero(interior & (targets >= 0) & interior[targets])
-        return cols[np.abs(star_op.entries(targets[cols], cols) - weights[cols].conj()) > tol]
+        gaps = np.abs(star_op.entries(targets[cols], cols) - weights[cols].conj())
+        return cols[gaps > RELATION_TOL]
 
     (targets, weights), = opset["D"].shifts
     cols = np.flatnonzero(interior)
     first_hit = np.isin(np.arange(cols.size), np.unique(targets[cols], return_index=True)[1])
-    bad = (targets[cols] < 0) | ~first_hit | (np.abs(np.abs(weights[cols]) - 1.0) > tol)
+    bad = (targets[cols] < 0) | ~first_hit | (np.abs(np.abs(weights[cols]) - 1.0) > RELATION_TOL)
     defects = {"*".join(rule.pattern): defect for rule, defect in relation_defects}
     return checks_from({
         "gns_defining_relations": (
-            f"{rule} (defect {defect:.2e})" for rule, defect in relation_defects if defect > tol
+            f"{rule} (defect {defect:.2e})"
+            for rule, defect in relation_defects
+            if defect > RELATION_TOL
         ),
         "gns_adjoint_consistency": (
             f"{gen} at {window.site(col)}"
@@ -424,14 +429,18 @@ def estimate_operator_norm(e: Element, window_size: int, theta: float) -> float:
     return max(top, 0.0) ** 0.5
 
 
-def theta_continuity_defect(window_size: int, theta: float, step: float = 1e-6) -> float:
+# The theta nudge of the continuity check.
+THETA_STEP = 1e-6
+
+
+def theta_continuity_defect(window_size: int, theta: float) -> float:
     """Largest entrywise change of the generator operators under a theta nudge.
 
     The nudge wraps modulo 1: the operators depend on theta only through
     q = exp(2*pi*i*theta)."""
     window = LatticeWindow(window_size)
     first = build_generator_operators(window, theta).ops
-    second = build_generator_operators(window, (theta + step) % 1.0).ops
+    second = build_generator_operators(window, (theta + THETA_STEP) % 1.0).ops
     everywhere = np.ones(len(window), bool)
     gens = ("a", "b", "c", "d", "D", "z")
     return max(first[g].column_defect(second[g], everywhere) for g in gens)

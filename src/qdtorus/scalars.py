@@ -41,7 +41,7 @@ class QScalar:
     single-term scalars, nearly all of them, take a path without loops.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, Fraction] | None = None):
         canon = {}
@@ -51,7 +51,6 @@ class QScalar:
                 if c:
                     canon[int(k)] = c
         self._terms = canon
-        self._hash = None
 
     # -- constructors -------------------------------------------------
 
@@ -239,9 +238,7 @@ class QScalar:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -268,7 +265,6 @@ QINV = QScalar.q_power(-1)
 def _wrap(terms: dict) -> QScalar:
     s = QScalar.__new__(QScalar)
     s._terms = terms
-    s._hash = None
     return s
 
 

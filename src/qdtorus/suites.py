@@ -11,7 +11,7 @@ import itertools
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 from . import corep, galois, gns
@@ -58,33 +58,23 @@ FIXED_WINDOWS = {
 
 @dataclass
 class SuiteParams:
+    """The suite parameters. Each field's name is also its report key and,
+    with ``-`` for ``_``, its command-line flag; its default is the only one."""
+
     algebra: str = "ADTq"
     max_deg: int = 4
-    exp_range: int = 3
+    range: int = 3
     window: int = 6
-    theta: float = 0.31
+    q_theta: float = 0.31
     q_root: int = 4
     quotient_n: int = 2
     convention: str = galois.CORRECTED
     jobs: int = 1
 
-    def as_dict(self) -> dict:
-        return {
-            "algebra": self.algebra,
-            "max_deg": self.max_deg,
-            "range": self.exp_range,
-            "window": self.window,
-            "q_theta": self.theta,
-            "q_root": self.q_root,
-            "quotient_n": self.quotient_n,
-            "convention": self.convention,
-            "jobs": self.jobs,
-        }
-
     @cached_property
     def gns_relations(self) -> tuple[list[Check], dict[str, float]]:
         """The GNS relation checks and defects, computed once per run."""
-        return gns.verify_gns_relations(self.window, self.theta)
+        return gns.verify_gns_relations(self.window, self.q_theta)
 
     @cached_property
     def finite_quotient(self):
@@ -129,7 +119,7 @@ def _thunks_hopf(p: SuiteParams):
 
 def _thunks_cocycle(p: SuiteParams):
     conv = p.convention
-    r = p.exp_range
+    r = p.range
 
     def cross_check():
         return checks_from(
@@ -171,7 +161,7 @@ def _thunks_cocycle(p: SuiteParams):
 
 def _thunks_cleaving(p: SuiteParams):
     conv = p.convention
-    r = p.exp_range
+    r = p.range
     torus = at2()
     alg = adtq()
     lattice = list(itertools.product(range(-r, r + 1), repeat=2))
@@ -390,7 +380,7 @@ def _thunks_haar(p: SuiteParams):
         return checks_from({"haar_weight_half_forced_by_invariance": witnesses()})
 
     def gram():
-        value = haar_gram_min_eigenvalue(alg, fixed["gram_max_deg"], p.theta)
+        value = haar_gram_min_eigenvalue(alg, fixed["gram_max_deg"], p.q_theta)
         negative = [] if value >= -1e-9 else [f"min eig {value:.2e}"]
         return checks_from({"haar_gram_positive": negative})
 
@@ -446,7 +436,7 @@ def _thunks_gns(p: SuiteParams):
         return p.gns_relations[0]
 
     def sector_preservation():
-        opset = gns.operator_set(p.window, p.theta)
+        opset = gns.operator_set(p.window, p.q_theta)
         crossing = (
             f"{gen} acts on {site}"
             for gen, dead in (("a", "q"), ("d", "q"), ("b", "c"), ("c", "c"))
@@ -459,15 +449,15 @@ def _thunks_gns(p: SuiteParams):
         def witnesses():
             for mon in alg.basis_by_degree(FIXED_WINDOWS["gns"]["expectation_max_deg"]):
                 el = alg.monomial(mon)
-                numeric = gns.gns_expectation(el, p.window, p.theta)
-                defect = abs(numeric - haar(el).eval_unit(p.theta))
+                numeric = gns.gns_expectation(el, p.window, p.q_theta)
+                defect = abs(numeric - haar(el).eval_unit(p.q_theta))
                 if defect > 1e-10:
                     yield f"{alg.format_mon(mon) or '1'} (defect {defect:.2e})"
 
         return checks_from({"gns_expectation_matches_haar": witnesses()})
 
     def continuity():
-        defect = gns.theta_continuity_defect(p.window, p.theta)
+        defect = gns.theta_continuity_defect(p.window, p.q_theta)
         return checks_from({"gns_theta_continuity": [] if defect <= 1e-4 else [f"{defect:.2e}"]})
 
     def norms():
@@ -479,7 +469,7 @@ def _thunks_gns(p: SuiteParams):
 
         def witnesses():
             for el, expected in targets:
-                got = gns.estimate_operator_norm(el, p.window, p.theta)
+                got = gns.estimate_operator_norm(el, p.window, p.q_theta)
                 if abs(got - expected) > 1e-6:
                     yield f"norm({el}) = {got}"
 
@@ -556,7 +546,7 @@ _SUITE_BUILDERS = {
     "cocycle": _thunks_cocycle,
     "cleaving": _thunks_cleaving,
     "bicross": _thunks_bicross,
-    "exactseq": lambda p: [lambda: galois.verify_exact_sequence(p.exp_range)],
+    "exactseq": lambda p: [lambda: galois.verify_exact_sequence(p.range)],
     "diagram": lambda p: [
         lambda: galois.verify_prop14_diagram(FIXED_WINDOWS["diagram"]["max_exp"]),
         lambda: galois.verify_prop14_diagram(
@@ -607,7 +597,7 @@ def run_suite(name: str, params: SuiteParams | None = None) -> Report:
     if params.algebra not in choices:
         raise QdtError(f"unknown algebra {params.algebra!r}; choose from {choices}")
     galois.convention(params.convention)
-    windows = {"max_deg": params.max_deg, "range": params.exp_range, "window": params.window}
+    windows = {"max_deg": params.max_deg, "range": params.range, "window": params.window}
     for key, value in windows.items():
         if value < 0:
             raise QdtError(f"{key} must not be negative, got {value}")
@@ -622,8 +612,8 @@ def run_suite(name: str, params: SuiteParams | None = None) -> Report:
     for key, value in at_least_one.items():
         if value < 1:
             raise QdtError(f"{key} must be at least 1, got {value}")
-    if not 0 <= params.theta < 1:
-        raise QdtError(f"q_theta must lie in [0, 1), got {params.theta}")
+    if not 0 <= params.q_theta < 1:
+        raise QdtError(f"q_theta must lie in [0, 1), got {params.q_theta}")
     started = time.perf_counter()
     if name == "all":
         hopf_params = replace(params, algebra="all")
@@ -642,7 +632,7 @@ def run_suite(name: str, params: SuiteParams | None = None) -> Report:
     else:
         for pair in thunks:
             checks.extend(_contained(*pair))
-    report_params = params.as_dict()
+    report_params = asdict(params)
     if "gns_relations" in vars(params):  # computed by the gns relations thunk
         _, defects = params.gns_relations
         report_params["gns_max_defect_per_relation"] = {

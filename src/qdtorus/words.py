@@ -21,6 +21,9 @@ from .scalars import QScalar, add_scaled, add_term, keep_scalar, settle
 Word = tuple[str, ...]
 Combo = dict[Word, QScalar]
 
+# The longest normal word ``all_normal_words`` expects of a finite system.
+NORMAL_WORDS_CAP = 64
+
 
 @dataclass(frozen=True)
 class RewriteRule:
@@ -265,13 +268,14 @@ class RewriteSystem:
                 break
         return out
 
-    def all_normal_words(self, hard_cap: int = 64) -> list[Word]:
+    def all_normal_words(self) -> list[Word]:
         """Every irreducible word, for systems with finitely many.
 
-        Raises :class:`CompletionFailure` if words keep growing past the cap,
-        which signals a non-finite-dimensional (or non-completed) system.
+        Raises :class:`CompletionFailure` if words keep growing past
+        ``NORMAL_WORDS_CAP``, which signals a non-finite-dimensional (or
+        non-completed) system.
         """
-        out = self.normal_words_by_degree(hard_cap)
-        if len(out[-1]) == hard_cap:
+        out = self.normal_words_by_degree(NORMAL_WORDS_CAP)
+        if len(out[-1]) == NORMAL_WORDS_CAP:
             raise CompletionFailure("normal words do not stop growing")
         return out

@@ -1,5 +1,6 @@
 """Command-line surface: commands, report schema, exit codes."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -187,6 +188,54 @@ def test_run_suite_checks_the_names_before_any_suite_work(suite_work, suite, par
     assert suite_work == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("normalize", "b*c", "--window", "3"),
+        ("character", "chi(1)", "--algebra", "bogus"),
+        ("decompose", "a+d", "--algebra", "AUq2"),
+        ("gns", "--algebra", "ADTq"),
+        ("fdquot", "2", "--range", "1"),
+    ],
+)
+def test_a_command_refuses_an_option_it_does_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        cli.main(list(argv))
+    out = capsys.readouterr()
+    assert err.value.code == 2 and not out.out
+    assert "unrecognized arguments" in out.err
+
+
+def test_verify_reports_every_flag_it_was_given(capsys):
+    given = {
+        "algebra": "AT2",
+        "max_deg": 2,
+        "range": 1,
+        "window": 5,
+        "q_theta": 0.25,
+        "q_root": 6,
+        "quotient_n": 3,
+        "convention": "printed",
+        "jobs": 2,
+    }
+    assert all(value != getattr(SuiteParams(), key) for key, value in given.items())
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in given.items()]
+    _, out, _ = run(capsys, "verify", "exactseq", *flags, "--report", "json")
+    params = json.loads(out)["params"]
+    params.pop("fixed_windows")
+    assert params == given
+
+
+def test_an_absent_flag_leaves_no_value_of_its_own():
+    args = cli.build_parser().parse_args(["verify", "all"])
+    assert [f.name for f in dataclasses.fields(SuiteParams) if hasattr(args, f.name)] == []
+
+
+def test_a_value_command_reports_the_suite_params_of_its_flags(capsys):
+    _, out, _ = run(capsys, "normalize", "b*a", "--algebra", "AUq2", "--report", "json")
+    assert json.loads(out)["params"] == dataclasses.asdict(SuiteParams(algebra="AUq2"))
+
+
 class TestGnsAndQuotientCommands:
     def test_gns_values(self, capsys):
         code, out, _ = run(
@@ -220,8 +269,8 @@ class TestSuiteRunner:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("max_deg", -1), ("exp_range", -1), ("window", -1), ("jobs", 0), ("jobs", -2),
-         ("quotient_n", 0), ("q_root", 0), ("theta", 1.0), ("theta", -0.5)],
+        [("max_deg", -1), ("range", -1), ("window", -1), ("jobs", 0), ("jobs", -2),
+         ("quotient_n", 0), ("q_root", 0), ("q_theta", 1.0), ("q_theta", -0.5)],
     )
     def test_negative_windows_and_jobs_are_rejected(self, field, value):
         from qdtorus.errors import QdtError

@@ -199,7 +199,7 @@ class TestStability:
         from qdtorus.suites import SuiteParams, run_suite
 
         assert theta_continuity_defect(4, theta) <= 1e-4
-        report = run_suite("gns", SuiteParams(window=4, theta=theta))
+        report = run_suite("gns", SuiteParams(window=4, q_theta=theta))
         assert report.ok, [(c.name, c.witness) for c in report.checks if not c.passed]
 
     def test_determinant_unitary_on_interior(self, ops):

@@ -14,15 +14,18 @@ No module keeps a witness by hand with ``x = x or ...``: a check takes the
 first witness of its scan through ``report.checks_from``.
 Neither ``cli.py`` nor ``suites.py`` lists algebra tags by hand: names come
 from ``algebras.ALGEBRAS`` and ``suites.HOPF_ALGEBRAS``.
+No ``add_argument`` call in ``cli.py`` renames a flag with ``dest=``, and a
+suite-parameter flag leaves its default to ``SuiteParams``.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 from qdtorus.algebras import ALGEBRAS
-from qdtorus.suites import HOPF_ALGEBRAS
+from qdtorus.suites import HOPF_ALGEBRAS, SuiteParams
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "qdtorus").glob("*.py"))
@@ -243,3 +246,52 @@ def test_the_scan_sees_a_planted_tag_list():
     )
     found = algebra_tag_lists(tree, {"AUq2", "ADTq", "AT2", "AZ2"})
     assert found == ["AUq2, ADTq (line 2)", "AT2, AZ2 (line 3)"]
+
+
+def argument_default_faults(tree: ast.Module, fields: set[str]) -> list[str]:
+    """Each ``add_argument`` call that passes ``dest=``, and each one for a
+    flag of ``fields`` (``--max-deg`` for ``max_deg``), or for a flag whose
+    name is not a literal, whose default is not ``argparse.SUPPRESS``. An
+    option that passes no default has the default None."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "add_argument"):
+            continue
+        first = node.args[0] if node.args else None
+        literal = isinstance(first, ast.Constant)
+        flag = first.value if literal else ast.unparse(first)
+        keywords = {kw.arg: ast.unparse(kw.value) for kw in node.keywords}
+        if "dest" in keywords:
+            found.append(f"{flag} passes dest= (line {node.lineno})")
+        optional = not literal or flag.startswith("-")
+        default = keywords.get("default", "None" if optional else "argparse.SUPPRESS")
+        suite_flag = not literal or flag.lstrip("-").replace("-", "_") in fields
+        if suite_flag and default != "argparse.SUPPRESS":
+            found.append(f"{flag} defaults to {default} (line {node.lineno})")
+    return found
+
+
+def test_suite_flags_take_their_defaults_from_suite_params():
+    path = ROOT / "src" / "qdtorus" / "cli.py"
+    fields = {f.name for f in dataclasses.fields(SuiteParams)}
+    assert argument_default_faults(ast.parse(path.read_text(), str(path)), fields) == []
+
+
+def test_the_scan_sees_a_second_default():
+    tree = ast.parse(
+        'cmd.add_argument("--window", type=int, default=6)\n'
+        'cmd.add_argument("--range", type=int, dest="exp_range", default=argparse.SUPPRESS)\n'
+        'cmd.add_argument("--report", choices=("text", "json"), default="text")\n'
+        'cmd.add_argument("--jobs", type=int)\n'
+        'cmd.add_argument("--" + name, default=argparse.SUPPRESS)\n'
+        'cmd.add_argument(flag_of(name), type=int, default=0)\n'
+        'cmd.add_argument("quotient_n", metavar="n", type=int)\n'
+        'cmd.add_argument("--q-theta", type=float, default=argparse.SUPPRESS)\n'
+    )
+    found = argument_default_faults(tree, {"window", "range", "jobs", "quotient_n", "q_theta"})
+    assert found == [
+        "--window defaults to 6 (line 1)",
+        "--range passes dest= (line 2)",
+        "--jobs defaults to None (line 4)",
+        "flag_of(name) defaults to 0 (line 6)",
+    ]

@@ -63,7 +63,7 @@ def test_sigma_branch_mutation_flips_the_suite(monkeypatch):
         return original(k, l, m, n)
 
     monkeypatch.setattr(galois, "sigma_q_exponent", mutated)
-    report = run_suite("cocycle", SuiteParams(exp_range=2))
+    report = run_suite("cocycle", SuiteParams(range=2))
     assert not report.ok
 
 
@@ -186,7 +186,7 @@ def test_cocycle_suite_uses_the_range(monkeypatch):
         return real(exp_range)
 
     monkeypatch.setattr(galois, "verify_cocycle_condition", recording)
-    report = run_suite("cocycle", SuiteParams(exp_range=3))
+    report = run_suite("cocycle", SuiteParams(range=3))
     assert seen == [3]
     assert {c.name: c.passed for c in report.checks}["cocycle_identity"]
 
