@@ -1,4 +1,4 @@
-"""Presentations, normal forms and basis enumeration for the six algebras.
+"""Presentations and normal forms of the six algebras, and ADTq's basis window.
 
 The two q-deformed coordinate rings (the parent unitary quantum group and
 its double-torus quotient) are presented on the alphabet
@@ -10,7 +10,8 @@ classical torus, the base Z2 function algebra, the q-torus comodule algebra
 and the finite root-of-unity quotients are presented on their own alphabets.
 The double-torus quotient multiplies monomials in closed form on its two
 lattice corners (:class:`DoubleTorusAlgebra`); every other algebra
-multiplies by rewriting.
+multiplies by rewriting.  Only this module spells ADTq's normal words; the
+others read ADTq through its lattice triples (:func:`corner_triples`).
 
 Elements are finite linear combinations of irreducible words with exact
 Laurent-polynomial coefficients.  Each structure map of a word algebra is
@@ -439,12 +440,10 @@ class WordAlgebra(Algebra):
         tag: str,
         system: RewriteSystem,
         generator_names: Sequence[str],
-        notes: str = "",
     ):
         self.tag = tag
         self.system = system
         self.generator_names = tuple(generator_names)
-        self.notes = notes
         self.canon_scalar = system.scalar_canon
         self._mul_cache: dict = {}
         # letter tables of normalized images, and the images of words met so far
@@ -650,14 +649,9 @@ _QG_STAR = {**_QG_ANTIPODE, "b": _QG_ANTIPODE["c"], "c": _QG_ANTIPODE["b"]}
 class QGroupAlgebra(WordAlgebra):
     """Shared machinery for the parent quantum group and its quotient."""
 
-    def __init__(self, tag, rules, notes=""):
+    def __init__(self, tag, rules):
         system = RewriteSystem(_QG_LETTERS, rules)
-        super().__init__(
-            tag,
-            system,
-            generator_names=("a", "b", "c", "d", "D", "Dinv", "z"),
-            notes=notes,
-        )
+        super().__init__(tag, system, generator_names=("a", "b", "c", "d", "D", "Dinv", "z"))
         for letter, cop in _QG_COPRODUCT.items():
             self._install_hopf_letter(
                 letter, cop, _QG_COUNIT[letter], _QG_ANTIPODE[letter], _QG_STAR[letter]
@@ -684,13 +678,18 @@ def corner_triples(mon: Word) -> tuple[tuple[int, int, int], ...]:
     D^m a^n, D^m z and D^m d^n lie in the classical corner at (m + n, m),
     (m, m) and (m, m + n); D^m c^n and D^m b^n in the quantum corner at
     (m + n, m) and (m, m + n); D^m = D^m z + D^m (1 - z) lies in both.
+    A word with two run letters is no normal monomial: ``ValueError``.
     """
-    view = quotient_mon_view(mon)
-    m = view.d
-    if view.gen is None:
-        return ((0, m, m),) if view.z else ((0, m, m), (1, m, m))
-    corner, dk, dl = _RUN_STEP[view.gen]
-    return ((corner, m + dk * view.n, m + dl * view.n),)
+    m = mon.count("D") - mon.count("Dinv")
+    runs = set(mon) - {"D", "Dinv", "z"}
+    if not runs:
+        return ((0, m, m),) if "z" in mon else ((0, m, m), (1, m, m))
+    if len(runs) > 1:
+        raise ValueError(f"not a normal ADTq monomial: {mon}")
+    (gen,) = runs
+    corner, dk, dl = _RUN_STEP[gen]
+    n = mon.count(gen)
+    return ((corner, m + dk * n, m + dl * n),)
 
 
 def corner_word(corner: int, k: int, l: int) -> Word:
@@ -748,8 +747,8 @@ class DoubleTorusAlgebra(QGroupAlgebra):
     """ADTq = C[T²] ⊕ C[T²_{q²}], multiplied in closed form on the lattice
     triples of its two corners (:func:`corner_product`).  The rewrite system
     still gives every normal form but the product's; the hopf certificate
-    checks this product against the rewrite rules and the normal words
-    (``hopf.PRODUCT_WINDOW``)."""
+    checks this product against the rewrite rules and the rewrite system's
+    normal forms (``hopf.PRODUCT_WINDOW``)."""
 
     def _multiply(self, m1: Word, m2: Word) -> Element:
         acc: dict = {}
@@ -789,15 +788,7 @@ def algebra_factory(build):
 
 @algebra_factory
 def auq2() -> QGroupAlgebra:
-    return QGroupAlgebra(
-        "AUq2",
-        _qg_base_rules(),
-        notes=(
-            "z-powers are restricted to nonnegative exponents: the published "
-            "basis prints integer powers, but no inverse of z is derivable "
-            "from the presentation"
-        ),
-    )
+    return QGroupAlgebra("AUq2", _qg_base_rules())
 
 
 @algebra_factory
@@ -941,44 +932,23 @@ def az2() -> Z2Algebra:
 # in ``galois``.
 ALGEBRAS = {"AUq2": auq2, "ADTq": adtq, "AT2": at2, "AT2q": at2q, "AZ2": az2}
 
+# What a hopf report notes of an algebra beyond its checks, by tag.
+NOTES = {
+    "AUq2": (
+        "z-powers are restricted to nonnegative exponents: the published "
+        "basis prints integer powers, but no inverse of z is derivable "
+        "from the presentation"
+    ),
+}
+
 
 # ---------------------------------------------------------------------------
-# Normal monomial views and pattern windows
+# Normal words and the basis window
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuotientMon:
-    """Structured reading D^m [z] gen^n of a normal quotient monomial."""
-
-    d: int
-    z: bool
-    gen: str | None
-    n: int
-
-
-def quotient_mon_view(mon: Word) -> QuotientMon:
-    d = 0
-    z = False
-    gen = None
-    n = 0
-    for x in mon:
-        if x == "D":
-            d += 1
-        elif x == "Dinv":
-            d -= 1
-        elif x == "z":
-            z = True
-        else:
-            if gen is None:
-                gen = x
-            elif gen != x:
-                raise ValueError(f"not a quotient normal monomial: {mon}")
-            n += 1
-    return QuotientMon(d, z, gen, n)
 
 
 def quotient_mon_word(d: int, z: bool = False, gen: str | None = None, n: int = 0) -> Word:
+    """The normal ADTq word D^d [z] gen^n."""
     word: tuple[str, ...] = ("D",) * d if d >= 0 else ("Dinv",) * (-d)
     if z:
         word = word + ("z",)
@@ -989,51 +959,26 @@ def quotient_mon_word(d: int, z: bool = False, gen: str | None = None, n: int = 
 
 @dataclass(frozen=True)
 class BasisWindow:
-    """Exponent bounds used by basis enumeration."""
+    """The bounds of ADTq's basis window: |D-power| <= d_max, runs <= gen_max."""
 
     d_max: int = 0
     gen_max: int = 0
-    z_max: int = 1
-    lattice_max: int = 0
 
 
 def enumerate_basis(algebra: Algebra, window: BasisWindow) -> list:
-    """The published basis pattern of the algebra, restricted to the window."""
-    tag = algebra.tag
-    if tag.startswith("ADTq"):
-        out = []
-        for d in range(-window.d_max, window.d_max + 1):
-            out.append(quotient_mon_word(d))
-            out.append(quotient_mon_word(d, z=True))
-            for gen in ("a", "d", "b", "c"):
-                for n in range(1, window.gen_max + 1):
-                    out.append(quotient_mon_word(d, gen=gen, n=n))
-        return out
-    if tag == "AUq2":
-        out = []
-        x_slots = [(None, 0)] + [(g, m) for g in ("a", "d") for m in range(1, window.gen_max + 1)]
-        y_slots = [(None, 0)] + [(g, m) for g in ("b", "c") for m in range(1, window.gen_max + 1)]
-        for k in range(-window.d_max, window.d_max + 1):
-            for l in range(0, window.z_max + 1):
-                for (xg, xm) in x_slots:
-                    for (yg, ym) in y_slots:
-                        word = quotient_mon_word(k) + ("z",) * l
-                        if xg:
-                            word += (xg,) * xm
-                        if yg:
-                            word += (yg,) * ym
-                        out.append(word)
-        return out
-    if tag in ("AT2", "AT2q"):
-        r = window.lattice_max
-        return [
-            algebra.lattice_mon(k, l)
-            for k in range(-r, r + 1)
-            for l in range(-r, r + 1)
+    """ADTq's published basis pattern on the window: for each D-power D^d,
+    D^d and D^d z, then the runs of a, d, b and c."""
+    if not algebra.tag.startswith("ADTq"):
+        raise UnknownGenerator(f"no basis pattern for {algebra.tag}")
+    out = []
+    for d in range(-window.d_max, window.d_max + 1):
+        out += [quotient_mon_word(d), quotient_mon_word(d, z=True)]
+        out += [
+            quotient_mon_word(d, gen=gen, n=n)
+            for gen in ("a", "d", "b", "c")
+            for n in range(1, window.gen_max + 1)
         ]
-    if tag == "AZ2":
-        return [("d0",), ("d1",)]
-    raise UnknownGenerator(f"no basis pattern for {tag}")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebras import Element, TensorElement, adtq, quotient_mon_word, tensor_of
+from .algebras import Element, TensorElement, adtq, tensor_of
 from .errors import CyclotomicModeUnsupported, IncompleteWindow
 from .hopf import haar
 from .linalg import nullspace
@@ -34,9 +34,10 @@ class CorepMatrix:
         return self.entries[0][0].algebra
 
 
-def _el(d: int, z: bool = False, gen=None, n: int = 0, coeff=1) -> Element:
+def _el(m: int, x: str = "D", n: int = 0) -> Element:
+    """The product D^m x^n of generator powers in ADTq."""
     alg = adtq()
-    return alg.monomial(quotient_mon_word(d, z, gen, n), coeff)
+    return alg.gen("D", m) * alg.gen(x, n)
 
 
 def chi(m: int) -> CorepMatrix:
@@ -44,7 +45,7 @@ def chi(m: int) -> CorepMatrix:
 
 
 def chiz(m: int) -> CorepMatrix:
-    entry = _el(m, z=True, coeff=2) - _el(m)
+    entry = _el(m, "z", 1) * 2 - _el(m)
     return CorepMatrix(f"chiz({m})", ((entry,),))
 
 
@@ -52,8 +53,8 @@ def w_rep(m: int, n: int) -> CorepMatrix:
     if n < 1:
         raise ValueError("the two-dimensional family needs n >= 1")
     rows = (
-        (_el(m, gen="a", n=n), _el(m, gen="b", n=n)),
-        (_el(m, gen="c", n=n), _el(m, gen="d", n=n)),
+        (_el(m, "a", n), _el(m, "b", n)),
+        (_el(m, "c", n), _el(m, "d", n)),
     )
     return CorepMatrix(f"w({m},{n})", rows)
 
@@ -219,13 +220,13 @@ def peter_weyl_checks(m_max: int, n_max: int) -> list[Check]:
                 for entry in row:
                     produced.add(entry)
             for g in ("a", "b", "c", "d"):
-                expected.add(_el(m, gen=g, n=n))
+                expected.add(_el(m, g, n))
         plus = (character_of(chi(m)) + character_of(chiz(m))) * half
         minus = (character_of(chi(m)) - character_of(chiz(m))) * half
         produced.add(plus)
         produced.add(minus)
-        expected.add(_el(m, z=True))
-        expected.add(_el(m) - _el(m, z=True))
+        expected.add(_el(m, "z", 1))
+        expected.add(_el(m) - _el(m, "z", 1))
     total = (2 * m_max + 1) * (4 * n_max + 2)
 
     def witnesses():

@@ -17,6 +17,7 @@ from functools import cached_property
 from . import corep, galois, gns
 from .algebras import (
     ALGEBRAS,
+    NOTES,
     BasisWindow,
     adtq,
     at2,
@@ -70,6 +71,18 @@ class SuiteParams:
     quotient_n: int = 2
     convention: str = galois.CORRECTED
     jobs: int = 1
+
+    def __post_init__(self):
+        """Check each value that no suite can run with, whichever suite runs."""
+        galois.convention(self.convention)
+        for key in ("max_deg", "range", "window"):
+            if getattr(self, key) < 0:
+                raise QdtError(f"{key} must not be negative, got {getattr(self, key)}")
+        for key in ("jobs", "quotient_n", "q_root"):
+            if getattr(self, key) < 1:
+                raise QdtError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if not 0 <= self.q_theta < 1:
+            raise QdtError(f"q_theta must lie in [0, 1), got {self.q_theta}")
 
     @cached_property
     def gns_relations(self) -> tuple[list[Check], dict[str, float]]:
@@ -596,11 +609,6 @@ def run_suite(name: str, params: SuiteParams | None = None) -> Report:
     choices = ("all", *HOPF_ALGEBRAS)
     if params.algebra not in choices:
         raise QdtError(f"unknown algebra {params.algebra!r}; choose from {choices}")
-    galois.convention(params.convention)
-    windows = {"max_deg": params.max_deg, "range": params.range, "window": params.window}
-    for key, value in windows.items():
-        if value < 0:
-            raise QdtError(f"{key} must not be negative, got {value}")
     # the expectation check applies words of this degree to the vacuum
     least = FIXED_WINDOWS["gns"]["expectation_max_deg"]
     if name in ("gns", "all") and params.window < least:
@@ -608,12 +616,6 @@ def run_suite(name: str, params: SuiteParams | None = None) -> Report:
             f"window must be at least {least} for the gns suite, whose expectation "
             f"check walks words of degree {least} from the vacuum, got {params.window}"
         )
-    at_least_one = {"jobs": params.jobs, "quotient_n": params.quotient_n, "q_root": params.q_root}
-    for key, value in at_least_one.items():
-        if value < 1:
-            raise QdtError(f"{key} must be at least 1, got {value}")
-    if not 0 <= params.q_theta < 1:
-        raise QdtError(f"q_theta must lie in [0, 1), got {params.q_theta}")
     started = time.perf_counter()
     if name == "all":
         hopf_params = replace(params, algebra="all")
@@ -639,10 +641,7 @@ def run_suite(name: str, params: SuiteParams | None = None) -> Report:
             rel: f"{value:.3e}" for rel, value in defects.items()
         }
     if name in ("hopf", "all"):
-        hopf_algebras = (algebra_by_name(alg_name, params.convention) for alg_name in HOPF_ALGEBRAS)
-        notes = {alg.tag: alg.notes for alg in hopf_algebras if getattr(alg, "notes", "")}
-        if notes:
-            report_params["algebra_notes"] = notes
+        report_params["algebra_notes"] = dict(NOTES)
     if name in ("hopf", "bicross", "all"):
         report_params["proofs"] = _hopf_proofs(checks, params)
     ran = _SUITE_BUILDERS if name == "all" else (name,)

@@ -114,6 +114,11 @@ class TestVerify:
         code, out, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error: ") and not out
 
+    def test_decompose_names_a_negative_range(self, capsys):
+        code, out, err = run(capsys, "decompose", "a+d", "--range", "-1")
+        assert (code, out) == (2, "")
+        assert "range must not be negative, got -1" in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -177,14 +182,14 @@ def test_an_unknown_name_is_a_usage_error_before_any_suite_work(capsys, suite_wo
 
 @pytest.mark.parametrize(
     "suite, params",
-    [("gns", SuiteParams(convention="Corrected")), ("haar", SuiteParams(algebra="bogus"))],
+    [("gns", {"convention": "Corrected"}), ("haar", {"algebra": "bogus"})],
     ids=["convention", "algebra"],
 )
 def test_run_suite_checks_the_names_before_any_suite_work(suite_work, suite, params):
     from qdtorus.errors import QdtError
 
     with pytest.raises(QdtError, match="unknown"):
-        run_suite(suite, params)
+        run_suite(suite, SuiteParams(**params))
     assert suite_work == []
 
 

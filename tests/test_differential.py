@@ -38,7 +38,6 @@ from qdtorus.algebras import (
     corner_coordinates,
     corner_element,
     corner_triples,
-    quotient_mon_view,
     quotient_mon_word,
 )
 from qdtorus.errors import CompletionFailure, NotInBaseImage
@@ -742,6 +741,12 @@ def ref_phi_mon(mon, conv) -> Element:
     return (z if i == 0 else adtq().unit() - z) * ref_cleaving_j_mon(k, l, conv)
 
 
+def word_reading(mon) -> tuple:
+    """(D-power, z flag, run letter or None) of a normal ADTq word."""
+    runs = [x for x in mon if x not in ("D", "Dinv", "z")]
+    return mon.count("D") - mon.count("Dinv"), "z" in mon, runs[0] if runs else None
+
+
 def ref_phi_inverse(e: Element, conv) -> Element:
     """Phi^-1 with the corners cut by z: every monomial of a corner is a
     multiple of the image of one triple, except D^m z in the quantum corner,
@@ -750,11 +755,11 @@ def ref_phi_inverse(e: Element, conv) -> Element:
     acc: dict = {}
     for i, part in ((0, classical), (1, e - classical)):
         for mon, c in part.terms.items():
-            view = quotient_mon_view(mon)
-            if i == 1 and view.gen is None:
-                if view.z:
+            d, z, gen = word_reading(mon)
+            if i == 1 and gen is None:
+                if z:
                     continue
-                k = -view.d if conv == galois.PRINTED else view.d
+                k = -d if conv == galois.PRINTED else d
                 key = (1, k, k)
             else:
                 key = corner_triples(mon)[0]
@@ -766,9 +771,9 @@ def ref_haar(e: Element) -> QScalar:
     """The state on the normal words: 1 -> 1, z -> 1/2, every other word -> 0."""
     total = QScalar.zero()
     for mon, c in e.terms.items():
-        view = quotient_mon_view(mon)
-        if view.gen is None and view.d == 0:
-            total = total + (c * QScalar.of(Fraction(1, 2)) if view.z else c)
+        d, z, gen = word_reading(mon)
+        if gen is None and d == 0:
+            total = total + (c * QScalar.of(Fraction(1, 2)) if z else c)
     return total
 
 

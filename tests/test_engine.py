@@ -11,9 +11,7 @@ from qdtorus.algebras import (
     WordAlgebra,
     adtq,
     algebra_factory,
-    at2,
     auq2,
-    az2,
     build_finite_quotient,
     enumerate_basis,
 )
@@ -201,16 +199,15 @@ class TestBases:
         assert len(pure) == 6
         assert all(adtq().system.find_redex(m) is None for m in window)
 
-    def test_two_point_base(self):
-        assert enumerate_basis(az2(), BasisWindow()) == [("d0",), ("d1",)]
+    def test_only_adtq_has_a_basis_pattern(self):
+        with pytest.raises(UnknownGenerator, match="no basis pattern for AUq2"):
+            enumerate_basis(auq2(), BasisWindow(d_max=1, gen_max=1))
 
-    def test_torus_lattice(self):
-        window = enumerate_basis(at2(), BasisWindow(lattice_max=1))
-        assert len(window) == 9
-
-    def test_distinctness(self):
-        window = enumerate_basis(auq2(), BasisWindow(d_max=2, gen_max=2, z_max=2))
-        assert len(set(window)) == len(window)
+    def test_a_word_with_two_run_letters_has_no_triples(self):
+        # a library user can build this monomial, though it is not normal
+        assert adtq().monomial(("b", "a")).terms
+        with pytest.raises(ValueError, match="not a normal ADTq monomial"):
+            algebras.corner_triples(("b", "a"))
 
     def test_spanning_random_words(self):
         B = adtq()

@@ -8,8 +8,8 @@ under ``src/qdtorus/`` names it (called or bare, plain or as an attribute).
 A parameter of a ``def`` under ``src/qdtorus/`` counts as read when its name
 is loaded anywhere in the body, nested functions included; ``self`` and
 ``cls`` are exempt, and so are the few listed in ``UNREAD_ALLOWED``.
-Only ``algebras.py`` knows the normal words of ADTq's lattice triples:
-``galois.py`` neither imports nor reads its word builders.
+Only ``algebras.py`` knows the normal words of ADTq's lattice triples: no
+other module of the package imports or reads its word builders.
 No module keeps a witness by hand with ``x = x or ...``: a check takes the
 first witness of its scan through ``report.checks_from``.
 Neither ``cli.py`` nor ``suites.py`` lists algebra tags by hand: names come
@@ -159,8 +159,12 @@ def corner_word_uses(tree: ast.Module) -> list[str]:
     return found
 
 
-def test_galois_reads_adtq_through_its_corner_coordinates():
-    path = ROOT / "src" / "qdtorus" / "galois.py"
+@pytest.mark.parametrize(
+    "path",
+    [path for path in PACKAGE if path.name != "algebras.py"],
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_only_algebras_spells_adtq_words(path):
     assert corner_word_uses(ast.parse(path.read_text(), str(path))) == []
 
 

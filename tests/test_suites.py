@@ -251,8 +251,8 @@ _PLANTED_DEFECTS = {
     ),
     "cleaving": (
         "galois.py",
-        "base.delta(1) * (sign * QScalar.q_power(view.d * view.d))",
-        "base.delta(1) * (-sign * QScalar.q_power(view.d * view.d))",
+        "(-1 if m % 2 else 1)",
+        "(-1 if m % 2 else 1) * (-1 if k < l else 1)",
         {"cocleaving_table_equals_derived": "fail", "coaction_formula_equals_derived": "fail"},
     ),
     # exponents of q stay unreduced, so the build crashes, and every check
