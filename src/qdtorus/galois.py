@@ -169,8 +169,13 @@ def sigma_table(k: int, l: int, m: int, n: int) -> Element:
 
 @lru_cache(maxsize=None)
 def _sigma_of_exponent(e: int) -> Element:
+    return _sigma_of_coefficient(QScalar.q_power(e))
+
+
+@lru_cache(maxsize=None)
+def _sigma_of_coefficient(coefficient: QScalar) -> Element:
     base = az2()
-    return base.delta(0) + base.delta(1) * QScalar.q_power(e)
+    return base.delta(0) + base.delta(1) * coefficient
 
 
 def sigma_convolution(k: int, l: int, m: int, n: int, conv: str = CORRECTED) -> Element:
@@ -186,8 +191,7 @@ def sigma_convolution(k: int, l: int, m: int, n: int, conv: str = CORRECTED) -> 
     )
     if (1, th[1] + tg[1], th[2] + tg[2]) != thg:
         raise NotInBaseImage(f"j(h) j(g) j*(hg) leaves the idempotent span: t_hg = {thg}")
-    base = az2()
-    return base.delta(0) + base.delta(1) * (ch * cg * corner_product(th, tg) * chg.inverse())
+    return _sigma_of_coefficient(ch * cg * corner_product(th, tg) * chg.inverse())
 
 
 def verify_cocycle_condition(exp_range: int) -> list[Check]:

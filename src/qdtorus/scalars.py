@@ -192,18 +192,6 @@ class QScalar:
             total += float(c) * cmath.exp(2j * cmath.pi * theta * k)
         return total
 
-    def reduce_exponents(self, order: int) -> "QScalar":
-        """Reduce all exponents modulo ``order`` (the ring Q[q]/(q^M - 1))."""
-        if order < 1:
-            raise ValueError("cyclotomic order must be >= 1")
-        if all(0 <= k < order for k in self._terms):
-            return self
-        out: dict = {}
-        for k, c in self._terms.items():
-            k %= order
-            out[k] = out.get(k, 0) + c
-        return _canonical(out)
-
     def reduce_mod_poly(self, poly: tuple[int, ...]) -> "QScalar":
         """Remainder modulo a monic polynomial given as ascending coeffs.
 
@@ -320,7 +308,7 @@ def settle(acc: dict, canon: Callable[[QScalar], QScalar]) -> dict:
     """The canonical combination: ``canon`` once per key, zeros dropped.
 
     Each ``canon`` is a ring homomorphism onto canonical representatives (the
-    identity, Q[q]/(q^M-1) or Q[q]/Phi_M), so canonicalising the finished sum
+    identity or Q[q]/Phi_M), so canonicalising the finished sum
     gives the same representative as canonicalising after every step.
     """
     if canon is keep_scalar:
@@ -344,6 +332,7 @@ class CyclotomicMode:
 
     Exponents of q are reduced modulo the order, then coefficients modulo
     the cyclotomic polynomial of the order, so scalars live in a field.
+    Both steps are one Q-linear map, read off a table of residues.
     """
 
     order: int
@@ -353,8 +342,23 @@ class CyclotomicMode:
             raise ValueError("cyclotomic order must be >= 1")
 
     def canon(self, s: QScalar) -> QScalar:
-        s = s.reduce_exponents(self.order)
-        return s.reduce_mod_poly(cyclotomic_polynomial(self.order))
+        """sum(c_k * R[k mod M]) for the residues R of ``_residue_table``.
+
+        A single term whose residue has one term takes a path without loops.
+        """
+        terms = s._terms
+        residues = _residue_table(self.order)
+        out: dict = {}
+        for k, c in terms.items():
+            r = residues[k % self.order]
+            if len(terms) == 1 and len(r) == 1:
+                ((j, d),) = r.items()
+                if d == 1:
+                    return s if j == k else _wrap({j: c})
+                return _canonical({j: c * d})
+            for j, d in r.items():
+                out[j] = out.get(j, 0) + c * d
+        return _canonical(out)
 
 
 # -- polynomial helpers (ascending coefficient tuples over Q) ----------------
@@ -394,6 +398,16 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
                 raise ArithmeticError("cyclotomic division must be exact")
             p = q
     return tuple(_exact(c) for c in p)
+
+
+@lru_cache(maxsize=None)
+def _residue_table(order: int) -> tuple[dict[int, int], ...]:
+    """The terms of R[j] = q^j mod Phi_M for j < M, M = ``order``.
+
+    Every residue has int coefficients, as Phi_M is monic over Z.
+    """
+    phi = cyclotomic_polynomial(order)
+    return tuple(QScalar.q_power(j).reduce_mod_poly(phi)._terms for j in range(order))
 
 
 def invert_in_cyclotomic_field(s: QScalar, mode: CyclotomicMode) -> QScalar:

@@ -8,6 +8,11 @@ every overlap and inclusion ambiguity among rule patterns
 (:meth:`RewriteSystem.unresolved_pairs`).  Bounded Knuth-Bendix completion
 (:meth:`RewriteSystem.complete`) is used for finite quotients, where new
 relations such as D*a = d are consequences of the quotient generators.
+
+Normal forms are memoized per word.  ``add_rule`` keeps the memoized words
+shorter than the new pattern and drops the rest: no rule lengthens a word,
+so the pattern fits nowhere in a shorter word's reduction tree, and its
+memoized normal form equals a fresh ``normalize``.
 """
 
 from __future__ import annotations
@@ -82,7 +87,8 @@ class RewriteSystem:
         same_length = self._by_length.setdefault(len(rule.pattern), {})
         same_length.setdefault(rule.pattern, len(self.rules) - 1)
         self._max_pattern = max(self._max_pattern, len(rule.pattern))
-        self._cache.clear()
+        # the shorter words keep their normal forms (module docstring)
+        self._cache = {w: nf for w, nf in self._cache.items() if len(w) < len(rule.pattern)}
 
     # -- the monomial order ----------------------------------------------
 
@@ -171,17 +177,27 @@ class RewriteSystem:
         n = len(self.rules)
         for i in range(n):
             p1 = self.rules[i].pattern
+            at: dict[str, list[int]] = {}  # letter -> its positions in p1
+            for pos, x in enumerate(p1):
+                at.setdefault(x, []).append(pos)
             for j in range(0 if i >= since else since, n):
                 p2 = self.rules[j].pattern
-                # proper overlap: a suffix of p1 is a prefix of p2
-                for k in range(1, min(len(p1), len(p2))):
-                    if p1[len(p1) - k :] == p2[:k]:
+                starts = at.get(p2[0], ()) if p2 else range(len(p1) + 1)
+                # proper overlap: a suffix of p1 of length k is a prefix of
+                # p2, for k = len(p1) - pos ascending
+                for pos in reversed(starts):
+                    k = len(p1) - pos
+                    if k >= len(p2):
+                        break
+                    if pos and p1[pos:] == p2[:k]:
                         word = p1 + p2[k:]
                         if max_len is None or len(word) <= max_len:
-                            yield word, (0, i), (len(p1) - k, j)
+                            yield word, (0, i), (pos, j)
                 # inclusion: p2 strictly inside p1
                 if i != j and len(p2) < len(p1):
-                    for pos in range(len(p1) - len(p2) + 1):
+                    for pos in starts:
+                        if pos > len(p1) - len(p2):
+                            break
                         if p1[pos : pos + len(p2)] == p2:
                             if max_len is None or len(p1) <= max_len:
                                 yield p1, (0, i), (pos, j)

@@ -169,8 +169,11 @@ def test_monomial_inverse_matches_the_reference(x):
     assert s * inv == QScalar.one()
 
 
-@given(raw_scalars, st.integers(1, 12))
-@settings(max_examples=200)
+wide_single_terms = st.dictionaries(st.integers(-100, 100), coefficients, min_size=1, max_size=1)
+
+
+@given(st.one_of(raw_scalars, wide_single_terms), st.integers(1, 32))
+@settings(max_examples=300)
 def test_canon_matches_the_reference(x, order):
     got = CyclotomicMode(order).canon(QScalar(x))
     assert_canonical(got)
@@ -1010,3 +1013,96 @@ def test_batched_completion_matches_one_rule_per_pass(n, order):
     for k in range(5):
         for word in itertools.product(got.system.letters, repeat=k):
             assert got.system.normalize(word) == want.system.normalize(word), word
+
+
+_add_rule = RewriteSystem.add_rule
+
+
+def _add_rule_clearing_the_cache(system: RewriteSystem, rule: RewriteRule):
+    """``add_rule`` that forgets every memoized normal form."""
+    _add_rule(system, rule)
+    system._cache.clear()
+
+
+@pytest.mark.parametrize("n,order", QUOTIENT_ORDERS)
+def test_completion_matches_a_cache_cleared_on_every_rule(n, order):
+    with mock.patch.object(RewriteSystem, "add_rule", _add_rule_clearing_the_cache):
+        want = algebras._finite_quotient_cached.__wrapped__(n, order)
+    got = build_finite_quotient(n, CyclotomicMode(order))
+    assert got.system.rules == want.system.rules
+    assert got.system.all_normal_words() == want.system.all_normal_words()
+    for k in range(5):
+        for word in itertools.product(got.system.letters, repeat=k):
+            assert got.system.normalize(word) == want.system.normalize(word), word
+
+
+def _smaller_words(pattern):
+    """Every word over x, y below ``pattern`` in the graded order."""
+    shorter = [w for k in range(len(pattern)) for w in itertools.product("xy", repeat=k)]
+    same = [w for w in itertools.product("xy", repeat=len(pattern)) if w < pattern]
+    return shorter + same
+
+
+@given(
+    words=st.lists(st.lists(st.sampled_from(["x", "y"]), max_size=7), max_size=8),
+    pattern=st.lists(st.sampled_from(["x", "y"]), min_size=1, max_size=3),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_the_normal_forms_add_rule_keeps_equal_a_fresh_normalize(words, pattern, data):
+    system = _overlapping_system()
+    for word in words:
+        system.normalize(tuple(word))
+    pattern = tuple(pattern)
+    result = data.draw(
+        st.lists(st.tuples(st.integers(-3, 3), st.sampled_from(_smaller_words(pattern))), max_size=3)
+    )
+    system.add_rule(RewriteRule(pattern, tuple((QScalar.of(c), w) for c, w in result)))
+    assert all(len(w) < len(pattern) for w in system._cache)
+    for word, nf in list(system._cache.items()):
+        assert nf == ref_normalize(system, word), word
+
+
+def ref_critical_words(system: RewriteSystem, max_len=None, since=0):
+    """Every pair of rules, every overlap length, every inclusion position."""
+    n = len(system.rules)
+    for i in range(n):
+        p1 = system.rules[i].pattern
+        for j in range(0 if i >= since else since, n):
+            p2 = system.rules[j].pattern
+            for k in range(1, min(len(p1), len(p2))):
+                if p1[len(p1) - k :] == p2[:k]:
+                    word = p1 + p2[k:]
+                    if max_len is None or len(word) <= max_len:
+                        yield word, (0, i), (len(p1) - k, j)
+            if i != j and len(p2) < len(p1):
+                for pos in range(len(p1) - len(p2) + 1):
+                    if p1[pos : pos + len(p2)] == p2:
+                        if max_len is None or len(p1) <= max_len:
+                            yield p1, (0, i), (pos, j)
+
+
+CRITICAL_WORD_SYSTEMS = {
+    **REWRITE_ALGEBRAS,
+    "FDQUOT(n=8,order=16)": lambda: build_finite_quotient(8, CyclotomicMode(16)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CRITICAL_WORD_SYSTEMS))
+def test_critical_words_match_the_double_loop(name):
+    system = CRITICAL_WORD_SYSTEMS[name]().system
+    n = len(system.rules)
+    for max_len in (None, 3, 6):
+        for since in (0, 1, n // 2, n - 1, n):
+            got = list(system.critical_words(max_len, since))
+            assert got == list(ref_critical_words(system, max_len, since)), (max_len, since)
+
+
+@given(st.lists(st.lists(st.sampled_from(["x", "y", "z"]), max_size=5), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_critical_words_match_the_double_loop_on_any_patterns(patterns):
+    # any words as patterns, the empty one and repeats included; no result,
+    # so every rule decreases the order
+    system = RewriteSystem(("x", "y", "z"), [RewriteRule(tuple(p), ()) for p in patterns])
+    for since in range(len(patterns) + 1):
+        assert list(system.critical_words(None, since)) == list(ref_critical_words(system, None, since))

@@ -259,8 +259,8 @@ _PLANTED_DEFECTS = {
     # still reports under its own name
     "fdquot": (
         "scalars.py",
-        "        s = s.reduce_exponents(self.order)\n",
-        "",
+        "r = residues[k % self.order]",
+        "r = residues[k]",
         {
             "fdquot_dimension": "fail",
             "fdquot_confluent": "fail",
@@ -435,8 +435,8 @@ def test_fdquot_needs_the_reduction_modulo_the_cyclotomic_polynomial(n, order, w
     checks = _verify_with_a_planted_defect(
         tmp_path,
         "scalars.py",
-        "        return s.reduce_mod_poly(cyclotomic_polynomial(self.order))\n",
-        "        return s\n",
+        "QScalar.q_power(j).reduce_mod_poly(phi)._terms",
+        "QScalar.q_power(j)._terms",
         "fdquot", "--quotient-n", str(n), "--q-root", str(order),
     )
     statuses = {c["name"]: (c["status"], c.get("witness") or "") for c in checks}
