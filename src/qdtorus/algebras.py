@@ -45,7 +45,6 @@ from .scalars import (
     QScalar,
     add_scaled,
     add_term,
-    invert_in_cyclotomic_field,
     keep_scalar,
     settle,
 )
@@ -483,12 +482,15 @@ class WordAlgebra(Algebra):
     def gen_word(self, name: str, power: int = 1) -> Word:
         if name not in self.generator_names:
             raise UnknownGenerator(f"{name!r} is not a generator of {self.tag}")
-        if power >= 0:
-            return (name,) * power
-        inv = _INV_LETTER.get(name) or _BASE_OF_INV.get(name)
-        if inv is None or inv not in self.system._rank:
-            raise InvalidExponent(f"{name} has no inverse in {self.tag}")
-        return (inv,) * (-power)
+        letter = name
+        if power < 0:
+            letter = _INV_LETTER.get(name) or _BASE_OF_INV.get(name)
+            if letter is None or letter not in self.system._rank:
+                raise InvalidExponent(f"{name} has no inverse in {self.tag}")
+        try:
+            return (letter,) * abs(power)
+        except (OverflowError, MemoryError):
+            raise InvalidExponent(f"{name}^{power} is too long a word to build") from None
 
     # -- multiplication ------------------------------------------------------
 
@@ -995,9 +997,10 @@ def build_finite_quotient(n: int, mode: CyclotomicMode | None) -> WordAlgebra:
     """Quotient by a^n - z, b^n - (1-z), c^n - (1-z), d^n - z, D^n - 1.
 
     ``mode`` must specialise q to a primitive root of unity making
-    (-q)^(n^2) = 1; symbolic q is refused.  Derived relations (such as
-    D*a^(n-1) = d) are produced by bounded completion, after which the basis
-    of irreducible words is provably finite.
+    (-q)^(n^2) = 1; symbolic q is refused.  The relations that the
+    presentation implies (such as D*a^(n-1) = d) are written down from the
+    lattice model, not searched for; the fdquot suite proves the result
+    confluent (Bergman's diamond lemma) and finite of the expected dimension.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -1010,22 +1013,13 @@ def build_finite_quotient(n: int, mode: CyclotomicMode | None) -> WordAlgebra:
     return _finite_quotient_cached(n, mode.order)
 
 
-@algebra_factory
-def _finite_quotient_cached(n: int, order: int) -> WordAlgebra:
-    mode = CyclotomicMode(order)
-    letters = ("D", "z", "a", "d", "b", "c")
+_QUOTIENT_LETTERS = ("D", "z", "a", "d", "b", "c")
 
-    def translate(word: Word) -> Word:
-        out: tuple[str, ...] = ()
-        for x in word:
-            out += ("D",) * (n - 1) if x == "Dinv" else (x,)
-        return out
 
-    rules = []
-    for rule in _qg_base_rules() + _quotient_extra_rules():
-        if "Dinv" in rule.pattern:
-            continue
-        rules.append(rule)
+def _quotient_presentation(n: int, order: int) -> RewriteSystem:
+    """ADTq's rules without Dinv (D^n = 1 inverts D) and the five ideal
+    generators, over the cyclotomic field of ``order``."""
+    rules = [r for r in _qg_base_rules() + _quotient_extra_rules() if "Dinv" not in r.pattern]
     one_minus_z = ((ONE, ()), (-ONE, ("z",)))
     rules += [
         RewriteRule(("a",) * n, ((ONE, ("z",)),)),
@@ -1034,11 +1028,32 @@ def _finite_quotient_cached(n: int, order: int) -> WordAlgebra:
         RewriteRule(("c",) * n, one_minus_z),
         RewriteRule(("D",) * n, ((ONE, ()),)),
     ]
-    system = RewriteSystem(letters, rules, scalar_canon=mode.canon)
-    system.complete(
-        invert_scalar=lambda s: invert_in_cyclotomic_field(s, mode),
-        max_len=2 * n + 4,
-    )
+    return RewriteSystem(_QUOTIENT_LETTERS, rules, scalar_canon=CyclotomicMode(order).canon)
+
+
+@algebra_factory
+def _finite_quotient_cached(n: int, order: int) -> WordAlgebra:
+    """The presentation and the relations of the lattice model: in each
+    corner, a run times the inverse ideal generator's run is a product of
+    two triples (:func:`corner_product`), so for 1 <= j < n
+    D^j a^(n-j) = d^j, D^j d^(n-j) = a^j, D^j b^(n-j) = k_b c^j and
+    D^j c^(n-j) = k_c b^j.  When q^(2n) != 1, b D^n = q^(2n) D^n b kills b
+    and c, and then z = 1 - b^n = 1."""
+    system = _quotient_presentation(n, order)
+    kills_b = (2 * n) % order != 0
+    for j in range(1, n):
+        runs = {"a": ("d", ONE), "d": ("a", ONE)}
+        if not kills_b:
+            runs["b"] = ("c", corner_product((1, j, 0), (1, 0, n)).inverse())
+            runs["c"] = ("b", corner_product((1, 0, j), (1, n, 0)).inverse())
+        for run, (image, coeff) in runs.items():
+            system.add_rule(RewriteRule(("D",) * j + (run,) * (n - j), ((coeff, (image,) * j),)))
+    if kills_b:
+        for letter, image in (("b", ()), ("c", ()), ("z", ((ONE, ()),))):
+            system.add_rule(RewriteRule((letter,), image))
+
+    def translate(word: Word) -> Word:
+        return tuple(y for x in word for y in (("D",) * (n - 1) if x == "Dinv" else (x,)))
 
     alg = FiniteQuotientAlgebra(
         f"FDQUOT(n={n},order={order})",
@@ -1046,10 +1061,10 @@ def _finite_quotient_cached(n: int, order: int) -> WordAlgebra:
         generator_names=("a", "b", "c", "d", "D", "Dinv", "z"),
     )
     alg.n = n
-    alg.mode = mode
+    alg.mode = CyclotomicMode(order)
     alg._translate = translate
     parent = adtq()
-    for letter in letters:
+    for letter in _QUOTIENT_LETTERS:
         cop = parent._cop_letter[letter].terms.items()
         alg._install_hopf_letter(
             letter,

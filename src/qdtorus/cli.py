@@ -174,9 +174,8 @@ def dispatch(args) -> int:
         return code
 
     if args.command == "fdquot":
-        report = run_suite("fdquot", params)
         algebra = build_finite_quotient(params.quotient_n, CyclotomicMode(params.q_root))
-        code = _emit_report(args, report)
+        code = _emit_report(args, run_suite("fdquot", params))
         print(f"dimension = {algebra.dimension}")
         return code
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebras import Element, TensorElement, adtq, tensor_of
-from .errors import CyclotomicModeUnsupported, IncompleteWindow
+from .errors import CyclotomicModeUnsupported, IncompleteWindow, InvalidExponent
 from .hopf import haar
 from .linalg import nullspace
 from .report import Check, checks_from
@@ -51,7 +51,7 @@ def chiz(m: int) -> CorepMatrix:
 
 def w_rep(m: int, n: int) -> CorepMatrix:
     if n < 1:
-        raise ValueError("the two-dimensional family needs n >= 1")
+        raise InvalidExponent("the two-dimensional family needs n >= 1")
     rows = (
         (_el(m, "a", n), _el(m, "b", n)),
         (_el(m, "c", n), _el(m, "d", n)),

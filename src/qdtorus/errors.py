@@ -47,7 +47,8 @@ class WindowOverflow(QdtError):
 
 
 class CompletionFailure(QdtError):
-    """Critical-pair completion of a quotient rewrite system did not terminate."""
+    """Critical-pair completion did not terminate, or normal words of a
+    system expected to be finite do not stop growing."""
 
 
 class ExprSyntaxError(QdtError):

@@ -134,33 +134,19 @@ def prj(e: Element) -> Element:
 # ---------------------------------------------------------------------------
 
 
+def _coboundary_exponent(k: int, l: int) -> int:
+    """f(k, l): -2kl below the diagonal k = l, -k^2 on it, 0 above it."""
+    if k < l:
+        return -2 * k * l
+    return -k * k if k == l else 0
+
+
 def sigma_q_exponent(k: int, l: int, m: int, n: int) -> int:
-    """Exponent of q on the off-diagonal corner of the cocycle."""
-    if k > l:
-        if m > n:
-            return -2 * k * n
-        if m == n:
-            return -m * (2 * k + m)
-        if k + m > l + n:
-            return -2 * n * (k + m)
-        if k + m == l + n:
-            return (k + m) * (2 * l - k - m)
-        return 2 * l * (k + m)
-    if k == l:
-        if m > n:
-            return -k * (k + 2 * n)
-        if m == n:
-            return 0
-        return k * (k + 2 * m)
-    if m > n:
-        if k + m > l + n:
-            return -2 * k * (l + n)
-        if k + m == l + n:
-            return (l + n) * (l + n - 2 * k)
-        return 2 * m * (l + n)
-    if m == n:
-        return m * (m + 2 * l)
-    return 2 * l * m
+    """Exponent of q on the off-diagonal corner of the cocycle: the
+    bicharacter -2kn plus the coboundary f(h) + f(g) - f(hg) of
+    :func:`_coboundary_exponent`."""
+    f = _coboundary_exponent
+    return -2 * k * n + f(k, l) + f(m, n) - f(k + m, l + n)
 
 
 def sigma_table(k: int, l: int, m: int, n: int) -> Element:

@@ -8,9 +8,9 @@ numeric checks specialise q to exp(2*pi*i*theta).
 Roots of unity are handled by :class:`CyclotomicMode`: it reduces exponents
 modulo the order M and then modulo the M-th cyclotomic polynomial, i.e.
 works in the field Q[q]/Phi_M generated by a primitive M-th root.  The
-finite quotients need that field: their completion divides by coefficients,
-and for order 2 the root condition forces q = -1, which is no identity of
-the ring Q[q]/(q^M - 1).
+finite quotients need that field for their root condition (-q)^(n^2) = 1:
+at order 2 it forces q = -1, which is no identity of the ring
+Q[q]/(q^M - 1).
 """
 
 from __future__ import annotations

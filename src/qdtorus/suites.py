@@ -504,7 +504,7 @@ def _thunks_fdquot(p: SuiteParams):
             yield f"dimension {alg.dimension}, expected {expected}"
 
     def confluent(alg):
-        return ("*".join(pair.word) for pair in alg.system.unresolved_pairs(2 * n + 4))
+        return ("*".join(pair.word) for pair in alg.system.unresolved_pairs())
 
     def hopf_ideal(alg):
         parent = adtq()

@@ -6,8 +6,9 @@ linear combination of strictly smaller words.  Normal forms are computed by
 leftmost reduction; the Diamond Lemma obligation is discharged by resolving
 every overlap and inclusion ambiguity among rule patterns
 (:meth:`RewriteSystem.unresolved_pairs`).  Bounded Knuth-Bendix completion
-(:meth:`RewriteSystem.complete`) is used for finite quotients, where new
-relations such as D*a = d are consequences of the quotient generators.
+(:meth:`RewriteSystem.complete`) derives such relations by search over a
+field; no algebra is built with it, and the tests complete the finite
+quotients' presentations with it to cross-check their written relations.
 
 Normal forms are memoized per word.  ``add_rule`` keeps the memoized words
 shorter than the new pattern and drops the rest: no rule lengthens a word,
@@ -167,12 +168,11 @@ class RewriteSystem:
 
     # -- ambiguities -------------------------------------------------------
 
-    def critical_words(self, max_len: int | None = None, since: int = 0):
+    def critical_words(self, max_len: int | None = None):
         """All overlap and inclusion ambiguities among rule patterns.
 
         Yields (word, (pos1, rule1), (pos2, rule2)) where the two rules apply
-        at the stated positions of the shared word.  With ``since`` only the
-        ambiguities that involve a rule numbered ``since`` or later.
+        at the stated positions of the shared word.
         """
         n = len(self.rules)
         for i in range(n):
@@ -180,7 +180,7 @@ class RewriteSystem:
             at: dict[str, list[int]] = {}  # letter -> its positions in p1
             for pos, x in enumerate(p1):
                 at.setdefault(x, []).append(pos)
-            for j in range(0 if i >= since else since, n):
+            for j in range(n):
                 p2 = self.rules[j].pattern
                 starts = at.get(p2[0], ()) if p2 else range(len(p1) + 1)
                 # proper overlap: a suffix of p1 of length k is a prefix of
@@ -211,9 +211,9 @@ class RewriteSystem:
             add_term(combo, word[:pos] + rw + word[tail:], rc)
         return self.normalize_combo(combo)
 
-    def unresolved_pairs(self, max_len: int | None = None, since: int = 0) -> list[CriticalPair]:
+    def unresolved_pairs(self, max_len: int | None = None) -> list[CriticalPair]:
         bad = []
-        for word, at1, at2 in self.critical_words(max_len, since):
+        for word, at1, at2 in self.critical_words(max_len):
             left = self.resolve(word, at1)
             right = self.resolve(word, at2)
             if left != right:
@@ -230,20 +230,16 @@ class RewriteSystem:
 
         Each pass orients every unresolved pair it finds, in order: the
         pair's difference is first normalized, so the rules added earlier in
-        the same pass apply, and it is skipped if that leaves zero.  After
-        the first pass, a pass checks only the pairs that involve a rule the
-        previous pass added.  The loop ends only on a full pass that finds no
-        unresolved pair.
+        the same pass apply, and it is skipped if that leaves zero.  The loop
+        ends on a pass that finds no unresolved pair.
 
         ``invert_scalar`` must invert any nonzero coefficient (so the scalar
         ring must be a field, e.g. a cyclotomic mode).
         """
-        since = 0
         for _ in range(max_rounds):
-            pairs = self.unresolved_pairs(max_len, since)
-            if not pairs and not since:
+            pairs = self.unresolved_pairs(max_len)
+            if not pairs:
                 return
-            since = len(self.rules)
             for pair in pairs:
                 diff: Combo = dict(pair.left)
                 add_scaled(diff, pair.right, QScalar.of(-1))
@@ -256,8 +252,6 @@ class RewriteSystem:
                     (self.scalar_canon(-inv * c), w) for w, c in diff.items() if w != lm
                 )
                 self.add_rule(RewriteRule(lm, result))
-            if since == len(self.rules):
-                since = 0  # nothing new: the next pass is the full one
         else:
             raise CompletionFailure(
                 f"completion did not stabilise after {max_rounds} rounds"

@@ -122,6 +122,21 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv",
         [
+            ("character", "w(0,0)"),
+            ("normalize", "a^99999999999999999999"),
+            ("character", "chi(99999999999999999999)"),
+            ("decompose", "a", "--range", "99999999999999999999"),
+            ("normalize", "a^99999999999999"),  # a word too long to allocate
+        ],
+    )
+    def test_a_label_or_power_no_word_can_hold_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ("verify", "gns", "--window", "3"),
             ("verify", "all", "--window", "3"),
             ("gns", "--window", "0", "--norm", "a"),
@@ -177,6 +192,14 @@ def test_an_unknown_name_is_a_usage_error_before_any_suite_work(capsys, suite_wo
     except SystemExit as exc:  # argparse refuses a convention outside its choices
         code = exc.code
     assert code == 2 and "error" in capsys.readouterr().err
+    assert suite_work == []
+
+
+def test_a_refused_root_is_a_usage_error_before_any_suite_work(capsys, suite_work):
+    code = cli.main(["fdquot", "1", "--q-root", "1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: (-q)^1 != 1 for a primitive root of order 1\n"
     assert suite_work == []
 
 

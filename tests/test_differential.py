@@ -652,6 +652,41 @@ def test_cached_cleaving_maps_match_recomputation(conv):
         assert fresh * inverse == adtq().unit() == inverse * fresh
 
 
+def ref_sigma_q_exponent(k: int, l: int, m: int, n: int) -> int:
+    """The cocycle exponent as a table of 13 branches on the signs of
+    k - l, m - n and k + m - l - n."""
+    if k > l:
+        if m > n:
+            return -2 * k * n
+        if m == n:
+            return -m * (2 * k + m)
+        if k + m > l + n:
+            return -2 * n * (k + m)
+        if k + m == l + n:
+            return (k + m) * (2 * l - k - m)
+        return 2 * l * (k + m)
+    if k == l:
+        if m > n:
+            return -k * (k + 2 * n)
+        if m == n:
+            return 0
+        return k * (k + 2 * m)
+    if m > n:
+        if k + m > l + n:
+            return -2 * k * (l + n)
+        if k + m == l + n:
+            return (l + n) * (l + n - 2 * k)
+        return 2 * m * (l + n)
+    if m == n:
+        return m * (m + 2 * l)
+    return 2 * l * m
+
+
+def test_sigma_exponent_matches_the_branch_table():
+    for args in itertools.product(range(-10, 11), repeat=4):
+        assert galois.sigma_q_exponent(*args) == ref_sigma_q_exponent(*args), args
+
+
 def test_cached_sigma_matches_recomputation():
     base = az2()
     for (k, l), (m, n) in itertools.product(LATTICE, repeat=2):
@@ -971,7 +1006,8 @@ def test_normalize_follows_the_rule_choice_on_a_non_confluent_system(word, data)
 
 
 # ---------------------------------------------------------------------------
-# Batched completion against one oriented pair per pass
+# The finite quotients' written relations against completion, batched or
+# one oriented pair per pass
 # ---------------------------------------------------------------------------
 
 
@@ -1002,17 +1038,31 @@ QUOTIENT_ORDERS = [
 ]
 
 
-@pytest.mark.parametrize("n,order", QUOTIENT_ORDERS)
+def _completed_presentation(n, order, complete=RewriteSystem.complete):
+    """The finite quotient's presentation, completed by ``complete``."""
+    mode = CyclotomicMode(order)
+    system = algebras._quotient_presentation(n, order)
+    complete(system, lambda s: invert_in_cyclotomic_field(s, mode), max_len=2 * n + 4)
+    return system
+
+
+def _assert_same_normal_forms(got: RewriteSystem, want: RewriteSystem, max_len: int):
+    assert got.all_normal_words() == want.all_normal_words()
+    for k in range(max_len + 1):
+        for word in itertools.product(got.letters, repeat=k):
+            assert got.normalize(word) == want.normalize(word), word
+
+
+@pytest.mark.parametrize("n,order", QUOTIENT_ORDERS + [(1, 2), (2, 1), (3, 18), (4, 16)])
 def test_batched_completion_matches_one_rule_per_pass(n, order):
-    with mock.patch.object(RewriteSystem, "complete", ref_complete):
-        want = algebras._finite_quotient_cached.__wrapped__(n, order)
+    """The quotient's written relations give what completing its
+    presentation gives, batched or one rule per pass."""
     got = build_finite_quotient(n, CyclotomicMode(order))
-    assert len(got.system.rules) == len(want.system.rules)
-    assert got.dimension == want.dimension
-    assert got.system.all_normal_words() == want.system.all_normal_words()
-    for k in range(5):
-        for word in itertools.product(got.system.letters, repeat=k):
-            assert got.system.normalize(word) == want.system.normalize(word), word
+    assert got.system.unresolved_pairs() == []
+    for complete in (RewriteSystem.complete, ref_complete):
+        want = _completed_presentation(n, order, complete)
+        assert got.dimension == len(want.all_normal_words())
+        _assert_same_normal_forms(got.system, want, 4)
 
 
 _add_rule = RewriteSystem.add_rule
@@ -1027,13 +1077,10 @@ def _add_rule_clearing_the_cache(system: RewriteSystem, rule: RewriteRule):
 @pytest.mark.parametrize("n,order", QUOTIENT_ORDERS)
 def test_completion_matches_a_cache_cleared_on_every_rule(n, order):
     with mock.patch.object(RewriteSystem, "add_rule", _add_rule_clearing_the_cache):
-        want = algebras._finite_quotient_cached.__wrapped__(n, order)
-    got = build_finite_quotient(n, CyclotomicMode(order))
-    assert got.system.rules == want.system.rules
-    assert got.system.all_normal_words() == want.system.all_normal_words()
-    for k in range(5):
-        for word in itertools.product(got.system.letters, repeat=k):
-            assert got.system.normalize(word) == want.system.normalize(word), word
+        want = _completed_presentation(n, order)
+    got = _completed_presentation(n, order)
+    assert got.rules == want.rules
+    _assert_same_normal_forms(got, want, 4)
 
 
 def _smaller_words(pattern):
@@ -1063,12 +1110,12 @@ def test_the_normal_forms_add_rule_keeps_equal_a_fresh_normalize(words, pattern,
         assert nf == ref_normalize(system, word), word
 
 
-def ref_critical_words(system: RewriteSystem, max_len=None, since=0):
+def ref_critical_words(system: RewriteSystem, max_len=None):
     """Every pair of rules, every overlap length, every inclusion position."""
     n = len(system.rules)
     for i in range(n):
         p1 = system.rules[i].pattern
-        for j in range(0 if i >= since else since, n):
+        for j in range(n):
             p2 = system.rules[j].pattern
             for k in range(1, min(len(p1), len(p2))):
                 if p1[len(p1) - k :] == p2[:k]:
@@ -1091,11 +1138,8 @@ CRITICAL_WORD_SYSTEMS = {
 @pytest.mark.parametrize("name", sorted(CRITICAL_WORD_SYSTEMS))
 def test_critical_words_match_the_double_loop(name):
     system = CRITICAL_WORD_SYSTEMS[name]().system
-    n = len(system.rules)
     for max_len in (None, 3, 6):
-        for since in (0, 1, n // 2, n - 1, n):
-            got = list(system.critical_words(max_len, since))
-            assert got == list(ref_critical_words(system, max_len, since)), (max_len, since)
+        assert list(system.critical_words(max_len)) == list(ref_critical_words(system, max_len)), max_len
 
 
 @given(st.lists(st.lists(st.sampled_from(["x", "y", "z"]), max_size=5), max_size=6))
@@ -1104,5 +1148,4 @@ def test_critical_words_match_the_double_loop_on_any_patterns(patterns):
     # any words as patterns, the empty one and repeats included; no result,
     # so every rule decreases the order
     system = RewriteSystem(("x", "y", "z"), [RewriteRule(tuple(p), ()) for p in patterns])
-    for since in range(len(patterns) + 1):
-        assert list(system.critical_words(None, since)) == list(ref_critical_words(system, None, since))
+    assert list(system.critical_words()) == list(ref_critical_words(system))

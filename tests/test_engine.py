@@ -24,7 +24,7 @@ from qdtorus.errors import (
     UnknownGenerator,
 )
 from qdtorus.exprs import parse_element
-from qdtorus.scalars import CyclotomicMode, QScalar
+from qdtorus.scalars import CyclotomicMode, QScalar, invert_in_cyclotomic_field
 from qdtorus.words import RewriteRule, RewriteSystem
 
 
@@ -328,28 +328,45 @@ class TestFiniteQuotient:
 
 
 def test_finite_quotient_completes_in_a_few_passes():
+    system = algebras._quotient_presentation(8, 16)
+    mode = CyclotomicMode(16)
     original = RewriteSystem.unresolved_pairs
     with mock.patch.object(
         RewriteSystem, "unresolved_pairs", autospec=True, side_effect=original
     ) as passes:
-        alg = algebras._finite_quotient_cached.__wrapped__(8, 16)
-    assert alg.dimension == 128
+        system.complete(lambda s: invert_in_cyclotomic_field(s, mode), max_len=20)
+    assert len(system.all_normal_words()) == 128
     assert passes.call_count <= 6
 
 
-class _Stop(Exception):
-    pass
-
-
 def test_completion_out_of_rounds_raises():
-    with mock.patch.object(RewriteSystem, "complete", autospec=True, side_effect=_Stop) as complete:
-        with pytest.raises(_Stop):
-            algebras._finite_quotient_cached.__wrapped__(3, 6)
-    (system,), kwargs = complete.call_args
+    system = algebras._quotient_presentation(3, 6)
+    mode = CyclotomicMode(6)
+    kwargs = {"invert_scalar": lambda s: invert_in_cyclotomic_field(s, mode), "max_len": 10}
     with pytest.raises(CompletionFailure, match="after 1 rounds"):
         system.complete(**kwargs, max_rounds=1)
     system.complete(**kwargs)  # resumes from the rules the one round added
     assert system.unresolved_pairs(kwargs["max_len"]) == []
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_written_relations_are_multiples_of_the_ideal_generators(n):
+    """In ADTq at generic q each relation that the finite quotient writes down
+    is a multiple of a generator of the ideal it divides by."""
+    B = adtq()
+    a, b, c, d, z = (B.gen(x) for x in "abcdz")
+    one = B.unit()
+    for j in range(1, n):
+        Dj = B.gen("D", j)
+        k_b = algebras.corner_product((1, j, 0), (1, 0, n)).inverse()
+        k_c = algebras.corner_product((1, 0, j), (1, n, 0)).inverse()
+        assert d**j * (a**n - z) == Dj * a ** (n - j) - d**j
+        assert a**j * (d**n - z) == Dj * d ** (n - j) - a**j
+        assert c**j * (b**n - (one - z)) == (Dj * b ** (n - j) - c**j * k_b) * k_b.inverse()
+        assert b**j * (c**n - (one - z)) == (Dj * c ** (n - j) - b**j * k_c) * k_c.inverse()
+    q2n = QScalar.q_power(2 * n)
+    Dn = B.gen("D", n) - one
+    assert b * (q2n - 1) == b * Dn - Dn * b * q2n
 
 
 def test_project_between_presentations():
@@ -357,15 +374,6 @@ def test_project_between_presentations():
     e = el("b*a + z*z", A)
     projected = B.combine((B.normalize_word(m), c) for m, c in e.terms.items())
     assert projected == el("q*a*b + z", B)
-
-
-def test_critical_words_since_keeps_the_pairs_of_later_rules():
-    system = adtq().system
-    full = list(system.critical_words(6))
-    for since in (0, 5, len(system.rules) - 1, len(system.rules)):
-        want = [c for c in full if max(c[1][1], c[2][1]) >= since]
-        assert list(system.critical_words(6, since)) == want
-    assert list(system.critical_words(6, len(system.rules))) == []
 
 
 def test_unresolved_pairs_entry_point():

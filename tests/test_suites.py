@@ -9,12 +9,13 @@ import sys
 import numpy as np
 import pytest
 
-from qdtorus import galois
+from qdtorus import algebras, galois
 from qdtorus.algebras import adtq, at2, az2
 from qdtorus.exprs import parse_element
 from qdtorus.gns import LatticeWindow, apply_element, operator_set
 from qdtorus.scalars import QScalar
 from qdtorus.suites import SuiteParams, run_suite
+from qdtorus.words import RewriteRule, RewriteSystem
 
 
 def test_verify_all_passes_with_defaults():
@@ -177,6 +178,63 @@ def test_fdquot_dimension_check_rejects_a_planted_dimension(monkeypatch):
     assert found["fdquot_dimension"].witness == "dimension 18, expected 9"
 
 
+def _fdquot_statuses(monkeypatch, n, order, add_rule):
+    """The fdquot checks of (n, order) on a quotient built with ``add_rule``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(RewriteSystem, "add_rule", add_rule)
+        alg = algebras._finite_quotient_cached.__wrapped__(n, order)
+    monkeypatch.setattr(algebras, "_finite_quotient_cached", lambda n, order: alg)
+    report = run_suite("fdquot", SuiteParams(quotient_n=n, q_root=order))
+    return {c.name: c.passed for c in report.checks}
+
+
+def _written_patterns(n, order):
+    """The patterns the build adds to the presentation of (n, order)."""
+    written = algebras._finite_quotient_cached(n, order).system.rules
+    return [r.pattern for r in written[len(algebras._quotient_presentation(n, order).rules) :]]
+
+
+_WRITTEN_CASES = [
+    (n, order, pattern)
+    for n, order in [(2, 4), (3, 6), (3, 18), (4, 8), (4, 16)]
+    for pattern in _written_patterns(n, order)
+]
+
+
+@pytest.mark.parametrize(
+    "n, order, pattern", _WRITTEN_CASES, ids=[f"{n}-{o}-{''.join(p)}" for n, o, p in _WRITTEN_CASES]
+)
+def test_every_written_relation_is_needed(n, order, pattern, monkeypatch):
+    add_rule = RewriteSystem.add_rule
+
+    def dropping(system, rule):
+        if rule.pattern != pattern:
+            add_rule(system, rule)
+
+    statuses = _fdquot_statuses(monkeypatch, n, order, dropping)
+    assert not (statuses["fdquot_confluent"] and statuses["fdquot_dimension"])
+
+
+@pytest.mark.parametrize("run", ["b", "c"])
+def test_a_wrong_sign_of_kappa_fails_confluence(run, monkeypatch):
+    add_rule = RewriteSystem.add_rule
+
+    def flipping(system, rule):
+        if rule.pattern == ("D", run):
+            rule = RewriteRule(rule.pattern, tuple((-c, w) for c, w in rule.result))
+        add_rule(system, rule)
+
+    assert _fdquot_statuses(monkeypatch, 2, 4, flipping)["fdquot_confluent"] is False
+
+
+def test_a_root_condition_one_power_off_fails_the_fdquot_suite(monkeypatch):
+    def one_off(n, mode):
+        return mode.canon((-algebras.Q) ** (n * n + 1)) == algebras.ONE
+
+    monkeypatch.setattr(algebras, "root_condition_holds", one_off)
+    assert not run_suite("fdquot").ok
+
+
 def test_cocycle_suite_uses_the_range(monkeypatch):
     seen = []
     real = galois.verify_cocycle_condition
@@ -223,6 +281,21 @@ def test_a_sigma_defect_beyond_the_cross_check_range_fails_the_identity(monkeypa
     section = report.cleaving_convention
     assert section.pop("active") == "corrected"
     assert section == dict.fromkeys(section, True) and len(section) == 3
+
+
+def test_a_coboundary_defect_fails_only_the_cross_check(monkeypatch):
+    """sigma is a bicharacter times the coboundary of f, and every f gives a
+    cocycle, so the identity cannot see a defect of f; the comparison with
+    j(h) j(g) j*(hg) sees it wherever |k+m|, |l+n| <= 2 * range."""
+    original = galois._coboundary_exponent
+
+    def mutated(k, l):
+        return original(k, l) + (1 if k == l and abs(k) >= 4 else 0)
+
+    monkeypatch.setattr(galois, "_coboundary_exponent", mutated)
+    statuses = {c.name: c.passed for c in run_suite("cocycle").checks}
+    assert statuses["sigma_table_equals_convolution"] is False
+    assert statuses["cocycle_identity"] is True
 
 
 def test_convention_section_is_recomputed_after_a_warm_run(monkeypatch):
@@ -422,16 +495,17 @@ def test_a_planted_product_defect_fails_every_adtq_law(defect, tmp_path):
 @pytest.mark.parametrize(
     "n, order, witness",
     [
-        (4, 16, "ValueError: not a constant"),
         (1, 2, "(-q)^1 != 1 for a primitive root of order 2"),
         (3, 6, "(-q)^9 != 1 for a primitive root of order 6"),
     ],
 )
 def test_fdquot_needs_the_reduction_modulo_the_cyclotomic_polynomial(n, order, witness, tmp_path):
     """Without the reduction modulo Phi_M the scalars live in Q[q]/(q^M - 1),
-    which is no field.  At order 4 every inverted coefficient is a unit
-    +-q^k, whose norm inverse holds there too, so the default run passes;
-    at these orders the build fails, and each check says why."""
+    where (-q)^(n^2) = 1 can fail although it holds at the primitive root:
+    at order 2 the root condition forces q = -1, which is no identity of
+    that ring.  So these pairs are refused, and each check says why.  The
+    build itself divides by nothing, so where that root check passes the
+    written relations still give a confluent quotient of the right size."""
     checks = _verify_with_a_planted_defect(
         tmp_path,
         "scalars.py",
