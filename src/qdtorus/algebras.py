@@ -127,6 +127,12 @@ class Element:
             return self.map_scalars(lambda c: c * other)
         self._check_peer(other)
         mul_mon = self.algebra.mul_mon
+        if len(self.terms) == 1 and len(other.terms) == 1:
+            ((m1, c1),) = self.terms.items()
+            ((m2, c2),) = other.terms.items()
+            hit, c = mul_mon(m1, m2), c1 * c2
+            # the shared memo entry, which nothing mutates, or its settled rescaling
+            return hit if c == ONE else hit.map_scalars(lambda x: x * c)
         return self.algebra.combine(
             (mul_mon(m1, m2), c1 * c2)
             for m1, c1 in self.terms.items()
@@ -445,6 +451,7 @@ class WordAlgebra(Algebra):
         self.generator_names = tuple(generator_names)
         self.canon_scalar = system.scalar_canon
         self._mul_cache: dict = {}
+        self._gen_cache: dict = {}
         # letter tables of normalized images, and the images of words met so far
         self._cop_letter: dict[str, TensorElement] = {}
         self._counit_letter: dict[str, QScalar] = {}
@@ -477,7 +484,11 @@ class WordAlgebra(Algebra):
         return self.element_from_combo(self.system.normalize(word))
 
     def gen(self, name: str, power: int = 1) -> Element:
-        return self.normalize_word(self.gen_word(name, power))
+        key = (name, power)
+        hit = self._gen_cache.get(key)
+        if hit is None:
+            hit = self._gen_cache[key] = self.normalize_word(self.gen_word(name, power))
+        return hit
 
     def gen_word(self, name: str, power: int = 1) -> Word:
         if name not in self.generator_names:

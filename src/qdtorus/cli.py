@@ -112,8 +112,17 @@ def _emit_value(args, params: SuiteParams, label: str, value) -> int:
     return 0
 
 
-def _emit_report(args, report: Report) -> int:
-    print(report.to_json() if args.report == "json" else report.to_text())
+def _emit_report(args, report: Report, values: dict | None = None) -> int:
+    """Print the report and ``values`` (label -> number, shown to 12 digits):
+    in JSON under the added key "values", in text as ``label = value`` lines."""
+    shown = {label: f"{value:.12g}" for label, value in (values or {}).items()}
+    if args.report == "json":
+        payload = report.to_json_dict() | ({"values": shown} if shown else {})
+        print(json.dumps(payload, indent=2, default=str))
+    else:
+        print(report.to_text())
+        for label, value in shown.items():
+            print(f"{label} = {value}")
     return 0 if report.ok else 1
 
 
@@ -159,25 +168,20 @@ def dispatch(args) -> int:
 
     if args.command == "gns":
         report = run_suite("gns", params)
-        extra: dict[str, str] = {}
+        values = {}
         if args.norm:
             element = parse_element(args.norm, adtq())
             value = gns.estimate_operator_norm(element, params.window, params.q_theta)
-            extra[f"norm({args.norm})"] = f"{value:.12g}"
+            values[f"norm({args.norm})"] = value
         if args.expect:
             element = parse_element(args.expect, adtq())
             value = gns.gns_expectation(element, params.window, params.q_theta)
-            extra[f"expectation({args.expect})"] = f"{value:.12g}"
-        code = _emit_report(args, report)
-        for key, value in extra.items():
-            print(f"{key} = {value}")
-        return code
+            values[f"expectation({args.expect})"] = value
+        return _emit_report(args, report, values)
 
     if args.command == "fdquot":
         algebra = build_finite_quotient(params.quotient_n, CyclotomicMode(params.q_root))
-        code = _emit_report(args, run_suite("fdquot", params))
-        print(f"dimension = {algebra.dimension}")
-        return code
+        return _emit_report(args, run_suite("fdquot", params), {"dimension": algebra.dimension})
 
     raise QdtError(f"unhandled command {args.command!r}")
 

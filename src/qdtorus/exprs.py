@@ -9,8 +9,10 @@ Grammar (whitespace insensitive)::
     int    := ('-')? NUMBER
 
 A name is ``q`` or one of the algebra's ``generator_names``, checked where it
-is read.  Factors are evaluated as they are read, so an input's leftmost fault
-is the one raised.
+is read.  A term gathers its scalar factors (``p/r``, ``q^k``) into one
+scalar, multiplies its other factors left to right, and applies the scalar
+once to their product.  Every factor is still read, checked and evaluated
+before the next is looked at, so an input's leftmost fault is the one raised.
 """
 
 import re
@@ -22,7 +24,6 @@ from .scalars import QScalar
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()]))")
 _KINDS = (None, "num", "name", "op")  # by the number of the matching group
-_SIGNS = {"+": None, "-": QScalar.of(-1)}  # combine reads None as 1
 MAX_NESTING = 200  # parentheses; keeps the recursion inside Python's stack limit
 
 
@@ -65,17 +66,25 @@ def parse_element(text: str, algebra: WordAlgebra) -> Element:
         sign = accept("-") or "+"
         terms = []
         while sign:
-            terms.append((term(depth), _SIGNS[sign]))
+            element, scalar = term(depth)
+            terms.append((element, -scalar if sign == "-" else scalar))
             sign = accept("+-")
         return algebra.combine(terms)
 
     def term(depth):
-        out = factor(depth)
-        while accept("*"):
-            out = out * factor(depth)
-        return out
+        """(product of the non-scalar factors, product of the scalar ones)"""
+        out, scalar = None, QScalar.one()
+        while True:
+            x = factor(depth)
+            if isinstance(x, QScalar):
+                scalar = scalar * x
+            else:
+                out = x if out is None else out * x
+            if not accept("*"):
+                return (algebra.unit() if out is None else out), scalar
 
     def factor(depth):
+        """A QScalar for a scalar factor, else an Element."""
         kind, word, pos = take()
         if kind == "num":
             value = int(word)
@@ -84,7 +93,7 @@ def parse_element(text: str, algebra: WordAlgebra) -> Element:
                 if not den:
                     raise ExprSyntaxError("zero denominator", pos)
                 value = Fraction(value, den)
-            return algebra.unit() * QScalar.of(value)
+            return QScalar.of(value)
         if kind == "name":
             if word != "q" and word not in algebra.generator_names:
                 raise UnknownGenerator(f"{word!r} is not a generator of {algebra.tag}")
@@ -92,7 +101,7 @@ def parse_element(text: str, algebra: WordAlgebra) -> Element:
             if accept("^"):
                 power = (-1 if accept("-") else 1) * integer("exponent")[0]
             if word == "q":
-                return algebra.unit() * QScalar.q_power(power)
+                return QScalar.q_power(power)
             return algebra.gen(word, power)
         if word != "(":
             raise ExprSyntaxError(f"unexpected token {word!r}", pos)

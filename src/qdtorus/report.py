@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -53,9 +52,6 @@ class Report:
             "duration_ms": self.duration_ms,
         }
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, default=str)
 
     def to_text(self) -> str:
         lines = [f"suite: {self.suite}"]

@@ -277,6 +277,26 @@ class TestGnsAndQuotientCommands:
         code, out, _ = run(capsys, "fdquot", "2", "--q-root", "4")
         assert code == 0 and "dimension = 8" in out
 
+    def test_gns_values_in_json_are_one_document(self, capsys):
+        code, out, _ = run(
+            capsys, "gns", "--window", "4", "--norm", "a", "--expect", "z", "--report", "json"
+        )
+        payload = json.loads(out)
+        assert code == 0 and payload["suite"] == "gns"
+        assert payload["values"] == {"norm(a)": "1", "expectation(z)": "0.5+0j"}
+
+    def test_fdquot_dimension_in_json_is_one_document(self, capsys):
+        code, out, _ = run(capsys, "fdquot", "2", "--report", "json")
+        payload = json.loads(out)
+        assert code == 0 and payload["suite"] == "fdquot"
+        assert payload["values"] == {"dimension": "8"}
+
+    def test_gns_json_without_values_keeps_the_report_keys(self, capsys):
+        _, out, _ = run(capsys, "gns", "--window", "4", "--report", "json")
+        assert set(json.loads(out)) == {
+            "suite", "params", "cleaving_convention", "checks", "duration_ms"
+        }
+
     def test_fdquot_bad_root(self, capsys):
         code, _, err = run(capsys, "fdquot", "3", "--q-root", "4")
         assert code == 2 and "error" in err

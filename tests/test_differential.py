@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdtorus import algebras, galois
+from qdtorus import algebras, exprs, galois
 from qdtorus.algebras import (
     Element,
     TensorElement,
@@ -40,7 +40,13 @@ from qdtorus.algebras import (
     corner_triples,
     quotient_mon_word,
 )
-from qdtorus.errors import CompletionFailure, NotInBaseImage
+from qdtorus.errors import (
+    CompletionFailure,
+    ExprSyntaxError,
+    NotInBaseImage,
+    QdtError,
+    UnknownGenerator,
+)
 from qdtorus.hopf import haar
 from qdtorus.linalg import exact_div, nullspace, solve_unique
 from qdtorus.report import Check
@@ -563,6 +569,15 @@ def test_sum_cancelling_only_after_cyclotomic_canon():
 # ---------------------------------------------------------------------------
 # ADTq's closed-form product against rewriting
 # ---------------------------------------------------------------------------
+
+
+def test_one_term_products_settle_cyclotomic_scalars():
+    """(q·D)(q·D) = q²·D² = −1 when q is a primitive fourth root and D² = 1:
+    the raw coefficient q² of the one-term product is not canonical."""
+    alg = _fdquot()
+    x = alg.gen("D") * QScalar.q_power(1)
+    assert x * x == ref_mul_el(x, x) == -alg.unit()
+    assert (x * x).terms == {(): QScalar.of(-1)}
 
 
 def adtq_monomials(bound: int):
@@ -1149,3 +1164,171 @@ def test_critical_words_match_the_double_loop_on_any_patterns(patterns):
     # so every rule decreases the order
     system = RewriteSystem(("x", "y", "z"), [RewriteRule(tuple(p), ()) for p in patterns])
     assert list(system.critical_words()) == list(ref_critical_words(system))
+
+
+# ---------------------------------------------------------------------------
+# Expression parsing against the factor-by-factor evaluator
+# ---------------------------------------------------------------------------
+
+
+def ref_mul_generic(x: Element, y: Element) -> Element:
+    """The product through the general combine loop, one-term factors included."""
+    alg = x.algebra
+    return alg.combine(
+        (alg.mul_mon(m1, m2), c1 * c2) for m1, c1 in x.terms.items() for m2, c2 in y.terms.items()
+    )
+
+
+def ref_parse_element(text: str, algebra) -> Element:
+    """The parser that turns every factor into an element as it reads it: a
+    scalar into ``unit()·c``, a generator power into its normalized word
+    without the generator memo; products take the general combine loop."""
+    tokens, ahead = exprs._tokens(text), []
+
+    def peek():
+        if not ahead:
+            ahead.append(next(tokens))
+        return ahead[0]
+
+    def take():
+        if peek()[0] == "end":
+            raise ExprSyntaxError("unexpected end of input", len(text))
+        return ahead.pop()
+
+    def accept(symbols):
+        kind, word, _ = peek()
+        return ahead.pop()[1] if kind == "op" and word in symbols else None
+
+    def integer(what):
+        kind, word, pos = take()
+        if kind != "num":
+            raise ExprSyntaxError(f"expected an integer {what}", pos)
+        return int(word), pos
+
+    def expr(depth):
+        sign = accept("-") or "+"
+        terms = []
+        while sign:
+            terms.append((term(depth), QScalar.of(-1 if sign == "-" else 1)))
+            sign = accept("+-")
+        return algebra.combine(terms)
+
+    def term(depth):
+        out = factor(depth)
+        while accept("*"):
+            out = ref_mul_generic(out, factor(depth))
+        return out
+
+    def factor(depth):
+        kind, word, pos = take()
+        if kind == "num":
+            value = int(word)
+            if accept("/"):
+                den, pos = integer("denominator")
+                if not den:
+                    raise ExprSyntaxError("zero denominator", pos)
+                value = Fraction(value, den)
+            return algebra.unit() * QScalar.of(value)
+        if kind == "name":
+            if word != "q" and word not in algebra.generator_names:
+                raise UnknownGenerator(f"{word!r} is not a generator of {algebra.tag}")
+            power = 1
+            if accept("^"):
+                power = (-1 if accept("-") else 1) * integer("exponent")[0]
+            if word == "q":
+                return algebra.unit() * QScalar.q_power(power)
+            return algebra.normalize_word(algebra.gen_word(word, power))
+        if word != "(":
+            raise ExprSyntaxError(f"unexpected token {word!r}", pos)
+        if depth == exprs.MAX_NESTING:
+            raise ExprSyntaxError(f"parentheses nested deeper than {exprs.MAX_NESTING}", pos)
+        inner = expr(depth + 1)
+        if not accept(")"):
+            raise ExprSyntaxError("expected ')'", take()[2])
+        return inner
+
+    out = expr(0)
+    kind, word, pos = peek()
+    if kind != "end":
+        raise ExprSyntaxError(f"trailing input {word!r}", pos)
+    return out
+
+
+# algebra -> (factory, generators that take negative powers)
+PARSED_ALGEBRAS = {
+    "ADTq": (adtq, ("D", "Dinv")),
+    "AUq2": (auq2, ("D", "Dinv")),
+    "ADTq!bc_weak": (lambda: adtq("bc_weak"), ("D", "Dinv")),
+    "AT2": (at2, ("u", "v")),
+    # b -> 0 and z -> 1: single letters are not all normal words
+    "FDQUOT(3,18)": (lambda: build_finite_quotient(3, CyclotomicMode(18)), ("D", "Dinv")),
+    # D^3 = 1 and q^6 = 1: powers of Dinv and of q run past the order
+    "FDQUOT(3,6)": (lambda: build_finite_quotient(3, CyclotomicMode(6)), ("D", "Dinv")),
+}
+
+
+def expression_texts(algebra, invertible):
+    def power(name):
+        low = -5 if name in invertible else 0
+        return st.integers(low, 5).map(lambda k: f"{name}^{k}")
+
+    names = st.sampled_from(algebra.generator_names)
+    leaves = st.one_of(
+        st.integers(0, 9).map(str),
+        st.tuples(st.integers(0, 9), st.integers(1, 6)).map(lambda pr: f"{pr[0]}/{pr[1]}"),
+        st.just("q"),
+        st.integers(-40, 40).map(lambda k: f"q^{k}"),
+        names,
+        names.flatmap(power),
+    )
+    texts = st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, min_size=2, max_size=4).map("*".join),
+            st.tuples(inner, st.sampled_from([" + ", " - ", "+", "-"]), inner).map("".join),
+            inner.map(lambda a: f"({a})"),
+            inner.map(lambda a: f"(-{a})"),
+        ),
+        max_leaves=10,
+    )
+    return st.tuples(st.sampled_from(["", "-"]), texts).map("".join)
+
+
+def _parse_outcome(parse, text, algebra):
+    """The parsed element, or the class, message and position of the fault."""
+    try:
+        return parse(text, algebra)
+    except QdtError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+@pytest.mark.parametrize("name", sorted(PARSED_ALGEBRAS))
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_parse_matches_the_factor_by_factor_evaluator(name, data):
+    factory, invertible = PARSED_ALGEBRAS[name]
+    alg = factory()
+    text = data.draw(expression_texts(alg, invertible))
+    got = _parse_outcome(exprs.parse_element, text, alg)
+    want = _parse_outcome(ref_parse_element, text, alg)
+    assert isinstance(want, Element), (text, want)  # the strategy writes valid text
+    assert got == want, text
+    for coeff in got.terms.values():
+        assert_canonical(coeff)
+        assert alg.canon_scalar(coeff) == coeff
+
+
+@pytest.mark.parametrize("name", sorted(PARSED_ALGEBRAS))
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_malformed_text_raises_the_leftmost_fault_of_the_evaluator(name, data):
+    factory, invertible = PARSED_ALGEBRAS[name]
+    alg = factory()
+    text = data.draw(expression_texts(alg, invertible))
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(text)))
+        edit = data.draw(
+            st.sampled_from(["", "+", "-", "*", "/", "^", "^-", "(", ")", "0", "/0", "x", "a^-1", "@", " "])
+        )
+        text = text[:at] + edit + text[at + (edit == "") :]
+    assert _parse_outcome(exprs.parse_element, text, alg) == _parse_outcome(ref_parse_element, text, alg), text
