@@ -130,9 +130,10 @@ class Element:
         if len(self.terms) == 1 and len(other.terms) == 1:
             ((m1, c1),) = self.terms.items()
             ((m2, c2),) = other.terms.items()
-            hit, c = mul_mon(m1, m2), c1 * c2
+            hit = mul_mon(m1, m2)
+            c = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
             # the shared memo entry, which nothing mutates, or its settled rescaling
-            return hit if c == ONE else hit.map_scalars(lambda x: x * c)
+            return hit if c is ONE or c == ONE else hit.map_scalars(lambda x: x * c)
         return self.algebra.combine(
             (mul_mon(m1, m2), c1 * c2)
             for m1, c1 in self.terms.items()

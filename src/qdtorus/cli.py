@@ -176,7 +176,7 @@ def dispatch(args) -> int:
         if args.expect:
             element = parse_element(args.expect, adtq())
             value = gns.gns_expectation(element, params.window, params.q_theta)
-            values[f"expectation({args.expect})"] = value
+            values[f"expectation({args.expect})"] = value.real if not value.imag else value
         return _emit_report(args, report, values)
 
     if args.command == "fdquot":

@@ -177,6 +177,8 @@ class QScalar:
         if len(self._terms) != 1:
             raise ZeroDivisionError(f"not an invertible monomial scalar: {self}")
         ((k, c),) = self._terms.items()
+        if c == 1 or c == -1:  # its own inverse, and canonical already
+            return _wrap({-k: c})
         return QScalar({-k: 1 / Fraction(c)})
 
     # -- the *-structure and specialisations ---------------------------

@@ -271,7 +271,7 @@ class TestGnsAndQuotientCommands:
         )
         assert code == 0
         assert "norm(a) = 1" in out
-        assert "expectation(z) = 0.5" in out
+        assert "expectation(z) = 0.5\n" in out
 
     def test_fdquot(self, capsys):
         code, out, _ = run(capsys, "fdquot", "2", "--q-root", "4")
@@ -283,7 +283,7 @@ class TestGnsAndQuotientCommands:
         )
         payload = json.loads(out)
         assert code == 0 and payload["suite"] == "gns"
-        assert payload["values"] == {"norm(a)": "1", "expectation(z)": "0.5+0j"}
+        assert payload["values"] == {"norm(a)": "1", "expectation(z)": "0.5"}
 
     def test_fdquot_dimension_in_json_is_one_document(self, capsys):
         code, out, _ = run(capsys, "fdquot", "2", "--report", "json")

@@ -16,6 +16,7 @@ denominator other than 1, never as a float.
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -173,6 +174,14 @@ def test_monomial_inverse_matches_the_reference(x):
     ((k, c),) = ref(x).items()
     assert ref_of(inv) == {-k: 1 / c}
     assert s * inv == QScalar.one()
+
+
+def test_inverse_of_a_unit_matches_the_fraction_path():
+    for k in range(-20, 21):
+        for c in (1, -1, 2, -2, Fraction(3, 4)):
+            inv = QScalar.q_power(k, c).inverse()
+            assert_canonical(inv)
+            assert inv == QScalar({-k: 1 / Fraction(c)})
 
 
 wide_single_terms = st.dictionaries(st.integers(-100, 100), coefficients, min_size=1, max_size=1)
@@ -1179,11 +1188,29 @@ def ref_mul_generic(x: Element, y: Element) -> Element:
     )
 
 
+_REF_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()]))")
+_REF_KINDS = (None, "num", "name", "op")  # by the number of the matching group
+
+
+def _ref_tokens(text: str):
+    """(kind, text, position) triples, read on demand, then an "end" token.
+    The first non-space character that starts no token raises when it is read."""
+    pos = 0
+    while m := _REF_TOKEN.match(text, pos):
+        yield _REF_KINDS[m.lastindex], m.group(m.lastindex), m.start(m.lastindex)
+        pos = m.end()
+    rest = text[pos:]
+    if rest.strip():
+        pos += len(rest) - len(rest.lstrip())
+        raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
+    yield "end", "", len(text)
+
+
 def ref_parse_element(text: str, algebra) -> Element:
     """The parser that turns every factor into an element as it reads it: a
     scalar into ``unit()·c``, a generator power into its normalized word
     without the generator memo; products take the general combine loop."""
-    tokens, ahead = exprs._tokens(text), []
+    tokens, ahead = _ref_tokens(text), []
 
     def peek():
         if not ahead:
@@ -1316,6 +1343,17 @@ def test_parse_matches_the_factor_by_factor_evaluator(name, data):
     for coeff in got.terms.values():
         assert_canonical(coeff)
         assert alg.canon_scalar(coeff) == coeff
+
+
+HAND_FAULTS = ["a^", "a^-x", "a*(b", "(a", "a b", "", "  ", "x*$", "a + $", "a*b $ c"]
+HAND_FAULTS.append("(" * 201 + "a" + ")" * 201)
+
+
+@pytest.mark.parametrize("text", HAND_FAULTS, ids=lambda t: repr(t) if len(t) < 20 else "201-deep")
+def test_hand_written_faults_match_the_evaluator(text):
+    alg = adtq()
+    got = _parse_outcome(exprs.parse_element, text, alg)
+    assert not isinstance(got, Element) and got == _parse_outcome(ref_parse_element, text, alg)
 
 
 @pytest.mark.parametrize("name", sorted(PARSED_ALGEBRAS))

@@ -49,6 +49,29 @@ def test_zero_denominator_and_deep_nesting_are_syntax_errors(text, position):
     assert err.value.position == position
 
 
+_DEEP = "(" * 201 + "a" + ")" * 201
+_FAULTS = {  # id: (text, class, message)
+    "caret": ("a^", ExprSyntaxError, "unexpected end of input (at position 2)"),
+    "caret-name": ("a^-x", ExprSyntaxError, "expected an integer exponent (at position 3)"),
+    "open-product": ("a*(b", ExprSyntaxError, "unexpected end of input (at position 4)"),
+    "open": ("(a", ExprSyntaxError, "unexpected end of input (at position 2)"),
+    "juxtaposed": ("a b", ExprSyntaxError, "trailing input 'b' (at position 2)"),
+    "empty": ("", ExprSyntaxError, "unexpected end of input (at position 0)"),
+    "blank": ("  ", ExprSyntaxError, "unexpected end of input (at position 2)"),
+    "bad-after-space": ("a + $", ExprSyntaxError, "unexpected character '$' (at position 4)"),
+    "bad-mid-text": ("a*b $ c", ExprSyntaxError, "unexpected character '$' (at position 4)"),
+    "unknown-before-bad": ("x*$", UnknownGenerator, "'x' is not a generator of ADTq"),
+    "201-deep": (_DEEP, ExprSyntaxError, "parentheses nested deeper than 200 (at position 200)"),
+}
+
+
+@pytest.mark.parametrize("text, error, message", _FAULTS.values(), ids=_FAULTS.keys())
+def test_fault_class_message_and_position(text, error, message):
+    with pytest.raises(QdtError) as err:
+        parse_element(text, adtq())
+    assert type(err.value) is error and str(err.value) == message
+
+
 def test_nesting_up_to_the_limit_parses():
     B = adtq()
     assert parse_element("(" * 200 + "a" + ")" * 200, B) == B.gen("a")
