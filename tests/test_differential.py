@@ -7,8 +7,9 @@ coefficients canonicalised after every step, products of monomials read off
 the rewriting normal form (ADTq multiplies in closed form), memoized maps
 recomputed without their caches, the cleft-extension maps built from
 words and ADTq products (they read lattice triples), leftmost reduction that rescans every word from
-position 0 without a cache, and Knuth-Bendix completion that orients one
-critical pair per pass.  The package must agree with them exactly, and
+position 0 without a cache, Knuth-Bendix completion that orients one
+critical pair per pass, and an expression parser that reads its tokens one at
+a time from a lazy tokenizer.  The package must agree with them exactly, and
 must store every coefficient as an ``int`` or as a ``Fraction`` with
 denominator other than 1, never as a float.
 """
