@@ -275,12 +275,27 @@ class TensorElement:
             return TensorElement.combine(self.legs, ((self, QScalar.of(other)),))
         self._check_peer(other)
         acc: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                legs_els = [
-                    leg.mul_mon(m1, m2) for leg, m1, m2 in zip(self.legs, k1, k2)
-                ]
-                _tensor_accumulate(acc, legs_els, c1 * c2)
+        if len(self.legs) == 2:
+            # one loop over the terms of the two legs' monomial products
+            get = acc.get
+            mul0, mul1 = self.legs[0].mul_mon, self.legs[1].mul_mon
+            for (a1, b1), c1 in self.terms.items():
+                for (a2, b2), c2 in other.terms.items():
+                    c = c1 * c2
+                    right = mul1(b1, b2).terms.items()
+                    for ma, ca in mul0(a1, a2).terms.items():
+                        cca = c * ca
+                        for mb, cb in right:
+                            key, v = (ma, mb), cca * cb
+                            prev = get(key)
+                            acc[key] = v if prev is None else prev + v
+        else:
+            for k1, c1 in self.terms.items():
+                for k2, c2 in other.terms.items():
+                    legs_els = [
+                        leg.mul_mon(m1, m2) for leg, m1, m2 in zip(self.legs, k1, k2)
+                    ]
+                    _tensor_accumulate(acc, legs_els, c1 * c2)
         return TensorElement._settled(self.legs, acc)
 
     __rmul__ = __mul__
@@ -781,21 +796,27 @@ def algebra_factory(build):
     """Memoize an algebra factory so that each instance is built once.
 
     Elements of two instances of one algebra cannot be mixed, so threads
-    that call a cold factory together must share one build.  The lock is
-    shared and reentrant because factories call one another.  Omitted
-    arguments are filled in from the defaults, so ``adtq()`` and
-    ``adtq(None)`` are one key.
+    that call a cold factory together must share one build.  An instance is
+    published once built, and a call that finds it takes no lock; a miss
+    looks again under the lock, which is shared and reentrant because
+    factories call one another.  Omitted arguments are filled in from the
+    defaults, so ``adtq()`` and ``adtq(None)`` are one key.
     """
-    cached = lru_cache(maxsize=None)(build)
     defaults = build.__defaults__ or ()
     arity = build.__code__.co_argcount
+    published: dict = {}  # written only under the lock
 
     @wraps(build)
     def get(*args):
         if len(args) < arity:
             args += defaults[len(args) - arity :]
-        with _FACTORY_LOCK:
-            return cached(*args)
+        hit = published.get(args)
+        if hit is None:
+            with _FACTORY_LOCK:
+                hit = published.get(args)
+                if hit is None:
+                    hit = published[args] = build(*args)
+        return hit
 
     return get
 

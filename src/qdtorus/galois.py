@@ -259,7 +259,9 @@ def ell_from_j_mon(mon, conv: str = CORRECTED) -> Element:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def coaction_lambda_mon(k: int, l: int) -> TensorElement:
+    """λ(u^k v^l) = u^k v^l ⊗ d0 + u^l v^k ⊗ d1, memoized per lattice point."""
     torus, base = at2(), az2()
     return TensorElement(
         (torus, base),

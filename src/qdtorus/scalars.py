@@ -38,7 +38,8 @@ class QScalar:
     Instances are immutable and canonical: no stored coefficient is zero, and
     each is an ``int`` when integral, else a ``Fraction`` (never a float);
     ``int`` and ``Fraction`` compare and hash alike.  Products and sums of
-    single-term scalars, nearly all of them, take a path without loops.
+    single-term scalars, nearly all of them, take a path without loops, and
+    a product with the single term 1 returns the other factor itself.
     """
 
     __slots__ = ("_terms",)
@@ -145,6 +146,10 @@ class QScalar:
         if len(a) == 1 and len(b) == 1:
             ((k1, c1),) = a.items()
             ((k2, c2),) = b.items()
+            if not k1 and c1 == 1:
+                return other
+            if not k2 and c2 == 1:
+                return self
             c = c1 * c2
             if type(c) is not int and c.denominator == 1:
                 c = c.numerator
@@ -291,12 +296,14 @@ def add_term(acc: dict, key, coeff: QScalar) -> None:
 
 def add_scaled(acc: dict, terms: Mapping, coeff: QScalar | None = None) -> None:
     """Add ``coeff * terms`` (coeff = 1 when None) into a raw combination."""
-    if coeff is not None and coeff._terms == _ONE._terms:
-        coeff = None
     get = acc.get
+    if coeff is None or coeff._terms == _ONE._terms:
+        for key, c in terms.items():
+            prev = get(key)
+            acc[key] = c if prev is None else prev + c
+        return
     for key, c in terms.items():
-        if coeff is not None:
-            c = c * coeff
+        c = c * coeff
         prev = get(key)
         acc[key] = c if prev is None else prev + c
 

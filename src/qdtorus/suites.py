@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -57,6 +58,21 @@ FIXED_WINDOWS = {
 }
 
 
+class _RunMemo:
+    """Results that several suites of one run report, each computed once;
+    the lock keeps it so when the suites' thunks run on a thread pool."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._values: dict = {}
+
+    def get(self, key, compute):
+        with self._lock:
+            if key not in self._values:
+                self._values[key] = compute()
+            return self._values[key]
+
+
 @dataclass
 class SuiteParams:
     """The suite parameters. Each field's name is also its report key and,
@@ -83,6 +99,15 @@ class SuiteParams:
                 raise QdtError(f"{key} must be at least 1, got {getattr(self, key)}")
         if not 0 <= self.q_theta < 1:
             raise QdtError(f"q_theta must lie in [0, 1), got {self.q_theta}")
+        # not a field, so a copy starts empty; run_suite shares it with the
+        # copy it makes for the hopf suite
+        self._memo = _RunMemo()
+
+    def hopf_axioms(self, algebra) -> list[Check]:
+        """The Hopf axiom checks of ``algebra``, computed once per run: the
+        hopf suite (``algebra="all"``) and the bicross suite both report the
+        bicross product's."""
+        return self._memo.get(algebra.tag, lambda: verify_hopf_axioms(algebra, self.max_deg))
 
     @cached_property
     def gns_relations(self) -> tuple[list[Check], dict[str, float]]:
@@ -120,7 +145,7 @@ def _thunks_hopf(p: SuiteParams):
     thunks = []
     for name in HOPF_ALGEBRAS if p.algebra == "all" else (p.algebra,):
         alg = algebra_by_name(name, p.convention)
-        thunks.append(lambda a=alg: verify_hopf_axioms(a, p.max_deg))
+        thunks.append(lambda a=alg: p.hopf_axioms(a))
         if hasattr(alg, "system"):
             def confluence(a=alg):
                 pairs = a.system.unresolved_pairs(FIXED_WINDOWS["hopf"]["confluence_max_len"])
@@ -354,7 +379,7 @@ def _thunks_bicross(p: SuiteParams):
         phi_algebra_hom,
         phi_coalgebra_hom,
         product_examples,
-        lambda: verify_hopf_axioms(bic, p.max_deg),
+        lambda: p.hopf_axioms(bic),
     ]
 
 
@@ -619,6 +644,7 @@ def run_suite(name: str, params: SuiteParams | None = None) -> Report:
     started = time.perf_counter()
     if name == "all":
         hopf_params = replace(params, algebra="all")
+        hopf_params._memo = params._memo  # one run, so the BICROSS axioms run once
         thunks = [
             (key, thunk)
             for key, builder in _SUITE_BUILDERS.items()

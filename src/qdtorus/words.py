@@ -13,7 +13,9 @@ quotients' presentations with it to cross-check their written relations.
 Normal forms are memoized per word.  ``add_rule`` keeps the memoized words
 shorter than the new pattern and drops the rest: no rule lengthens a word,
 so the pattern fits nowhere in a shorter word's reduction tree, and its
-memoized normal form equals a fresh ``normalize``.
+memoized normal form equals a fresh ``normalize``.  A rule coefficient equal
+to 1 is stored as the ``ONE`` singleton, which reduction carries through
+without a product.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ Combo = dict[Word, QScalar]
 
 # The longest normal word ``all_normal_words`` expects of a finite system.
 NORMAL_WORDS_CAP = 64
+
+ONE = QScalar.one()
 
 
 @dataclass(frozen=True)
@@ -63,8 +67,10 @@ class RewriteSystem:
             raise ValueError("duplicate letters")
         self.scalar_canon = scalar_canon or keep_scalar
         self.rules: list[RewriteRule] = []
-        # pattern length -> pattern -> index of the first rule with it
-        self._by_length: dict[int, dict[Word, int]] = {}
+        # first letter -> pattern length -> pattern -> index of the first rule
+        # with it; the empty pattern matches at every position
+        self._by_first: dict[str, dict[int, dict[Word, int]]] = {}
+        self._empty: int | None = None  # index of the first rule with the empty pattern
         self._cache: dict[Word, Combo] = {}
         self._max_pattern = 0  # longest rule pattern, for resumed redex search
         for rule in rules:
@@ -76,17 +82,24 @@ class RewriteSystem:
         for x in rule.pattern:
             if x not in self._rank:
                 raise UnknownGenerator(f"letter {x!r} not in alphabet {self.letters}")
-        canon_result = tuple(
-            (self.scalar_canon(c), w) for c, w in rule.result if self.scalar_canon(c)
-        )
-        rule = RewriteRule(rule.pattern, canon_result)
+        canon_result = []
+        for c, w in rule.result:
+            c = self.scalar_canon(c)
+            if c:
+                canon_result.append((ONE if c == ONE else c, w))
+        rule = RewriteRule(rule.pattern, tuple(canon_result))
         key = self.order_key(rule.pattern)
         for _, w in rule.result:
             if self.order_key(w) >= key:
                 raise ValueError(f"rule does not decrease the monomial order: {rule}")
         self.rules.append(rule)
-        same_length = self._by_length.setdefault(len(rule.pattern), {})
-        same_length.setdefault(rule.pattern, len(self.rules) - 1)
+        idx = len(self.rules) - 1
+        if not rule.pattern:
+            if self._empty is None:
+                self._empty = idx
+        else:
+            by_length = self._by_first.setdefault(rule.pattern[0], {})
+            by_length.setdefault(len(rule.pattern), {}).setdefault(rule.pattern, idx)
         self._max_pattern = max(self._max_pattern, len(rule.pattern))
         # the shorter words keep their normal forms (module docstring)
         self._cache = {w: nf for w, nf in self._cache.items() if len(w) < len(rule.pattern)}
@@ -105,13 +118,19 @@ class RewriteSystem:
         """Leftmost position from ``start`` with a matching rule, or None.
 
         At that position the rule is the first added whose pattern matches.
+        A position is looked up only in the tables of the patterns that start
+        with its letter, one table per pattern length; an empty pattern
+        matches at every position.
         """
+        by_first, empty = self._by_first, self._empty
         for pos in range(start, len(word)):
-            best = None
-            for L, table in self._by_length.items():
-                idx = table.get(word[pos : pos + L])
-                if idx is not None and (best is None or idx < best):
-                    best = idx
+            best = empty
+            tables = by_first.get(word[pos])
+            if tables:
+                for L, table in tables.items():
+                    idx = table.get(word[pos : pos + L])
+                    if idx is not None and (best is None or idx < best):
+                        best = idx
             if best is not None:
                 return pos, best
         return None
@@ -125,12 +144,14 @@ class RewriteSystem:
         ``word`` at which the rewrite tree branches is normalized on its own
         first, so its normal form is cached and its branches are expanded
         once; those words wait in ``frames``, not on the Python stack.
+        Every scalar on the stack is canonical, so a rule coefficient of
+        ``ONE`` carries it unchanged, without a product or ``scalar_canon``.
         """
         if word in self._cache:
             return dict(self._cache[word])
         back = self._max_pattern - 1
         frames: list = []  # (root, out, stack) of each word whose normal form waits
-        root, out, stack = word, {}, [(QScalar.one(), word, 0)]
+        root, out, stack = word, {}, [(ONE, word, 0)]
         while stack or frames:
             if not stack:
                 self._cache[root] = settle(out, self.scalar_canon)
@@ -150,12 +171,13 @@ class RewriteSystem:
             if len(rule.result) > 1 and w is not root:
                 stack.append((c, w, start))  # read from the cache once w is done
                 frames.append((root, out, stack))
-                root, out, stack = w, {}, [(QScalar.one(), w, 0)]
+                root, out, stack = w, {}, [(ONE, w, 0)]
                 continue
             tail = pos + len(rule.pattern)
             resume = max(0, pos - back)
             for rc, rw in rule.result:
-                stack.append((self.scalar_canon(c * rc), w[:pos] + rw + w[tail:], resume))
+                cc = c if rc is ONE else self.scalar_canon(c * rc)
+                stack.append((cc, w[:pos] + rw + w[tail:], resume))
         out = settle(out, self.scalar_canon)
         self._cache[word] = dict(out)
         return out

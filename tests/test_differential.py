@@ -185,6 +185,17 @@ def test_inverse_of_a_unit_matches_the_fraction_path():
             assert inv == QScalar({-k: 1 / Fraction(c)})
 
 
+@given(st.one_of(raw_scalars, single_terms))
+def test_products_with_one_match_the_reference(x):
+    """A product with the single term 1, as the ONE singleton, as a second
+    instance of it or as a number, is the other factor, stored canonically."""
+    s = QScalar(x)
+    for one in (QScalar.one(), QScalar({0: Fraction(2, 2)}), 1, Fraction(1)):
+        for got in (s * one, one * s):
+            assert_canonical(got)
+            assert ref_of(got) == ref_mul(ref(x), {0: Fraction(1)}) == ref(x)
+
+
 wide_single_terms = st.dictionaries(st.integers(-100, 100), coefficients, min_size=1, max_size=1)
 
 
@@ -562,6 +573,52 @@ def test_structure_maps_match_the_fold(name, data):
     assert cop.apply_leg(0, alg.antipode_mon, alg) == ref_apply_leg(cop, 0, alg.antipode_mon, alg)
     for coeff in (x * y).terms.values():
         assert_canonical(coeff)
+
+
+def ref_tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
+    """Leg-wise products of each pair of terms, read off the rewriting normal
+    forms, expanded into one-term tensors and added by the fold."""
+    out = TensorElement(x.legs, {})
+    for k1, c1 in x.terms.items():
+        for k2, c2 in y.terms.items():
+            legs = [ref_mul_mon(leg, m1, m2) for leg, m1, m2 in zip(x.legs, k1, k2)]
+            for combo in itertools.product(*(el.terms.items() for el in legs)):
+                c = c1 * c2
+                for _, ci in combo:
+                    c = c * ci
+                piece = TensorElement(x.legs, {tuple(m for m, _ in combo): c})
+                out = ref_tensor_add(out, piece)
+    return out
+
+
+TENSOR_ALGEBRAS = {
+    "AUq2": (auq2, 2),
+    "ADTq": (adtq, 2),
+    "FDQUOT(n=3,order=6)": (lambda: build_finite_quotient(3, CyclotomicMode(6)), 3),
+}
+
+
+def random_tensor(data, algebra, degree, rank):
+    mons = algebra.basis_by_degree(degree)
+    keys = st.tuples(*[st.sampled_from(mons)] * rank)
+    picks = data.draw(st.lists(st.tuples(keys, element_scalars), max_size=3))
+    return TensorElement((algebra,) * rank, dict(picks))
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("name", sorted(TENSOR_ALGEBRAS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_tensor_products_match_the_fold(name, rank, data):
+    factory, degree = TENSOR_ALGEBRAS[name]
+    alg = factory()
+    x = random_tensor(data, alg, degree, rank)
+    y = random_tensor(data, alg, degree, rank)
+    got = x * y
+    assert got == ref_tensor_mul(x, y)
+    for coeff in got.terms.values():
+        assert_canonical(coeff)
+        assert alg.canon_scalar(coeff) == coeff
 
 
 def test_sum_cancelling_only_after_cyclotomic_canon():
@@ -1028,6 +1085,51 @@ def test_normalize_follows_the_rule_choice_on_a_non_confluent_system(word, data)
     assert system.find_redex(word) == ref_find_redex(system, word)
     assert system.normalize(word) == ref_normalize(system, word)
     assert _permuted(system, order).normalize(word) == ref_normalize(system, word, order)
+
+
+@st.composite
+def systems_sharing_first_letters(draw):
+    """Rules over x, y, z in a drawn order: an empty pattern, a run of
+    patterns of lengths 1 to 3 that share their first letter, and a few
+    drawn patterns (repeats included).  Each pattern rewrites to zero or,
+    when not empty, to the empty word."""
+    letters = ("x", "y", "z")
+    word = st.lists(st.sampled_from(letters), max_size=3).map(tuple)
+    run = draw(st.lists(st.sampled_from(letters), min_size=3, max_size=3))
+    patterns = [(), *(tuple(run[:k]) for k in (1, 2, 3)), *draw(st.lists(word, max_size=4))]
+    patterns = draw(st.permutations(patterns))
+    results = [draw(st.booleans()) and bool(p) for p in patterns]
+    rules = [
+        RewriteRule(p, ((QScalar.of(2), ()),) if to_unit else ())
+        for p, to_unit in zip(patterns, results)
+    ]
+    return RewriteSystem(letters, rules)
+
+
+@given(system=systems_sharing_first_letters(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_indexed_find_redex_matches_the_scan(system, data):
+    word = tuple(data.draw(st.lists(st.sampled_from(system.letters), max_size=7)))
+    for start in range(len(word) + 1):
+        # a match at a position at or after ``start`` reads no letter before it
+        want = ref_find_redex(system, word[start:])
+        want = None if want is None else (want[0] + start, want[1])
+        assert system.find_redex(word, start) == want
+
+
+@pytest.mark.parametrize("n,order", [(2, 4), (3, 6), (4, 8)])
+def test_a_cold_confluence_scan_caches_canonical_coefficients(n, order):
+    """Normal forms memoized while resolving every ambiguity of a cold
+    finite quotient hold coefficients that the cyclotomic canon fixes."""
+    mode = CyclotomicMode(order)
+    system = algebras._finite_quotient_cached.__wrapped__(n, order).system
+    system._cache.clear()
+    assert system.unresolved_pairs() == []
+    assert system._cache
+    for combo in system._cache.values():
+        for c in combo.values():
+            assert_canonical(c)
+            assert mode.canon(c) == c
 
 
 # ---------------------------------------------------------------------------

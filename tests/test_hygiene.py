@@ -16,6 +16,10 @@ Neither ``cli.py`` nor ``suites.py`` lists algebra tags by hand: names come
 from ``algebras.ALGEBRAS`` and ``suites.HOPF_ALGEBRAS``.
 No ``add_argument`` call in ``cli.py`` renames a flag with ``dest=``, and a
 suite-parameter flag leaves its default to ``SuiteParams``.
+No check-level function of ``galois``, ``hopf``, ``suites`` or ``gns``
+(``convention_report``, ``verify_*``, ``*_mismatches``, ``*_failures``)
+carries a process-wide cache decorator: a warm cache would hand a later run
+the verdict of an earlier one, hiding a defect that appeared in between.
 """
 
 import ast
@@ -298,4 +302,60 @@ def test_the_scan_sees_a_second_default():
         "--range passes dest= (line 2)",
         "--jobs defaults to None (line 4)",
         "flag_of(name) defaults to 0 (line 6)",
+    ]
+
+
+CHECK_MODULES = ("galois.py", "hopf.py", "suites.py", "gns.py")
+PROCESS_CACHES = ("lru_cache", "cache")
+
+
+def is_check_level(name: str) -> bool:
+    return (
+        name == "convention_report"
+        or name.startswith("verify_")
+        or name.endswith(("_mismatches", "_failures"))
+    )
+
+
+def memoized_checks(tree: ast.Module) -> list[str]:
+    """Each check-level function or method decorated with ``lru_cache`` or
+    ``cache``, bare or called, plain or as an attribute of ``functools``."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+            if name in PROCESS_CACHES and is_check_level(node.name):
+                found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("name", CHECK_MODULES)
+def test_no_check_is_memoized_process_wide(name):
+    path = ROOT / "src" / "qdtorus" / name
+    assert memoized_checks(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_the_scan_sees_a_memoized_check():
+    tree = ast.parse(
+        "@lru_cache(maxsize=None)\n"
+        "def convention_report(conv): ...\n"
+        "@functools.cache\n"
+        "def verify_prop14_diagram(max_exp): ...\n"
+        "class A:\n"
+        "    @functools.lru_cache\n"
+        "    def _law_failures(self): ...\n"
+        "@lru_cache(maxsize=None)\n"
+        "def cleaving_j_mon(k, l): ...\n"
+        "@cached_property\n"
+        "def sigma_table_mismatches(self): ...\n"
+        "@cache\n"
+        "def sigma_table_mismatches_report(conv): ...\n"
+    )
+    assert memoized_checks(tree) == [
+        "convention_report (line 2)",
+        "verify_prop14_diagram (line 4)",
+        "_law_failures (line 7)",
     ]

@@ -538,6 +538,36 @@ def test_gns_relations_run_once_per_report(monkeypatch):
         assert report.ok and report.params["gns_max_defect_per_relation"]
 
 
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_bicross_hopf_axioms_run_once_per_run(monkeypatch, jobs):
+    """The hopf and bicross suites of one ``verify all`` share one scan of
+    the bicross product's Hopf axioms, and the next run scans again, so a
+    defect planted between two runs fails both groups of the second."""
+    from qdtorus import suites
+
+    tag = galois.build_bicross_product(galois.CORRECTED).tag
+    scanned = []
+    real = suites.verify_hopf_axioms
+
+    def counting(algebra, max_degree):
+        scanned.append(algebra.tag)
+        return real(algebra, max_degree)
+
+    monkeypatch.setattr(suites, "verify_hopf_axioms", counting)
+
+    def bicross_counit_statuses():
+        report = run_suite("all", SuiteParams(jobs=jobs))
+        assert scanned.count(tag) == 1
+        scanned.clear()
+        group = [c for c in report.checks if c.name.startswith(f"hopf_{tag}_")]
+        assert len(group) == 12  # six laws, reported by the hopf and the bicross suite
+        return [c.passed for c in group if c.name.endswith("_counit_law")]
+
+    assert bicross_counit_statuses() == [True, True]
+    monkeypatch.setattr(galois.BicrossAlgebra, "counit_mon", lambda self, mon: QScalar.one())
+    assert bicross_counit_statuses() == [False, False]
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_a_crashing_check_is_contained(monkeypatch, capsys, jobs):
     import json
