@@ -4,7 +4,8 @@ The references are the straightforward implementations the package used
 before its fast paths: scalars as dicts of Fraction coefficients combined by
 nested loops, element sums folded as ``out = out + piece * c`` with the
 coefficients canonicalised after every step, products of monomials read off
-the rewriting normal form (ADTq multiplies in closed form), memoized maps
+the rewriting normal form (ADTq multiplies in closed form), tensor products
+expanded leg by leg into one-term tensors and folded, memoized maps
 recomputed without their caches, the cleft-extension maps built from
 words and ADTq products (they read lattice triples), leftmost reduction that rescans every word from
 position 0 without a cache, Knuth-Bendix completion that orients one
@@ -1092,16 +1093,15 @@ def systems_sharing_first_letters(draw):
     """Rules over x, y, z in a drawn order: an empty pattern, a run of
     patterns of lengths 1 to 3 that share their first letter, and a few
     drawn patterns (repeats included).  Each pattern rewrites to zero or,
-    when not empty, to the empty word."""
+    when not empty, to twice the empty word."""
     letters = ("x", "y", "z")
     word = st.lists(st.sampled_from(letters), max_size=3).map(tuple)
     run = draw(st.lists(st.sampled_from(letters), min_size=3, max_size=3))
     patterns = [(), *(tuple(run[:k]) for k in (1, 2, 3)), *draw(st.lists(word, max_size=4))]
     patterns = draw(st.permutations(patterns))
-    results = [draw(st.booleans()) and bool(p) for p in patterns]
+    to_empty = [draw(st.booleans()) and bool(p) for p in patterns]
     rules = [
-        RewriteRule(p, ((QScalar.of(2), ()),) if to_unit else ())
-        for p, to_unit in zip(patterns, results)
+        RewriteRule(p, ((QScalar.of(2), ()),) if e else ()) for p, e in zip(patterns, to_empty)
     ]
     return RewriteSystem(letters, rules)
 
