@@ -202,7 +202,7 @@ class Element:
 
 
 def _format_scaled_mon(algebra, mon, coeff: QScalar, first: bool) -> str:
-    mon_str = algebra.format_mon(mon)
+    mon_str = algebra.format_mon(mon) if mon else ""
     chunks = []
     for k, c in coeff.items():
         sign = "-" if c < 0 else "+"
@@ -370,9 +370,7 @@ class TensorElement:
             return "0"
         parts = []
         for key in sorted(self.terms, key=lambda k: tuple(map(str, k))):
-            mon = " ⊗ ".join(
-                leg.format_mon(m) or "1" for leg, m in zip(self.legs, key)
-            )
+            mon = " ⊗ ".join(leg.format_mon(m) for leg, m in zip(self.legs, key))
             scal = self.terms[key]
             prefix = "" if not parts else " + "
             parts.append(f"{prefix}({scal})·{mon}")
@@ -575,7 +573,7 @@ class WordAlgebra(Algebra):
 
     def format_mon(self, mon: Word) -> str:
         if not mon:
-            return ""
+            return "1"
         parts = []
         i = 0
         while i < len(mon):

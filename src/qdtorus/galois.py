@@ -352,8 +352,7 @@ class BicrossAlgebra(Algebra):
 
     def format_mon(self, mon) -> str:
         i, k, l = mon
-        torus_part = at2().format_mon(at2().lattice_mon(k, l)) or "1"
-        return f"d{i}⊗{torus_part}"
+        return f"d{i}⊗{at2().format_mon(at2().lattice_mon(k, l))}"
 
     def mon_sort_key(self, mon):
         i, k, l = mon

@@ -1,8 +1,12 @@
 """Verification suites over every module, assembled into reports.
 
-Each suite produces a list of independent check thunks; the runner executes
-them (optionally across a thread pool), sorts the results by name and stamps
-the mandatory cleaving-convention section into the report.
+:func:`run_suite` makes one run object (:class:`_Run`) per report and hands
+it to each suite's builder, which returns a list of independent check thunks.
+The run object carries the parameters and the results that several checks
+share (the Hopf axioms of an algebra, the GNS relations, the finite
+quotient), each computed once per run.  The runner executes the thunks
+(optionally across a thread pool), reads the shared results into the report's
+parameters and stamps the mandatory cleaving-convention section into it.
 """
 
 from __future__ import annotations
@@ -12,8 +16,7 @@ import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
-from functools import cached_property
+from dataclasses import asdict, dataclass
 
 from . import corep, galois, gns
 from .algebras import (
@@ -58,21 +61,6 @@ FIXED_WINDOWS = {
 }
 
 
-class _RunMemo:
-    """Results that several suites of one run report, each computed once;
-    the lock keeps it so when the suites' thunks run on a thread pool."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._values: dict = {}
-
-    def get(self, key, compute):
-        with self._lock:
-            if key not in self._values:
-                self._values[key] = compute()
-            return self._values[key]
-
-
 @dataclass
 class SuiteParams:
     """The suite parameters. Each field's name is also its report key and,
@@ -99,34 +87,31 @@ class SuiteParams:
                 raise QdtError(f"{key} must be at least 1, got {getattr(self, key)}")
         if not 0 <= self.q_theta < 1:
             raise QdtError(f"q_theta must lie in [0, 1), got {self.q_theta}")
-        # not a field, so a copy starts empty; run_suite shares it with the
-        # copy it makes for the hopf suite
-        self._memo = _RunMemo()
+
+
+class _Run:
+    """One run of :func:`run_suite`: its suite, its parameters, and the
+    results that several of its checks share.  Each result is computed once
+    under one lock, so also when the checks run on a thread pool; the next
+    run starts empty."""
+
+    def __init__(self, suite: str, params: SuiteParams):
+        self.suite = suite
+        self.params = params
+        self.results: dict = {}
+        self._lock = threading.Lock()
+
+    def once(self, key, compute):
+        """The result under ``key``, from ``compute()`` on the first call."""
+        with self._lock:
+            if key not in self.results:
+                self.results[key] = compute()
+            return self.results[key]
 
     def hopf_axioms(self, algebra) -> list[Check]:
-        """The Hopf axiom checks of ``algebra``, computed once per run: the
-        hopf suite (``algebra="all"``) and the bicross suite both report the
-        bicross product's."""
-        return self._memo.get(algebra.tag, lambda: verify_hopf_axioms(algebra, self.max_deg))
-
-    @cached_property
-    def gns_relations(self) -> tuple[list[Check], dict[str, float]]:
-        """The GNS relation checks and defects, computed once per run."""
-        return gns.verify_gns_relations(self.window, self.q_theta)
-
-    @cached_property
-    def finite_quotient(self):
-        """The fdquot suite's quotient, built once per run: (quotient, None),
-        or (None, why) when it cannot be built, so that each of its checks
-        fails with the reason instead of one crash hiding them all."""
-        try:
-            return build_finite_quotient(self.quotient_n, CyclotomicMode(self.q_root)), None
-        except RootConditionViolated as exc:
-            return None, str(exc)
-        except QdtError:
-            raise
-        except Exception as exc:
-            return None, f"{type(exc).__name__}: {exc}"
+        """The Hopf axiom checks of ``algebra``: the hopf suite of ``verify
+        all`` and the bicross suite both report the bicross product's."""
+        return self.once(algebra, lambda: verify_hopf_axioms(algebra, self.params.max_deg))
 
 
 def algebra_by_name(name: str, convention: str):
@@ -137,15 +122,16 @@ def algebra_by_name(name: str, convention: str):
 
 
 # ---------------------------------------------------------------------------
-# Individual suites: each returns a list of zero-argument check thunks
+# Individual suites: each takes the run and returns zero-argument check thunks
 # ---------------------------------------------------------------------------
 
 
-def _thunks_hopf(p: SuiteParams):
+def _thunks_hopf(run: _Run):
     thunks = []
-    for name in HOPF_ALGEBRAS if p.algebra == "all" else (p.algebra,):
-        alg = algebra_by_name(name, p.convention)
-        thunks.append(lambda a=alg: p.hopf_axioms(a))
+    every = "all" in (run.suite, run.params.algebra)
+    for name in HOPF_ALGEBRAS if every else (run.params.algebra,):
+        alg = algebra_by_name(name, run.params.convention)
+        thunks.append(lambda a=alg: run.hopf_axioms(a))
         if hasattr(alg, "system"):
             def confluence(a=alg):
                 pairs = a.system.unresolved_pairs(FIXED_WINDOWS["hopf"]["confluence_max_len"])
@@ -155,9 +141,9 @@ def _thunks_hopf(p: SuiteParams):
     return thunks
 
 
-def _thunks_cocycle(p: SuiteParams):
-    conv = p.convention
-    r = p.range
+def _thunks_cocycle(run: _Run):
+    conv = run.params.convention
+    r = run.params.range
 
     def cross_check():
         return checks_from(
@@ -197,9 +183,9 @@ def _thunks_cocycle(p: SuiteParams):
     ]
 
 
-def _thunks_cleaving(p: SuiteParams):
-    conv = p.convention
-    r = p.range
+def _thunks_cleaving(run: _Run):
+    conv = run.params.convention
+    r = run.params.range
     torus = at2()
     alg = adtq()
     lattice = list(itertools.product(range(-r, r + 1), repeat=2))
@@ -309,8 +295,8 @@ def _thunks_cleaving(p: SuiteParams):
     return [j_star_map, j_colinear, j_convolution_inverse, j_algebra_map_only_classically, ell_checks, lambda_checks]
 
 
-def _thunks_bicross(p: SuiteParams):
-    conv = p.convention
+def _thunks_bicross(run: _Run):
+    conv = run.params.convention
     bic = galois.build_bicross_product(conv)
     alg = adtq()
     fixed = FIXED_WINDOWS["bicross"]
@@ -379,11 +365,11 @@ def _thunks_bicross(p: SuiteParams):
         phi_algebra_hom,
         phi_coalgebra_hom,
         product_examples,
-        lambda: p.hopf_axioms(bic),
+        lambda: run.hopf_axioms(bic),
     ]
 
 
-def _thunks_haar(p: SuiteParams):
+def _thunks_haar(run: _Run):
     alg = adtq()
     fixed = FIXED_WINDOWS["haar"]
 
@@ -418,7 +404,7 @@ def _thunks_haar(p: SuiteParams):
         return checks_from({"haar_weight_half_forced_by_invariance": witnesses()})
 
     def gram():
-        value = haar_gram_min_eigenvalue(alg, fixed["gram_max_deg"], p.q_theta)
+        value = haar_gram_min_eigenvalue(alg, fixed["gram_max_deg"], run.params.q_theta)
         negative = [] if value >= -1e-9 else [f"min eig {value:.2e}"]
         return checks_from({"haar_gram_positive": negative})
 
@@ -430,7 +416,7 @@ def _thunks_haar(p: SuiteParams):
     ]
 
 
-def _thunks_characters(p: SuiteParams):
+def _thunks_characters(run: _Run):
     alg = adtq()
 
     def corep_family_checks():
@@ -467,11 +453,12 @@ def _thunks_characters(p: SuiteParams):
     ]
 
 
-def _thunks_gns(p: SuiteParams):
+def _thunks_gns(run: _Run):
+    p = run.params
     alg = adtq()
 
     def relations():
-        return p.gns_relations[0]
+        return run.once("gns", lambda: gns.verify_gns_relations(p.window, p.q_theta))[0]
 
     def sector_preservation():
         opset = gns.operator_set(p.window, p.q_theta)
@@ -490,7 +477,7 @@ def _thunks_gns(p: SuiteParams):
                 numeric = gns.gns_expectation(el, p.window, p.q_theta)
                 defect = abs(numeric - haar(el).eval_unit(p.q_theta))
                 if defect > 1e-10:
-                    yield f"{alg.format_mon(mon) or '1'} (defect {defect:.2e})"
+                    yield f"{alg.format_mon(mon)} (defect {defect:.2e})"
 
         return checks_from({"gns_expectation_matches_haar": witnesses()})
 
@@ -516,15 +503,28 @@ def _thunks_gns(p: SuiteParams):
     return [relations, sector_preservation, expectation_bridge, continuity, norms]
 
 
-def _thunks_fdquot(p: SuiteParams):
-    n = p.quotient_n
+def _thunks_fdquot(run: _Run):
+    n, order = run.params.quotient_n, run.params.q_root
+
+    def build():
+        """(quotient, None), or (None, why) when it cannot be built, so that
+        each check on it fails with the reason instead of one crash hiding
+        them all."""
+        try:
+            return build_finite_quotient(n, CyclotomicMode(order)), None
+        except RootConditionViolated as exc:
+            return None, str(exc)
+        except QdtError:
+            raise
+        except Exception as exc:
+            return None, f"{type(exc).__name__}: {exc}"
 
     def dimension(alg):
         # 2n^2 when the order divides 2n.  Otherwise q^(2n) != 1, and
         # b*D^n = q^(2n)*D^n*b with D^n = 1 forces b = 0, likewise c = 0; then
         # z = 1 - b^n = 1, and a, D commute with a^n = D^n = 1 (d = D*a^(n-1)),
         # which leaves the n^2 words D^i a^j.
-        expected = 2 * n * n if (2 * n) % p.q_root == 0 else n * n
+        expected = 2 * n * n if (2 * n) % order == 0 else n * n
         if alg.dimension != expected:
             yield f"dimension {alg.dimension}, expected {expected}"
 
@@ -559,7 +559,7 @@ def _thunks_fdquot(p: SuiteParams):
         """A thunk for a check that scans the quotient for witnesses."""
 
         def thunk():
-            alg, why = p.finite_quotient
+            alg, why = run.once("fdquot", build)
             return checks_from({name: [why] if alg is None else witnesses(alg)})
 
         return thunk
@@ -584,8 +584,8 @@ _SUITE_BUILDERS = {
     "cocycle": _thunks_cocycle,
     "cleaving": _thunks_cleaving,
     "bicross": _thunks_bicross,
-    "exactseq": lambda p: [lambda: galois.verify_exact_sequence(p.range)],
-    "diagram": lambda p: [
+    "exactseq": lambda run: [lambda: galois.verify_exact_sequence(run.params.range)],
+    "diagram": lambda run: [
         lambda: galois.verify_prop14_diagram(FIXED_WINDOWS["diagram"]["max_exp"]),
         lambda: galois.verify_prop14_diagram(
             FIXED_WINDOWS["diagram"]["max_exp"], mutation="bc_weak"
@@ -614,21 +614,8 @@ def _contained(suite: str, thunk) -> list[Check]:
         return [Check(suite, False, witness=f"{type(exc).__name__}: {exc}")]
 
 
-def _hopf_proofs(checks: list[Check], params: SuiteParams) -> dict[str, str]:
-    """What the axiom checks of each algebra in ``checks`` covered."""
-    proofs = {}
-    for alg_name in HOPF_ALGEBRAS:
-        alg = algebra_by_name(alg_name, params.convention)
-        prefix = f"hopf_{alg.tag}_"
-        group = [c for c in checks if c.name.startswith(prefix)]
-        if group:
-            proofs[prefix[:-1]] = proof_summary(alg, params.max_deg, group)
-    return proofs
-
-
 def run_suite(name: str, params: SuiteParams | None = None) -> Report:
-    # a fresh copy per run, so results cached on it are never reused
-    params = replace(params) if params else SuiteParams()
+    params = SuiteParams() if params is None else params
     if name not in SUITE_NAMES:
         raise QdtError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     choices = ("all", *HOPF_ALGEBRAS)
@@ -642,16 +629,9 @@ def run_suite(name: str, params: SuiteParams | None = None) -> Report:
             f"check walks words of degree {least} from the vacuum, got {params.window}"
         )
     started = time.perf_counter()
-    if name == "all":
-        hopf_params = replace(params, algebra="all")
-        hopf_params._memo = params._memo  # one run, so the BICROSS axioms run once
-        thunks = [
-            (key, thunk)
-            for key, builder in _SUITE_BUILDERS.items()
-            for thunk in builder(hopf_params if key == "hopf" else params)
-        ]
-    else:
-        thunks = [(name, thunk) for thunk in _SUITE_BUILDERS[name](params)]
+    run = _Run(name, params)
+    ran = _SUITE_BUILDERS if name == "all" else (name,)
+    thunks = [(key, thunk) for key in ran for thunk in _SUITE_BUILDERS[key](run)]
     checks: list[Check] = []
     if params.jobs > 1:
         with ThreadPoolExecutor(max_workers=params.jobs) as pool:
@@ -661,16 +641,20 @@ def run_suite(name: str, params: SuiteParams | None = None) -> Report:
         for pair in thunks:
             checks.extend(_contained(*pair))
     report_params = asdict(params)
-    if "gns_relations" in vars(params):  # computed by the gns relations thunk
-        _, defects = params.gns_relations
+    if "gns" in run.results:
+        _, defects = run.results["gns"]
         report_params["gns_max_defect_per_relation"] = {
             rel: f"{value:.3e}" for rel, value in defects.items()
         }
     if name in ("hopf", "all"):
         report_params["algebra_notes"] = dict(NOTES)
     if name in ("hopf", "bicross", "all"):
-        report_params["proofs"] = _hopf_proofs(checks, params)
-    ran = _SUITE_BUILDERS if name == "all" else (name,)
+        hopf_algebras = (algebra_by_name(alg, params.convention) for alg in HOPF_ALGEBRAS)
+        report_params["proofs"] = {
+            f"hopf_{alg.tag}": proof_summary(alg, params.max_deg, run.results[alg])
+            for alg in hopf_algebras
+            if alg in run.results
+        }
     report_params["fixed_windows"] = {
         **{key: FIXED_WINDOWS[key] for key in ran if key in FIXED_WINDOWS},
         "cleaving_convention": {"range": galois.CONVENTION_REPORT_RANGE},

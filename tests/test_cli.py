@@ -309,11 +309,21 @@ class TestSuiteRunner:
         with pytest.raises(QdtError):
             run_suite("bogus")
 
-    def test_jobs_parallel_matches_serial(self):
-        serial = run_suite("exactseq", SuiteParams(jobs=1))
-        parallel = run_suite("exactseq", SuiteParams(jobs=4))
-        names = lambda r: [(c.name, c.passed) for c in r.sorted_checks()]
-        assert names(serial) == names(parallel)
+    @pytest.mark.parametrize(
+        "suite, algebra",
+        [("exactseq", "ADTq"), ("hopf", "all"), ("fdquot", "ADTq"), ("gns", "ADTq")],
+        ids=["exactseq", "hopf_all", "fdquot", "gns"],
+    )
+    def test_jobs_parallel_matches_serial(self, suite, algebra):
+        """The whole report, the shared results read into its parameters
+        (``proofs``, the GNS defects) included, whichever thread finishes first."""
+
+        def report(jobs):
+            data = run_suite(suite, SuiteParams(algebra=algebra, jobs=jobs)).to_json_dict()
+            del data["duration_ms"], data["params"]["jobs"]
+            return json.dumps(data)  # key order too
+
+        assert report(1) == report(4)
 
     @pytest.mark.parametrize(
         "field, value",

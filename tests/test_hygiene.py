@@ -15,7 +15,8 @@ first witness of its scan through ``report.checks_from``.
 Neither ``cli.py`` nor ``suites.py`` lists algebra tags by hand: names come
 from ``algebras.ALGEBRAS`` and ``suites.HOPF_ALGEBRAS``.
 No ``add_argument`` call in ``cli.py`` renames a flag with ``dest=``, and a
-suite-parameter flag leaves its default to ``SuiteParams``.
+suite-parameter flag leaves its default to ``SuiteParams``, which holds its
+fields and no per-run state.
 No check-level function of ``galois``, ``hopf``, ``suites`` or ``gns``
 (``convention_report``, ``verify_*``, ``*_mismatches``, ``*_failures``)
 carries a process-wide cache decorator: a warm cache would hand a later run
@@ -24,6 +25,7 @@ the verdict of an earlier one, hiding a defect that appeared in between.
 
 import ast
 import dataclasses
+import functools
 from pathlib import Path
 
 import pytest
@@ -98,7 +100,7 @@ def test_the_scan_sees_an_unraised_class():
 # (module, function, parameter) -> why the body may leave it unread
 UNREAD_ALLOWED = {
     ("algebras.py", "basis_by_degree", "max_len"): "an override: the basis of AZ2 is finite",
-    ("suites.py", "_thunks_characters", "p"): "every suite builder takes the suite parameters",
+    ("suites.py", "_thunks_characters", "run"): "every suite builder takes the run",
     ("galois.py", "coaction_lambda_from_ell", "conv"): (
         "the cocleaving map does not depend on the convention, "
         "but the acceptance tests pin the signature"
@@ -283,6 +285,19 @@ def test_suite_flags_take_their_defaults_from_suite_params():
     path = ROOT / "src" / "qdtorus" / "cli.py"
     fields = {f.name for f in dataclasses.fields(SuiteParams)}
     assert argument_default_faults(ast.parse(path.read_text(), str(path)), fields) == []
+
+
+def test_suite_params_are_plain_data():
+    """The flag schema carries no per-run state: an instance holds its
+    fields and nothing else, and the class computes no attribute."""
+    fields = {f.name for f in dataclasses.fields(SuiteParams)}
+    assert set(vars(SuiteParams())) == fields
+    computed = [
+        name
+        for name, member in vars(SuiteParams).items()
+        if isinstance(member, (property, functools.cached_property))
+    ]
+    assert computed == []
 
 
 def test_the_scan_sees_a_second_default():

@@ -519,7 +519,8 @@ def test_fdquot_needs_the_reduction_modulo_the_cyclotomic_polynomial(n, order, w
     assert all(status == "fail" and got.startswith(witness) for status, got in statuses.values())
 
 
-def test_gns_relations_run_once_per_report(monkeypatch):
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_gns_relations_run_once_per_report(monkeypatch, jobs):
     import qdtorus.gns as gns
 
     calls = []
@@ -530,12 +531,33 @@ def test_gns_relations_run_once_per_report(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(gns, "verify_gns_relations", counting)
-    params = SuiteParams(window=5)
+    params = SuiteParams(window=5, jobs=jobs)
     first = run_suite("gns", params)
     second = run_suite("gns", params)  # a run never reuses another's result
     assert calls == [(5, 0.31), (5, 0.31)]
     for report in (first, second):
         assert report.ok and report.params["gns_max_defect_per_relation"]
+
+
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_finite_quotient_built_once_per_run(monkeypatch, jobs):
+    """The three fdquot checks on the quotient share one build per run, and
+    the next run builds again; the symbolic refusal (mode None) is apart."""
+    from qdtorus import suites
+
+    built = []
+    real = suites.build_finite_quotient
+
+    def counting(n, mode):
+        if mode is not None:
+            built.append((n, mode.order))
+        return real(n, mode)
+
+    monkeypatch.setattr(suites, "build_finite_quotient", counting)
+    for _ in range(2):
+        report = run_suite("fdquot", SuiteParams(jobs=jobs))
+        assert report.ok and len(report.checks) == 4
+    assert built == [(2, 4), (2, 4)]
 
 
 @pytest.mark.parametrize("jobs", [1, 4])
@@ -646,6 +668,19 @@ def _nothing_killed(monkeypatch):
     monkeypatch.setattr(alg, "from_parent", lambda e: alg.unit())
 
 
+def _wrong_at_the_unit(name):
+    """A plant under which ``galois.<name>``, a map given on monomials,
+    picks up a factor q at the unit word alone."""
+
+    def plant(monkeypatch):
+        real = getattr(galois, name)
+        monkeypatch.setattr(
+            galois, name, lambda mon: real(mon) * QScalar.q_power(1) if not mon else real(mon)
+        )
+
+    return plant
+
+
 @pytest.mark.parametrize(
     "plant, suite, check, witness",
     [
@@ -653,15 +688,24 @@ def _nothing_killed(monkeypatch):
         (_norms_all_two, "gns", "gns_norm_examples", "norm(a) = 2.0"),
         (_expectations_drifting, "gns", "gns_expectation_matches_haar", "1 (defect 1.00e-03)"),
         (_nothing_killed, "fdquot", "fdquot_hopf_ideal", "a^n-z not killed"),
+        (_wrong_at_the_unit("ell_table_mon"), "cleaving", "cocleaving_table_equals_derived", "1"),
+        (_wrong_at_the_unit("ell_table_mon"), "cleaving", "cocleaving_self_convolution_inverse", "1"),
+        (_wrong_at_the_unit("prj_mon"), "exactseq", "exactseq_prj_hopf_star_map", "coproduct at 1"),
     ],
-    ids=["j_star_map", "norm_examples", "expectation", "hopf_ideal"],
+    ids=[
+        "j_star_map", "norm_examples", "expectation", "hopf_ideal",
+        "ell_table_at_unit", "ell_inverse_at_unit", "prj_at_unit",
+    ],
 )
 def test_a_failed_check_names_its_first_failure(plant, suite, check, witness, monkeypatch):
-    """Each planted defect fails the check at several points; the witness is
-    the first of them in the check's scan order, not the last or the worst."""
+    """Each planted defect fails the check at several points, or at the unit
+    alone; the witness is the first of them in the check's scan order, not
+    the last or the worst, and the text report prints it."""
     plant(monkeypatch)
-    found = {c.name: c for c in run_suite(suite).checks}
+    report = run_suite(suite)
+    found = {c.name: c for c in report.checks}
     assert (found[check].passed, found[check].witness) == (False, witness)
+    assert f"] {check}\n         witness: {witness}\n" in report.to_text()
 
 
 def test_a_scan_stops_at_its_first_witness(monkeypatch):
