@@ -223,7 +223,7 @@ def _format_scaled_mon(algebra, mon, coeff: QScalar, first: bool) -> str:
 
 
 class TensorElement:
-    """Rank-2 or rank-3 tensor with one algebra per leg."""
+    """Rank-2 or rank-3 tensor with one algebra per leg; only rank 2 multiplies."""
 
     __slots__ = ("legs", "terms")
 
@@ -274,28 +274,22 @@ class TensorElement:
         if not isinstance(other, TensorElement):
             return TensorElement.combine(self.legs, ((self, QScalar.of(other)),))
         self._check_peer(other)
+        if len(self.legs) != 2:
+            raise CrossAlgebraMix(f"tensor products need rank 2, not rank {len(self.legs)}")
+        # one loop over the terms of the two legs' monomial products
         acc: dict = {}
-        if len(self.legs) == 2:
-            # one loop over the terms of the two legs' monomial products
-            get = acc.get
-            mul0, mul1 = self.legs[0].mul_mon, self.legs[1].mul_mon
-            for (a1, b1), c1 in self.terms.items():
-                for (a2, b2), c2 in other.terms.items():
-                    c = c1 * c2
-                    right = mul1(b1, b2).terms.items()
-                    for ma, ca in mul0(a1, a2).terms.items():
-                        cca = c * ca
-                        for mb, cb in right:
-                            key, v = (ma, mb), cca * cb
-                            prev = get(key)
-                            acc[key] = v if prev is None else prev + v
-        else:
-            for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
-                    legs_els = [
-                        leg.mul_mon(m1, m2) for leg, m1, m2 in zip(self.legs, k1, k2)
-                    ]
-                    _tensor_accumulate(acc, legs_els, c1 * c2)
+        get = acc.get
+        mul0, mul1 = self.legs[0].mul_mon, self.legs[1].mul_mon
+        for (a1, b1), c1 in self.terms.items():
+            for (a2, b2), c2 in other.terms.items():
+                c = c1 * c2
+                right = mul1(b1, b2).terms.items()
+                for ma, ca in mul0(a1, a2).terms.items():
+                    cca = c * ca
+                    for mb, cb in right:
+                        key, v = (ma, mb), cca * cb
+                        prev = get(key)
+                        acc[key] = v if prev is None else prev + v
         return TensorElement._settled(self.legs, acc)
 
     __rmul__ = __mul__
@@ -432,7 +426,8 @@ class Algebra:
         return Element(self, {})
 
     def monomial(self, mon, coeff=1) -> Element:
-        return Element(self, {mon: QScalar.of(coeff)})
+        c = self.canon_scalar(QScalar.of(coeff))
+        return Element._canonical(self, {mon: c} if c else {})
 
     def combine(self, pairs) -> Element:
         """sum(coeff * element) over (element, coeff) pairs of this algebra.
@@ -1092,7 +1087,6 @@ def _finite_quotient_cached(n: int, order: int) -> WordAlgebra:
         generator_names=("a", "b", "c", "d", "D", "Dinv", "z"),
     )
     alg.n = n
-    alg.mode = CyclotomicMode(order)
     alg._translate = translate
     parent = adtq()
     for letter in _QUOTIENT_LETTERS:
@@ -1110,7 +1104,6 @@ def _finite_quotient_cached(n: int, order: int) -> WordAlgebra:
 
 class FiniteQuotientAlgebra(WordAlgebra):
     n: int
-    mode: CyclotomicMode
     dimension: int
 
     def gen_word(self, name, power=1):

@@ -433,6 +433,12 @@ def estimate_operator_norm(e: Element, window_size: int, theta: float) -> float:
 THETA_STEP = 1e-6
 
 
+def theta_continuity_bound(window_size: int) -> float:
+    """The continuity bound on window w: a weight q**e moves by about
+    2*pi*|e|*THETA_STEP, and |e| <= 2w there, so one power of q to spare."""
+    return 2 * np.pi * (2 * window_size + 1) * THETA_STEP
+
+
 def theta_continuity_defect(window_size: int, theta: float) -> float:
     """Largest entrywise change of the generator operators under a theta nudge.
 

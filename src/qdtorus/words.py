@@ -1,10 +1,12 @@
 """Scalar-weighted word rewriting over a finite alphabet.
 
 A rewrite system carries an ordered alphabet (the monomial order is graded
-lexicographic in that letter order) and rules mapping a pattern word to a
-linear combination of strictly smaller words.  Normal forms are computed by
-leftmost reduction; the Diamond Lemma obligation is discharged by resolving
-every overlap and inclusion ambiguity among rule patterns
+lexicographic in that letter order) and rules mapping a nonempty pattern
+word to a linear combination of strictly smaller words (the one rule with
+an empty pattern that decreases the order, 1 -> 0, would kill the whole
+algebra, so ``add_rule`` refuses empty patterns).  Normal forms are
+computed by leftmost reduction; the Diamond Lemma obligation is discharged
+by resolving every overlap and inclusion ambiguity among rule patterns
 (:meth:`RewriteSystem.unresolved_pairs`).  Bounded Knuth-Bendix completion
 (:meth:`RewriteSystem.complete`) derives such relations by search over a
 field; no algebra is built with it, and the tests complete the finite
@@ -67,10 +69,8 @@ class RewriteSystem:
             raise ValueError("duplicate letters")
         self.scalar_canon = scalar_canon or keep_scalar
         self.rules: list[RewriteRule] = []
-        # first letter -> pattern length -> pattern -> index of the first rule
-        # with it; the empty pattern matches at every position
+        # first letter -> pattern length -> pattern -> index of the first rule with it
         self._by_first: dict[str, dict[int, dict[Word, int]]] = {}
-        self._empty: int | None = None  # index of the first rule with the empty pattern
         self._cache: dict[Word, Combo] = {}
         self._max_pattern = 0  # longest rule pattern, for resumed redex search
         for rule in rules:
@@ -79,6 +79,8 @@ class RewriteSystem:
     # -- construction ---------------------------------------------------
 
     def add_rule(self, rule: RewriteRule):
+        if not rule.pattern:
+            raise ValueError(f"rule has an empty pattern: {rule}")
         for x in rule.pattern:
             if x not in self._rank:
                 raise UnknownGenerator(f"letter {x!r} not in alphabet {self.letters}")
@@ -93,13 +95,8 @@ class RewriteSystem:
             if self.order_key(w) >= key:
                 raise ValueError(f"rule does not decrease the monomial order: {rule}")
         self.rules.append(rule)
-        idx = len(self.rules) - 1
-        if not rule.pattern:
-            if self._empty is None:
-                self._empty = idx
-        else:
-            by_length = self._by_first.setdefault(rule.pattern[0], {})
-            by_length.setdefault(len(rule.pattern), {}).setdefault(rule.pattern, idx)
+        by_length = self._by_first.setdefault(rule.pattern[0], {})
+        by_length.setdefault(len(rule.pattern), {}).setdefault(rule.pattern, len(self.rules) - 1)
         self._max_pattern = max(self._max_pattern, len(rule.pattern))
         # the shorter words keep their normal forms (module docstring)
         self._cache = {w: nf for w, nf in self._cache.items() if len(w) < len(rule.pattern)}
@@ -119,12 +116,11 @@ class RewriteSystem:
 
         At that position the rule is the first added whose pattern matches.
         A position is looked up only in the tables of the patterns that start
-        with its letter, one table per pattern length; an empty pattern
-        matches at every position.
+        with its letter, one table per pattern length.
         """
-        by_first, empty = self._by_first, self._empty
+        by_first = self._by_first
         for pos in range(start, len(word)):
-            best = empty
+            best = None
             tables = by_first.get(word[pos])
             if tables:
                 for L, table in tables.items():
@@ -204,7 +200,7 @@ class RewriteSystem:
                 at.setdefault(x, []).append(pos)
             for j in range(n):
                 p2 = self.rules[j].pattern
-                starts = at.get(p2[0], ()) if p2 else range(len(p1) + 1)
+                starts = at.get(p2[0], ())
                 # proper overlap: a suffix of p1 of length k is a prefix of
                 # p2, for k = len(p1) - pos ascending
                 for pos in reversed(starts):

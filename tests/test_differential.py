@@ -606,7 +606,7 @@ def random_tensor(data, algebra, degree, rank):
     return TensorElement((algebra,) * rank, dict(picks))
 
 
-@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("rank", [2])
 @pytest.mark.parametrize("name", sorted(TENSOR_ALGEBRAS))
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
@@ -1090,16 +1090,16 @@ def test_normalize_follows_the_rule_choice_on_a_non_confluent_system(word, data)
 
 @st.composite
 def systems_sharing_first_letters(draw):
-    """Rules over x, y, z in a drawn order: an empty pattern, a run of
-    patterns of lengths 1 to 3 that share their first letter, and a few
-    drawn patterns (repeats included).  Each pattern rewrites to zero or,
-    when not empty, to twice the empty word."""
+    """Rules over x, y, z in a drawn order: a run of patterns of lengths 1
+    to 3 that share their first letter, and a few drawn nonempty patterns
+    (repeats included).  Each pattern rewrites to zero or to twice the empty
+    word."""
     letters = ("x", "y", "z")
-    word = st.lists(st.sampled_from(letters), max_size=3).map(tuple)
+    word = st.lists(st.sampled_from(letters), min_size=1, max_size=3).map(tuple)
     run = draw(st.lists(st.sampled_from(letters), min_size=3, max_size=3))
-    patterns = [(), *(tuple(run[:k]) for k in (1, 2, 3)), *draw(st.lists(word, max_size=4))]
+    patterns = [*(tuple(run[:k]) for k in (1, 2, 3)), *draw(st.lists(word, max_size=4))]
     patterns = draw(st.permutations(patterns))
-    to_empty = [draw(st.booleans()) and bool(p) for p in patterns]
+    to_empty = [draw(st.booleans()) for _ in patterns]
     rules = [
         RewriteRule(p, ((QScalar.of(2), ()),) if e else ()) for p, e in zip(patterns, to_empty)
     ]
@@ -1269,11 +1269,11 @@ def test_critical_words_match_the_double_loop(name):
         assert list(system.critical_words(max_len)) == list(ref_critical_words(system, max_len)), max_len
 
 
-@given(st.lists(st.lists(st.sampled_from(["x", "y", "z"]), max_size=5), max_size=6))
+@given(st.lists(st.lists(st.sampled_from(["x", "y", "z"]), min_size=1, max_size=5), max_size=6))
 @settings(max_examples=100, deadline=None)
 def test_critical_words_match_the_double_loop_on_any_patterns(patterns):
-    # any words as patterns, the empty one and repeats included; no result,
-    # so every rule decreases the order
+    # any nonempty words as patterns, repeats included; no result, so every
+    # rule decreases the order
     system = RewriteSystem(("x", "y", "z"), [RewriteRule(tuple(p), ()) for p in patterns])
     assert list(system.critical_words()) == list(ref_critical_words(system))
 

@@ -494,3 +494,37 @@ def test_factory_defaults_are_one_key():
     assert free() is free(("g",))
     assert TorusCoaction().alg is adtq()
     assert adtq().gen("a") + adtq(None).gen("a") == adtq().gen("a") * 2
+
+
+def test_monomial_matches_the_coercing_constructor():
+    """``monomial`` canonicalises its one coefficient and keeps a zero one
+    as the zero element, as ``Element(alg, {m: c})`` does."""
+    from qdtorus.algebras import Element
+
+    alg = adtq()
+    m = ("D", "a")
+    for c in (0, 2, QScalar.q_power(-3)):
+        assert alg.monomial(m, c).terms == Element(alg, {m: c}).terms
+    assert alg.monomial(m, 0).is_zero()
+    quotient = build_finite_quotient(2, CyclotomicMode(4))  # q^2 = -1
+    for c in (QScalar.q_power(2), QScalar.q_power(2) + 1, QScalar.q_power(5)):
+        assert quotient.monomial(("a",), c).terms == Element(quotient, {("a",): c}).terms
+    assert quotient.monomial(("a",), QScalar.q_power(2)).terms == {("a",): QScalar.of(-1)}
+    assert quotient.monomial(("a",), QScalar.q_power(2) + 1).is_zero()
+
+
+def test_a_rank_3_tensor_product_is_refused():
+    alg = adtq()
+    t = alg.gen("a").coproduct().coproduct_leg(0)
+    assert t.rank == 3
+    with pytest.raises(CrossAlgebraMix, match="rank 2"):
+        t * t
+
+
+def test_an_empty_pattern_is_refused():
+    with pytest.raises(ValueError, match="empty pattern"):
+        RewriteSystem(("x",), [RewriteRule((), ())])
+    system = RewriteSystem(("x",), [])
+    with pytest.raises(ValueError, match="empty pattern"):
+        system.add_rule(RewriteRule((), ()))
+    assert system.rules == []

@@ -61,15 +61,16 @@ def lattice_action(gen: str, site, qval: complex):
 
 
 @contextlib.contextmanager
-def planted_b_weight(monkeypatch):
-    """The b lattice weight with exponent 2n in place of 2n - 1, on operators
-    built fresh and dropped again, so that no other test sees them."""
+def planted_b_weight(monkeypatch, exponent_off=1):
+    """The b lattice weight with exponent 2n - 1 + ``exponent_off`` in place
+    of 2n - 1 at n > 0, on operators built fresh and dropped again, so that
+    no other test sees them."""
     real = gns.lattice_shifts
 
     def wrong(m, n, power):
         shifts = real(m, n, power)
         sector, m2, n2, weight = shifts["b"]
-        shifts["b"] = (sector, m2, n2, np.where(n > 0, -power(2 * n), weight))
+        shifts["b"] = (sector, m2, n2, np.where(n > 0, -power(2 * n - 1 + exponent_off), weight))
         return shifts
 
     gns.operator_set.cache_clear()
@@ -193,6 +194,27 @@ class TestNorms:
 class TestStability:
     def test_theta_continuity(self):
         assert theta_continuity_defect(6, THETA) <= 1e-4
+
+    @pytest.mark.parametrize("window", [6, 8, 12])
+    def test_the_continuity_bound_grows_with_the_window(self, window):
+        """The defect of correct operators is 2*pi*2w*THETA_STEP, which a
+        fixed bound of 1e-4 refused from window 8 on."""
+        from qdtorus.suites import SuiteParams, run_suite
+
+        defect = theta_continuity_defect(window, THETA)
+        assert defect == pytest.approx(2 * np.pi * 2 * window * gns.THETA_STEP, rel=1e-6)
+        report = run_suite("gns", SuiteParams(window=window))
+        assert report.ok, [(c.name, c.witness) for c in report.checks if not c.passed]
+
+    def test_the_continuity_bound_refuses_a_b_weight_four_powers_of_q_off(self, monkeypatch):
+        """q**(2n+3) in place of q**(2n-1) moves the defect at window 6 to
+        1.005e-4, above the bound 2*pi*13*THETA_STEP = 8.17e-5."""
+        from qdtorus.suites import SuiteParams, run_suite
+
+        with planted_b_weight(monkeypatch, exponent_off=4):
+            report = run_suite("gns", SuiteParams(window=6))
+        check = next(c for c in report.checks if c.name == "gns_theta_continuity")
+        assert (check.passed, check.witness) == (False, "1.01e-04")
 
     @pytest.mark.parametrize("theta", [0.9999995, 0.999999])
     def test_the_nudge_wraps_past_one(self, theta):

@@ -21,6 +21,9 @@ No check-level function of ``galois``, ``hopf``, ``suites`` or ``gns``
 (``convention_report``, ``verify_*``, ``*_mismatches``, ``*_failures``)
 carries a process-wide cache decorator: a warm cache would hand a later run
 the verdict of an earlier one, hiding a defect that appeared in between.
+Only ``galois.hopf_star_map_failures`` states the laws of a Hopf *-map: no
+other function maps both legs of a coproduct, calling ``apply_leg`` with the
+constant leg 0 and with the constant leg 1.
 """
 
 import ast
@@ -374,3 +377,61 @@ def test_the_scan_sees_a_memoized_check():
         "verify_prop14_diagram (line 4)",
         "_law_failures (line 7)",
     ]
+
+
+def own_nodes(func: ast.FunctionDef):
+    """The nodes of a def's body, lambdas included, outside its nested defs
+    and classes."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def both_leg_maps(tree: ast.Module) -> list[str]:
+    """Each def that calls ``apply_leg`` with the constant leg 0 and also with
+    the constant leg 1 in its own body."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        legs = {
+            call.args[0].value
+            for call in own_nodes(node)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "apply_leg"
+            and call.args
+            and isinstance(call.args[0], ast.Constant)
+        }
+        if {0, 1} <= legs:
+            found.append(node.name)
+    return found
+
+
+def test_one_function_states_the_hopf_star_map_laws():
+    found = [
+        f"{path.stem}.{name}"
+        for path in PACKAGE
+        for name in both_leg_maps(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == ["galois.hopf_star_map_failures"]
+
+
+def test_the_scan_sees_a_map_of_both_legs():
+    tree = ast.parse(
+        "def outer(t):\n"
+        "    def legs(m):\n"
+        "        return t.apply_leg(0, f, a).apply_leg(1, f, a)\n"
+        "    return legs\n"
+        "def by_lambda(t):\n"
+        "    both = lambda: t.apply_leg(1, f, a)\n"
+        "    return t.apply_leg(0, f, a), both\n"
+        "def one_leg(t):\n"
+        "    return t.apply_leg(1, f, a)\n"
+        "def by_variable(t):\n"
+        "    return [t.apply_leg(leg, f, a) for leg in (0, 1)]\n"
+    )
+    assert sorted(both_leg_maps(tree)) == ["by_lambda", "legs"]

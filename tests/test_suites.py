@@ -178,6 +178,23 @@ def test_fdquot_dimension_check_rejects_a_planted_dimension(monkeypatch):
     assert found["fdquot_dimension"].witness == "dimension 18, expected 9"
 
 
+@pytest.mark.parametrize("n, order", [(2, 4), (3, 6)])
+def test_fdquot_hopf_ideal_checks_the_star(n, order, monkeypatch):
+    """With q*b* planted as ADTq's b*, the star of b^n - (1 - z) leaves the
+    ideal, and the quotient map fails the star law there first."""
+    from qdtorus.algebras import build_finite_quotient
+    from qdtorus.scalars import CyclotomicMode
+
+    build_finite_quotient(n, CyclotomicMode(order))  # built first, so it keeps the true *
+    parent = adtq()
+    monkeypatch.setitem(parent._star_letter, "b", parent._star_letter["b"] * algebras.Q)
+    monkeypatch.setattr(parent, "_star_cache", {(): parent.unit()})
+    report = run_suite("fdquot", SuiteParams(quotient_n=n, q_root=order))
+    found = {c.name: c for c in report.checks}
+    check = found["fdquot_hopf_ideal"]
+    assert (check.passed, check.witness) == (False, "star at b^n-(1-z)")
+
+
 def _fdquot_statuses(monkeypatch, n, order, add_rule):
     """The fdquot checks of (n, order) on a quotient built with ``add_rule``."""
     with monkeypatch.context() as patch:
