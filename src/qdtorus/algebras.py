@@ -19,8 +19,9 @@ one letter table of normalized images (a tensor for the coproduct, a scalar
 for the counit, an element each for the antipode and the involution),
 written down as formulas on the letters and extended to words by
 :func:`extend_letters`; the hopf suite proves that the tables respect every
-relation.  All algebra objects are immutable after construction and cache
-aggressively; they are safe to share between threads.
+relation.  Each algebra class builds its own presentation and letter tables,
+and a factory only memoizes its constructor.  Algebra objects are then
+immutable, cache aggressively, and are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -470,25 +471,18 @@ class WordAlgebra(Algebra):
         self._antipode_cache: dict = {(): self.unit()}
         self._star_cache: dict = {(): self.unit()}
 
-    @property
-    def is_hopf(self) -> bool:
-        return bool(self._cop_letter)
-
     # -- element construction ---------------------------------------------
 
     def unit(self) -> Element:
         return Element(self, {(): ONE})
 
     def element_from_combo(self, combo: dict) -> Element:
-        return Element(self, self._post_combo(combo))
-
-    def _post_combo(self, combo: dict) -> dict:
-        return combo
+        return Element(self, combo)
 
     def normalize_word(self, word: Iterable[str]) -> Element:
         word = tuple(word)
         for x in word:
-            if x not in self.system._rank:
+            if x not in self.system.rank:
                 raise UnknownGenerator(f"{x!r} is not a generator of {self.tag}")
         return self.element_from_combo(self.system.normalize(word))
 
@@ -505,7 +499,7 @@ class WordAlgebra(Algebra):
         letter = name
         if power < 0:
             letter = _INV_LETTER.get(name) or _BASE_OF_INV.get(name)
-            if letter is None or letter not in self.system._rank:
+            if letter is None or letter not in self.system.rank:
                 raise InvalidExponent(f"{name} has no inverse in {self.tag}")
         try:
             return (letter,) * abs(power)
@@ -591,6 +585,7 @@ class WordAlgebra(Algebra):
 # ---------------------------------------------------------------------------
 
 _QG_LETTERS = ("Dinv", "D", "z", "a", "d", "b", "c")
+_QG_GENERATORS = ("a", "b", "c", "d", "D", "Dinv", "z")
 
 
 def _qg_base_rules() -> list[RewriteRule]:
@@ -673,7 +668,7 @@ class QGroupAlgebra(WordAlgebra):
 
     def __init__(self, tag, rules):
         system = RewriteSystem(_QG_LETTERS, rules)
-        super().__init__(tag, system, generator_names=("a", "b", "c", "d", "D", "Dinv", "z"))
+        super().__init__(tag, system, _QG_GENERATORS)
         for letter, cop in _QG_COPRODUCT.items():
             self._install_hopf_letter(
                 letter, cop, _QG_COUNIT[letter], _QG_ANTIPODE[letter], _QG_STAR[letter]
@@ -838,6 +833,34 @@ def adtq(mutation: str | None = None) -> QGroupAlgebra:
 
 
 class TorusAlgebra(WordAlgebra):
+    """Laurent polynomials in ``names`` = (u, u^-1, v, v^-1): commutative and Hopf
+    with group-like u, v and S = * = inverse, or v u = q_swap u v with * alone."""
+
+    def __init__(self, tag: str, names: Word, q_swap: QScalar | None = None):
+        u, uinv, v, vinv = self._names = names
+        self.is_hopf = q_swap is None
+        inverse = {u: uinv, uinv: u, v: vinv, vinv: v}
+        r = RewriteRule
+        rules = [r((x, xi), ((ONE, ()),)) for x, xi in inverse.items()]
+        if q_swap is None:
+            for hi, lo in ((v, u), (v, uinv), (vinv, u), (vinv, uinv)):
+                rules.append(r((hi, lo), ((ONE, (lo, hi)),)))
+        else:
+            rules += [
+                r((v, u), ((q_swap, (u, v)),)),
+                r((v, uinv), ((q_swap.inverse(), (uinv, v)),)),
+                r((vinv, u), ((q_swap.inverse(), (u, vinv)),)),
+                r((vinv, uinv), ((q_swap, (uinv, vinv)),)),
+            ]
+        super().__init__(tag, RewriteSystem((uinv, u, vinv, v), rules), generator_names=(u, v))
+        for x, xi in inverse.items():
+            if self.is_hopf:
+                self._install_hopf_letter(
+                    x, [(1, (x,), (x,))], 1, antipode=[(1, (xi,))], star=[(1, (xi,))]
+                )
+            else:
+                self._star_letter[x] = self.monomial((xi,))
+
     def lattice_mon(self, k: int, l: int) -> Word:
         u, uinv, v, vinv = self._names
         return ((u,) * k if k >= 0 else (uinv,) * (-k)) + (
@@ -851,56 +874,15 @@ class TorusAlgebra(WordAlgebra):
         return k, l
 
 
-def _torus_rules(names, q_swap: QScalar | None) -> list[RewriteRule]:
-    u, uinv, v, vinv = names
-    one = ONE
-    r = RewriteRule
-    rules = [
-        r((u, uinv), ((one, ()),)),
-        r((uinv, u), ((one, ()),)),
-        r((v, vinv), ((one, ()),)),
-        r((vinv, v), ((one, ()),)),
-    ]
-    if q_swap is None:
-        for hi, lo in ((v, u), (v, uinv), (vinv, u), (vinv, uinv)):
-            rules.append(r((hi, lo), ((one, (lo, hi)),)))
-    else:
-        rules.append(r((v, u), ((q_swap, (u, v)),)))
-        rules.append(r((v, uinv), ((q_swap.inverse(), (uinv, v)),)))
-        rules.append(r((vinv, u), ((q_swap.inverse(), (u, vinv)),)))
-        rules.append(r((vinv, uinv), ((q_swap, (uinv, vinv)),)))
-    return rules
-
-
 @algebra_factory
 def at2() -> TorusAlgebra:
-    names = ("u", "uinv", "v", "vinv")
-    alg = TorusAlgebra(
-        "AT2",
-        RewriteSystem(("uinv", "u", "vinv", "v"), _torus_rules(names, None)),
-        generator_names=("u", "v"),
-    )
-    alg._names = names
-    for x, xi in (("u", "uinv"), ("uinv", "u"), ("v", "vinv"), ("vinv", "v")):
-        alg._install_hopf_letter(
-            x, [(1, (x,), (x,))], 1, antipode=[(1, (xi,))], star=[(1, (xi,))]
-        )
-    return alg
+    return TorusAlgebra("AT2", ("u", "uinv", "v", "vinv"))
 
 
 @algebra_factory
 def at2q() -> TorusAlgebra:
     # x y = q y x, so moving y leftward past x costs q^-1
-    names = ("x", "xinv", "y", "yinv")
-    alg = TorusAlgebra(
-        "AT2q",
-        RewriteSystem(("xinv", "x", "yinv", "y"), _torus_rules(names, QI)),
-        generator_names=("x", "y"),
-    )
-    alg._names = names
-    for x, xi in (("x", "xinv"), ("xinv", "x"), ("y", "yinv"), ("yinv", "y")):
-        alg._star_letter[x] = alg.monomial((xi,))
-    return alg
+    return TorusAlgebra("AT2q", ("x", "xinv", "y", "yinv"), QI)
 
 
 # -- functions on the two-point group ----------------------------------------
@@ -909,14 +891,38 @@ def at2q() -> TorusAlgebra:
 class Z2Algebra(WordAlgebra):
     """Functions on Z2 with basis d0, d1; the unit is d0 + d1."""
 
+    def __init__(self):
+        r = RewriteRule
+        rules = [
+            r(("d0", "d0"), ((ONE, ("d0",)),)),
+            r(("d1", "d1"), ((ONE, ("d1",)),)),
+            r(("d0", "d1"), ()),
+            r(("d1", "d0"), ()),
+        ]
+        super().__init__("AZ2", RewriteSystem(("d0", "d1"), rules), generator_names=("d0", "d1"))
+        self._install_hopf_letter(
+            "d0",
+            [(1, ("d0",), ("d0",)), (1, ("d1",), ("d1",))],
+            1,
+            antipode=[(1, ("d0",))],
+            star=[(1, ("d0",))],
+        )
+        self._install_hopf_letter(
+            "d1",
+            [(1, ("d0",), ("d1",)), (1, ("d1",), ("d0",))],
+            0,
+            antipode=[(1, ("d1",))],
+            star=[(1, ("d1",))],
+        )
+
     def unit(self) -> Element:
         return Element(self, {("d0",): ONE, ("d1",): ONE})
 
-    def _post_combo(self, combo: dict) -> dict:
+    def element_from_combo(self, combo: dict) -> Element:
         unit_coeff = combo.pop((), None)
         if unit_coeff:
             add_scaled(combo, {("d0",): unit_coeff, ("d1",): unit_coeff})
-        return combo
+        return Element(self, combo)
 
     def delta(self, i: int) -> Element:
         return self.monomial((f"d{i}",))
@@ -928,32 +934,7 @@ class Z2Algebra(WordAlgebra):
 
 @algebra_factory
 def az2() -> Z2Algebra:
-    r = RewriteRule
-    one = ONE
-    rules = [
-        r(("d0", "d0"), ((one, ("d0",)),)),
-        r(("d1", "d1"), ((one, ("d1",)),)),
-        r(("d0", "d1"), ()),
-        r(("d1", "d0"), ()),
-    ]
-    alg = Z2Algebra(
-        "AZ2", RewriteSystem(("d0", "d1"), rules), generator_names=("d0", "d1")
-    )
-    alg._install_hopf_letter(
-        "d0",
-        [(1, ("d0",), ("d0",)), (1, ("d1",), ("d1",))],
-        1,
-        antipode=[(1, ("d0",))],
-        star=[(1, ("d0",))],
-    )
-    alg._install_hopf_letter(
-        "d1",
-        [(1, ("d0",), ("d1",)), (1, ("d1",), ("d0",))],
-        0,
-        antipode=[(1, ("d1",))],
-        star=[(1, ("d1",))],
-    )
-    return alg
+    return Z2Algebra()
 
 
 # Every named algebra by its tag; the bicross product is built per convention
@@ -1019,7 +1000,7 @@ def root_condition_holds(n: int, mode: CyclotomicMode) -> bool:
     return value == ONE
 
 
-def build_finite_quotient(n: int, mode: CyclotomicMode | None) -> WordAlgebra:
+def build_finite_quotient(n: int, mode: CyclotomicMode | None) -> FiniteQuotientAlgebra:
     """Quotient by a^n - z, b^n - (1-z), c^n - (1-z), d^n - z, D^n - 1.
 
     ``mode`` must specialise q to a primitive root of unity making
@@ -1057,54 +1038,46 @@ def _quotient_presentation(n: int, order: int) -> RewriteSystem:
     return RewriteSystem(_QUOTIENT_LETTERS, rules, scalar_canon=CyclotomicMode(order).canon)
 
 
-@algebra_factory
-def _finite_quotient_cached(n: int, order: int) -> WordAlgebra:
+class FiniteQuotientAlgebra(WordAlgebra):
     """The presentation and the relations of the lattice model: in each
     corner, a run times the inverse ideal generator's run is a product of
     two triples (:func:`corner_product`), so for 1 <= j < n
     D^j a^(n-j) = d^j, D^j d^(n-j) = a^j, D^j b^(n-j) = k_b c^j and
     D^j c^(n-j) = k_c b^j.  When q^(2n) != 1, b D^n = q^(2n) D^n b kills b
-    and c, and then z = 1 - b^n = 1."""
-    system = _quotient_presentation(n, order)
-    kills_b = (2 * n) % order != 0
-    for j in range(1, n):
-        runs = {"a": ("d", ONE), "d": ("a", ONE)}
-        if not kills_b:
-            runs["b"] = ("c", corner_product((1, j, 0), (1, 0, n)).inverse())
-            runs["c"] = ("b", corner_product((1, 0, j), (1, n, 0)).inverse())
-        for run, (image, coeff) in runs.items():
-            system.add_rule(RewriteRule(("D",) * j + (run,) * (n - j), ((coeff, (image,) * j),)))
-    if kills_b:
-        for letter, image in (("b", ()), ("c", ()), ("z", ((ONE, ()),))):
-            system.add_rule(RewriteRule((letter,), image))
+    and c, and then z = 1 - b^n = 1.  The letter tables are ADTq's, read
+    through the quotient map."""
 
-    def translate(word: Word) -> Word:
-        return tuple(y for x in word for y in (("D",) * (n - 1) if x == "Dinv" else (x,)))
+    def __init__(self, n: int, order: int):
+        system = _quotient_presentation(n, order)
+        kills_b = (2 * n) % order != 0
+        for j in range(1, n):
+            runs = {"a": ("d", ONE), "d": ("a", ONE)}
+            if not kills_b:
+                runs["b"] = ("c", corner_product((1, j, 0), (1, 0, n)).inverse())
+                runs["c"] = ("b", corner_product((1, 0, j), (1, n, 0)).inverse())
+            for run, (image, coeff) in runs.items():
+                pattern = ("D",) * j + (run,) * (n - j)
+                system.add_rule(RewriteRule(pattern, ((coeff, (image,) * j),)))
+        if kills_b:
+            for letter, image in (("b", ()), ("c", ()), ("z", ((ONE, ()),))):
+                system.add_rule(RewriteRule((letter,), image))
+        super().__init__(f"FDQUOT(n={n},order={order})", system, _QG_GENERATORS)
+        self.n = n
+        parent = adtq()
+        for letter in _QUOTIENT_LETTERS:
+            word = (letter,)
+            cop = parent.coproduct_mon(word).terms.items()
+            self._install_hopf_letter(
+                letter,
+                [(c, self._translate(w1), self._translate(w2)) for (w1, w2), c in cop],
+                parent.counit_mon(word),
+                [(c, self._translate(w)) for w, c in parent.antipode_mon(word).terms.items()],
+                [(c, self._translate(w)) for w, c in parent.star_mon(word).terms.items()],
+            )
+        self.dimension = len(system.all_normal_words())
 
-    alg = FiniteQuotientAlgebra(
-        f"FDQUOT(n={n},order={order})",
-        system,
-        generator_names=("a", "b", "c", "d", "D", "Dinv", "z"),
-    )
-    alg.n = n
-    alg._translate = translate
-    parent = adtq()
-    for letter in _QUOTIENT_LETTERS:
-        cop = parent._cop_letter[letter].terms.items()
-        alg._install_hopf_letter(
-            letter,
-            [(c, translate(w1), translate(w2)) for (w1, w2), c in cop],
-            parent._counit_letter[letter],
-            [(c, translate(w)) for w, c in parent._antipode_letter[letter].terms.items()],
-            [(c, translate(w)) for w, c in parent._star_letter[letter].terms.items()],
-        )
-    alg.dimension = len(system.all_normal_words())
-    return alg
-
-
-class FiniteQuotientAlgebra(WordAlgebra):
-    n: int
-    dimension: int
+    def _translate(self, word: Word) -> Word:
+        return tuple(y for x in word for y in (("D",) * (self.n - 1) if x == "Dinv" else (x,)))
 
     def gen_word(self, name, power=1):
         if name in ("D", "Dinv") and power != 0:
@@ -1117,3 +1090,8 @@ class FiniteQuotientAlgebra(WordAlgebra):
         return self.combine(
             (self.normalize_word(self._translate(m)), c) for m, c in e.terms.items()
         )
+
+
+@algebra_factory
+def _finite_quotient_cached(n: int, order: int) -> FiniteQuotientAlgebra:
+    return FiniteQuotientAlgebra(n, order)

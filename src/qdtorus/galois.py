@@ -43,7 +43,7 @@ from .algebras import (
     tensor_of,
 )
 from .errors import NotInBaseImage, QdtError
-from .report import Check, checks_from
+from .report import Check, checks_from, detection
 from .scalars import QScalar, add_term
 
 ONE = QScalar.one()
@@ -503,7 +503,7 @@ class TorusCoaction:
         y = self.torus.gen("y")
         xi = self.torus.gen("x", -1)
         yi = self.torus.gen("y", -1)
-        self._images = {
+        self.images = {
             "x": tensor_of([a, x]) + tensor_of([b, y]),
             "y": tensor_of([c, x]) + tensor_of([d, y]),
             "xinv": tensor_of([a.star(), xi]) + tensor_of([b.star(), yi]),
@@ -512,7 +512,7 @@ class TorusCoaction:
         self._cache: dict = {(): tensor_of([self.alg.unit(), self.torus.unit()])}
 
     def of_mon(self, mon) -> TensorElement:
-        return extend_letters(self._cache, self._images, mon)
+        return extend_letters(self._cache, self.images, mon)
 
     def of(self, e: Element) -> TensorElement:
         return TensorElement.combine(
@@ -523,7 +523,7 @@ class TorusCoaction:
 def torus_relation_defect(mutation: str | None = None) -> TensorElement:
     """rho(x) rho(y) - q rho(y) rho(x); zero iff the coaction is well-defined."""
     rho = TorusCoaction(mutation)
-    rx, ry = rho._images["x"], rho._images["y"]
+    rx, ry = rho.images["x"], rho.images["y"]
     return rx * ry - ry * rx * QScalar.q_power(1)
 
 
@@ -532,8 +532,9 @@ def verify_prop14_diagram(max_exp: int, mutation: str | None = None) -> list[Che
     torus = rho.torus
     defect = torus_relation_defect(mutation)
     if mutation is not None:
-        found = None if defect.is_zero() else str(defect)
-        return [Check("diagram_mutation_detected", found is not None, witness=found)]
+        found = [] if defect.is_zero() else [str(defect)]
+        scanned = f"rho(x)rho(y) - q rho(y)rho(x) under {mutation}"
+        return [detection("diagram_mutation_detected", found, scanned)]
 
     span = range(-max_exp, max_exp + 1)
     window = [torus.lattice_mon(k, l) for k, l in itertools.product(span, span)]
@@ -551,7 +552,7 @@ def verify_prop14_diagram(max_exp: int, mutation: str | None = None) -> list[Che
         "diagram_generator_images_unitary": (
             f"rho({g}) * rho({g}inv)"
             for g in ("x", "y")
-            if rho._images[g] * rho._images[f"{g}inv"] != unit
+            if rho.images[g] * rho.images[f"{g}inv"] != unit
         ),
         "diagram_coaction_coassociative": (
             fmt(mon)
@@ -624,15 +625,19 @@ def colinearity_failures(conv: str, exp_range: int):
 
 CONVENTION_REPORT_RANGE = 2
 
+# the report keys of the three comparisons, in the order of their scans
+CONVENTION_COMPARISONS = (
+    "sigma_table_matches_convolution",
+    "cocleaving_table_matches_derived",
+    "right_colinearity",
+)
+
 
 def convention_report(convention_name: str = CORRECTED) -> dict:
     """The mandatory report section naming the active diagonal convention,
     from the three comparisons on the range ``CONVENTION_REPORT_RANGE``."""
     conv = convention(convention_name)
     r = CONVENTION_REPORT_RANGE
-    scans = {
-        "sigma_table_matches_convolution": sigma_table_mismatches(conv, r),
-        "cocleaving_table_matches_derived": cocleaving_table_mismatches(conv, r),
-        "right_colinearity": colinearity_failures(conv, r),
-    }
-    return {"active": conv} | {key: next(scan, None) is None for key, scan in scans.items()}
+    scans = (sigma_table_mismatches, cocleaving_table_mismatches, colinearity_failures)
+    matches = (next(scan(conv, r), None) is None for scan in scans)
+    return {"active": conv} | dict(zip(CONVENTION_COMPARISONS, matches))

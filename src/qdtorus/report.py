@@ -24,6 +24,15 @@ def checks_from(scans: dict[str, Iterable[str]]) -> list[Check]:
     return [Check(name, w is None, witness=w) for name, w in witnesses.items()]
 
 
+def detection(name: str, scan: Iterable[str], scanned: str) -> Check:
+    """A check that an expected defect shows: it passes with the first
+    witness of ``scan``, and on an empty scan fails naming what was scanned."""
+    found = next(iter(scan), None)
+    if found is None:
+        return Check(name, False, witness=f"no defect in {scanned}")
+    return Check(name, True, witness=found)
+
+
 @dataclass
 class Report:
     suite: str

@@ -40,7 +40,7 @@ from .hopf import (
     proof_summary,
     verify_hopf_axioms,
 )
-from .report import Check, Report, checks_from
+from .report import Check, Report, checks_from, detection
 from .scalars import CyclotomicMode, QScalar
 
 # The algebras the hopf suite checks, in the order of their checks and of
@@ -205,9 +205,8 @@ def _thunks_cleaving(run: _Run):
     def j_colinear():
         failures = galois.colinearity_failures(conv, r)
         if conv == galois.PRINTED:
-            found = next(failures, None)
             name = "cleaving_printed_colinearity_fails_on_diagonal"
-            return [Check(name, found is not None, witness=found)]
+            return [detection(name, failures, f"right colinearity of j(u^kv^l), |k|, |l| <= {r}")]
         return checks_from({"cleaving_j_right_colinear": failures})
 
     def j_convolution_inverse():
@@ -225,14 +224,15 @@ def _thunks_cleaving(run: _Run):
             (f"(u^{k}v^{l})(u^{m}v^{n})", j(k, l, conv) * j(m, n, conv) - j(k + m, l + n, conv))
             for k, l, m, n in ((1, 0, 0, 1), (1, 1, 1, 0), (2, 1, 1, 2))
         ]
-        found = next((pair for pair, diff in defects if not diff.is_zero()), None)
+        found = (pair for pair, diff in defects if not diff.is_zero())
+        scanned = f"j(g)j(h) - j(gh) at {', '.join(pair for pair, _ in defects)}"
         at_q1 = (
             max((abs(c.eval_unit(0.0)) for c in diff.terms.values()), default=0.0)
             for _, diff in defects
         )
         classical = (f"defect {worst:.2e} at q=1" for worst in at_q1 if worst > 1e-12)
         return [
-            Check("cleaving_j_not_algebra_map_symbolically", found is not None, witness=found),
+            detection("cleaving_j_not_algebra_map_symbolically", found, scanned),
             *checks_from({"cleaving_j_multiplicative_at_q1": classical}),
         ]
 
@@ -649,11 +649,18 @@ def run_suite(name: str, params: SuiteParams | None = None) -> Report:
         **{key: FIXED_WINDOWS[key] for key in ran if key in FIXED_WINDOWS},
         "cleaving_convention": {"range": galois.CONVENTION_REPORT_RANGE},
     }
-    cleaving_convention = galois.convention_report(params.convention)
+    # contained like a check: on an internal error every comparison reads false
+    section = {"active": params.convention} | dict.fromkeys(galois.CONVENTION_COMPARISONS, False)
+
+    def convention_section():
+        section.update(galois.convention_report(params.convention))
+        return []
+
+    checks.extend(_contained("cleaving_convention", convention_section))
     return Report(
         suite=name,
         params=report_params,
-        cleaving_convention=cleaving_convention,
+        cleaving_convention=section,
         checks=checks,
         duration_ms=(time.perf_counter() - started) * 1000,
     )

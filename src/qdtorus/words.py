@@ -64,8 +64,8 @@ class RewriteSystem:
         scalar_canon: Callable[[QScalar], QScalar] | None = None,
     ):
         self.letters = tuple(letters)
-        self._rank = {x: i for i, x in enumerate(self.letters)}
-        if len(self._rank) != len(self.letters):
+        self.rank = {x: i for i, x in enumerate(self.letters)}
+        if len(self.rank) != len(self.letters):
             raise ValueError("duplicate letters")
         self.scalar_canon = scalar_canon or keep_scalar
         self.rules: list[RewriteRule] = []
@@ -82,7 +82,7 @@ class RewriteSystem:
         if not rule.pattern:
             raise ValueError(f"rule has an empty pattern: {rule}")
         for x in rule.pattern:
-            if x not in self._rank:
+            if x not in self.rank:
                 raise UnknownGenerator(f"letter {x!r} not in alphabet {self.letters}")
         canon_result = []
         for c, w in rule.result:
@@ -104,7 +104,7 @@ class RewriteSystem:
     # -- the monomial order ----------------------------------------------
 
     def order_key(self, word: Word):
-        return (len(word), tuple(self._rank[x] for x in word))
+        return (len(word), tuple(self.rank[x] for x in word))
 
     def leading_monomial(self, combo: Combo) -> Word:
         return max(combo, key=self.order_key)

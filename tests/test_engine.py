@@ -326,6 +326,20 @@ class TestFiniteQuotient:
         alg = build_finite_quotient(2, CyclotomicMode(4))
         assert all(c.passed for c in verify_hopf_axioms(alg, 3))
 
+    @pytest.mark.parametrize("n, order", [(2, 4), (3, 6), (4, 8), (5, 10)])
+    def test_quotient_map_is_a_hopf_star_map_on_the_letters(self, n, order):
+        """pi: ADTq -> FDQUOT(n) keeps the coproduct, counit, antipode and *
+        of each letter the quotient's tables are translated from."""
+        from qdtorus.galois import hopf_star_map_failures, law_witnesses
+
+        alg = build_finite_quotient(n, CyclotomicMode(order))
+        parent = adtq()
+        letters = [(x, parent.gen(x)) for x in ("D", "z", "a", "d", "b", "c")]
+        scans = hopf_star_map_failures(
+            lambda m: alg.from_parent(parent.monomial(m)), alg, letters
+        )
+        assert list(law_witnesses(scans)) == []
+
 
 def test_finite_quotient_completes_in_a_few_passes():
     system = algebras._quotient_presentation(8, 16)

@@ -24,6 +24,9 @@ the verdict of an earlier one, hiding a defect that appeared in between.
 Only ``galois.hopf_star_map_failures`` states the laws of a Hopf *-map: no
 other function maps both legs of a coproduct, calling ``apply_leg`` with the
 constant leg 0 and with the constant leg 1.
+Every object builds its own private state: outside ``scalars.py``, no code
+reads or writes a ``_``-prefixed, non-dunder attribute of anything but
+``self``, ``cls`` or a capitalised class name (``Element._canonical``).
 """
 
 import ast
@@ -435,3 +438,64 @@ def test_the_scan_sees_a_map_of_both_legs():
         "    return [t.apply_leg(leg, f, a) for leg in (0, 1)]\n"
     )
     assert sorted(both_leg_maps(tree)) == ["by_lambda", "legs"]
+
+
+PRIVATE_ACCESS_EXEMPT = ("scalars.py",)
+
+
+def foreign_private_accesses(tree: ast.Module) -> list[str]:
+    """Each ``_``-prefixed, non-dunder attribute read or written on a base
+    other than ``self``, ``cls`` or a capitalised name, with the def it is
+    in, once per site."""
+    found: dict = {}
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute):
+                attr, base = child.attr, child.value
+                dunder = attr.startswith("__") and attr.endswith("__")
+                own = isinstance(base, ast.Name) and (
+                    base.id in ("self", "cls") or base.id[:1].isupper()
+                )
+                if attr.startswith("_") and not dunder and not own:
+                    found[f"{where}: {ast.unparse(child)} (line {child.lineno})"] = None
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return list(found)
+
+
+def test_no_private_attribute_is_touched_from_outside():
+    found = [
+        f"{path.name}: {site}"
+        for path in PACKAGE
+        if path.name not in PRIVATE_ACCESS_EXEMPT
+        for site in foreign_private_accesses(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+def test_the_scan_sees_a_planted_private_write():
+    tree = ast.parse(
+        "@algebra_factory\n"
+        "def at2():\n"
+        "    alg = TorusAlgebra('AT2', system)\n"
+        "    alg._names = ('u', 'uinv', 'v', 'vinv')\n"
+        "    alg._names = alg._names\n"
+        "    return alg\n"
+        "class TorusAlgebra:\n"
+        "    def lattice_mon(self, k, l):\n"
+        "        u = self._names[0]\n"
+        "        return self.system.rank, Element._canonical(self, {}), cls._x, type(self).__name__\n"
+        "def peek(rho):\n"
+        "    return rho.images, rho._images['x'], algebras._finite_quotient_cached.__wrapped__\n"
+    )
+    assert foreign_private_accesses(tree) == [
+        "at2: alg._names (line 4)",
+        "at2: alg._names (line 5)",
+        "peek: rho._images (line 12)",
+        "peek: algebras._finite_quotient_cached (line 12)",
+    ]

@@ -1,5 +1,6 @@
 """Cross-cutting suite properties: full run, mutation sensitivity, misc."""
 
+import json
 import os
 import pathlib
 import random
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from qdtorus import algebras, galois
-from qdtorus.algebras import adtq, at2, az2
+from qdtorus.algebras import adtq, at2, az2, corner_element
+from qdtorus.errors import NotInBaseImage
 from qdtorus.exprs import parse_element
 from qdtorus.gns import LatticeWindow, apply_element, operator_set
 from qdtorus.scalars import QScalar
@@ -723,6 +725,94 @@ def test_a_failed_check_names_its_first_failure(plant, suite, check, witness, mo
     found = {c.name: c for c in report.checks}
     assert (found[check].passed, found[check].witness) == (False, witness)
     assert f"] {check}\n         witness: {witness}\n" in report.to_text()
+
+
+def _colinearity_holds_everywhere(monkeypatch):
+    monkeypatch.setattr(galois, "colinearity_failures", lambda conv, r: iter(()))
+
+
+def _j_multiplicative(monkeypatch):
+    """j(u^k v^l) becomes the classical-corner triple, a group-like."""
+    monkeypatch.setattr(galois, "cleaving_j_mon", lambda k, l, conv: corner_element(0, k, l))
+
+
+def _mutation_undetected(monkeypatch):
+    real = galois.torus_relation_defect
+    monkeypatch.setattr(galois, "torus_relation_defect", lambda mutation=None: real())
+
+
+@pytest.mark.parametrize(
+    "plant, suite, conv, check, witness",
+    [
+        (
+            _colinearity_holds_everywhere,
+            "cleaving",
+            galois.PRINTED,
+            "cleaving_printed_colinearity_fails_on_diagonal",
+            "no defect in right colinearity of j(u^kv^l), |k|, |l| <= 3",
+        ),
+        (
+            _j_multiplicative,
+            "cleaving",
+            galois.CORRECTED,
+            "cleaving_j_not_algebra_map_symbolically",
+            "no defect in j(g)j(h) - j(gh) at "
+            "(u^1v^0)(u^0v^1), (u^1v^1)(u^1v^0), (u^2v^1)(u^1v^2)",
+        ),
+        (
+            _mutation_undetected,
+            "diagram",
+            galois.CORRECTED,
+            "diagram_mutation_detected",
+            "no defect in rho(x)rho(y) - q rho(y)rho(x) under bc_weak",
+        ),
+    ],
+    ids=["printed_colinearity", "j_not_algebra_map", "mutation"],
+)
+def test_a_missed_detection_names_what_it_scanned(plant, suite, conv, check, witness, monkeypatch):
+    """A check that expects a defect fails when its scan finds none, and its
+    witness names the scan rather than being empty."""
+    plant(monkeypatch)
+    report = run_suite(suite, SuiteParams(convention=conv))
+    found = {c.name: c for c in report.checks}
+    assert (found[check].passed, found[check].witness) == (False, witness)
+    assert f"] {check}\n         witness: {witness}\n" in report.to_text()
+
+
+def test_an_internal_error_in_the_convention_section_is_contained(monkeypatch, capsys):
+    """The report still comes out, its three comparisons read false, a failed
+    check names the error, and the command exits 1."""
+    from qdtorus import cli
+
+    def broken(conv, exp_range):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(galois, "sigma_table_mismatches", broken)
+    report = run_suite("fdquot")
+    assert report.cleaving_convention == {
+        "active": "corrected",
+        "sigma_table_matches_convolution": False,
+        "cocleaving_table_matches_derived": False,
+        "right_colinearity": False,
+    }
+    found = {c.name: c for c in report.checks}
+    assert (found["cleaving_convention"].passed, found["cleaving_convention"].witness) == (
+        False,
+        "RuntimeError: planted",
+    )
+    assert all(c.passed for c in report.checks if c.name != "cleaving_convention")
+    assert cli.main(["verify", "fdquot", "--report", "json"]) == 1
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["cleaving_convention"] == report.cleaving_convention
+
+
+def test_a_package_error_in_the_convention_section_propagates(monkeypatch):
+    def refused(conv, exp_range):
+        raise NotInBaseImage("planted")
+
+    monkeypatch.setattr(galois, "sigma_table_mismatches", refused)
+    with pytest.raises(NotInBaseImage):
+        run_suite("fdquot")
 
 
 def test_a_scan_stops_at_its_first_witness(monkeypatch):
